@@ -22,8 +22,6 @@ the Bethe equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bethe import BetheRootSet, curve_points_for_roots, eigenvalue_lambda
@@ -31,8 +29,6 @@ from .curve import CurveParams, CurvePoint
 from .errors import DegenerateRoots, ZeroVector
 from .lattice import build_transfer_matrix, sector_basis
 from .rmatrix import phase_shift, r_matrix, weights
-
-_DENSE_SITES = 7  # full 3^L matrices only below this many sites
 
 
 def _apply_block(i: int, j: int, R4: np.ndarray, L: int, vec: np.ndarray) -> np.ndarray:
@@ -48,34 +44,9 @@ def _apply_block(i: int, j: int, R4: np.ndarray, L: int, vec: np.ndarray) -> np.
     return carrier[i]
 
 
-@dataclass
-class MonodromyElement:
-    i: int
-    j: int
-    lam: CurvePoint
-    mu: CurvePoint
-    L: int
-    matrix: np.ndarray  # (3^L, 3^L) on the full space
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-
-def monodromy_element(i: int, j: int, lam: CurvePoint, mu: CurvePoint, L: int) -> MonodromyElement:
-    """Dense (i, j) auxiliary block of R_01 ... R_0L on the full 3^L space."""
-    if not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("auxiliary indices run over 1..3")
-    if L > _DENSE_SITES:
-        raise ValueError(f"dense monodromy blocks capped at L <= {_DENSE_SITES}")
-    R4 = r_matrix(lam, mu).reshape(3, 3, 3, 3)
-    dim = 3**L
-    mat = _apply_block(i - 1, j - 1, R4, L, np.eye(dim, dtype=complex))
-    return MonodromyElement(i, j, lam, mu, L, mat)
-
-
 def monodromy_apply(i: int, j: int, lam: CurvePoint, mu: CurvePoint, L: int,
                     vec: np.ndarray) -> np.ndarray:
-    """Matrix-free action of T_ij; usable beyond the dense-size cap."""
+    """Matrix-free action of T_ij on a full-space vector or on the columns of a matrix."""
     R4 = r_matrix(lam, mu).reshape(3, 3, 3, 3)
     return _apply_block(i - 1, j - 1, R4, L, vec)
 
@@ -140,12 +111,9 @@ def _phi_recursive(points: tuple, mu: CurvePoint, L: int) -> np.ndarray:
 
 def state_sector(phi: np.ndarray, L: int, tol: float = 1e-10) -> int:
     """Magnetization sector carrying the state's weight; fails if mixed."""
-    amps = np.abs(phi)
     best, best_n = 0.0, None
     for n in range(-L, L + 1):
-        basis = sector_basis(L, n)
-        idx = [_full_index(s) for s in basis.states]
-        w = float(np.linalg.norm(phi[idx]))
+        w = float(np.linalg.norm(phi[sector_basis(L, n).codes]))
         if w > best:
             best, best_n = w, n
     total = float(np.linalg.norm(phi))
@@ -154,13 +122,6 @@ def state_sector(phi: np.ndarray, L: int, tol: float = 1e-10) -> int:
     if best < (1 - tol) * total:
         raise ValueError("state is not supported on a single sector")
     return best_n
-
-
-def _full_index(state: tuple[int, ...]) -> int:
-    i = 0
-    for d in state:
-        i = 3 * i + d
-    return i
 
 
 def eigenstate_residual(
@@ -177,11 +138,9 @@ def eigenstate_residual(
     if norm < 1e-13:
         raise ZeroVector("cannot test a vanishing eigenvector")
     n = state_sector(phi, L)
-    basis = sector_basis(L, n)
-    idx = [_full_index(s) for s in basis.states]
     T = build_transfer_matrix(lam_spectator, mu, L, n).matrix
     lam_val = eigenvalue_lambda(lam_spectator, rs)
-    sub = phi[idx]
+    sub = phi[sector_basis(L, n).codes]
     return float(np.linalg.norm(T @ sub - lam_val * sub) / norm)
 
 

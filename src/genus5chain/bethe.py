@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve as curve_mod
-from .curve import CurveParams, CurvePoint, zw_map
+from .curve import SQRT3, U_CRITICAL, CurveParams, CurvePoint, zw_map
 from .errors import (
     JacobianSingular,
     NoConvergence,
@@ -31,8 +31,6 @@ from .errors import (
 )
 
 _E3 = np.exp(1j * np.pi / 3)
-SQRT3 = np.sqrt(3.0)
-U_CRITICAL = 2.0 * SQRT3
 
 ACCEPT_RESIDUAL = 1e-10
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import aba, bethe, lattice, refdata, thermo
-from .curve import CurveParams, CurvePoint, sample_points
+from .curve import SQRT3, U_CRITICAL, CurveParams, CurvePoint, sample_points
 from .errors import (
     BracketInvalid,
     Genus5Error,
@@ -25,8 +25,6 @@ from .errors import (
     WrongCoupling,
 )
 from .rmatrix import ybe_residual
-
-U_CRITICAL = 2.0 * np.sqrt(3.0)
 
 _PRECONDITION_ERRORS = (BracketInvalid, InsufficientData, MapSingular, WrongCoupling, ValueError)
 
@@ -234,7 +232,7 @@ def cmd_gap(args):
         {
             "config": _config(args, "gap", ["U", "N", "k0"]),
             "gap": est.value,
-            "closed_form": args.U / 2.0 - np.sqrt(3.0),
+            "closed_form": args.U / 2.0 - SQRT3,
             "rho_sup": est.rho_sup,
             "spectral_radius": est.spectral_radius,
         },

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,28 +61,41 @@ def bond_hamiltonian(U: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Ordered basis of {+1, 0, -1}^L configurations with total spin n.
+    """Configurations of {+1, 0, -1}^L with total spin n, as sorted base-3 codes.
 
-    Site labels 0, 1, 2 carry spins +1, 0, -1; states are listed in
-    lexicographic order of their label strings.
+    Site labels 0, 1, 2 carry spins +1, 0, -1.  A configuration's code is
+    its label string read as a base-3 integer, site 0 the most significant
+    digit, so the code equals the configuration's index in the full 3^L
+    space (`aba` relies on this) and ascending codes list the states in
+    lexicographic order of their label strings.  `codes` is read-only and
+    fixed by (L, n).
     """
 
     L: int
     n: int
-    states: tuple[tuple[int, ...], ...]
-    index: dict = field(repr=False, hash=False, compare=False)
+    codes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    def digits(self) -> np.ndarray:
+        """(dim, L) site labels of every state."""
+        return self.codes[:, None] // 3 ** np.arange(self.L - 1, -1, -1) % 3
 
 
 @lru_cache(maxsize=None)
 def sector_basis(L: int, n: int) -> SectorBasis:
     if not (-L <= n <= L):
         raise ValueError(f"sector n={n} out of range for L={L}")
-    states = tuple(s for s in product(range(3), repeat=L) if sum(1 - v for v in s) == n)
-    return SectorBasis(L, n, states, {s: i for i, s in enumerate(states)})
+    codes = np.arange(3**L, dtype=np.int64)
+    spin, rest = np.zeros_like(codes), codes
+    for _ in range(L):
+        rest, label = np.divmod(rest, 3)
+        spin += 1 - label
+    codes = codes[spin == n]
+    codes.setflags(write=False)
+    return SectorBasis(L, n, codes)
 
 
 def sector_dimension(L: int, n: int) -> int:
@@ -101,20 +113,26 @@ class LatticeOperator:
 
 
 def _apply_bond_terms(basis: SectorBasis, bond: np.ndarray) -> sp.csr_matrix:
-    L = basis.L
+    """Sum of `bond` over the L periodic bonds, one vectorized pass per bond."""
+    L, codes = basis.L, basis.codes
+    labels = basis.digits()
+    nz = {c: np.nonzero(np.abs(bond[:, c]) > 1e-15)[0] for c in range(9)}
     rows, cols, vals = [], [], []
-    nz = {int(c): np.nonzero(np.abs(bond[:, c]) > 1e-15)[0] for c in range(9)}
-    for i, s in enumerate(basis.states):
-        for j in range(L):
-            jp = (j + 1) % L
-            col = 3 * s[j] + s[jp]
-            for r in nz[col]:
-                t = list(s)
-                t[j], t[jp] = divmod(int(r), 3)
-                rows.append(basis.index[tuple(t)])
-                cols.append(i)
-                vals.append(bond[r, col])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex)
+    for j in range(L):
+        jp = (j + 1) % L
+        pair = 3 * labels[:, j] + labels[:, jp]
+        for c in range(9):
+            src = np.nonzero(pair == c)[0]
+            for r in nz[c]:
+                shift = (r // 3 - c // 3) * 3 ** (L - 1 - j) + (r % 3 - c % 3) * 3 ** (L - 1 - jp)
+                rows.append(np.searchsorted(codes, codes[src] + shift))
+                cols.append(src)
+                vals.append(np.full(len(src), bond[r, c]))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+        dtype=complex,
+    )
 
 
 def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
@@ -126,9 +144,10 @@ def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
 
 
 def shift_operator(L: int, n: int) -> sp.csr_matrix:
-    """Translation by one site on the sector basis."""
+    """Translation by one site on the sector basis (site k takes site k + 1's label)."""
     basis = sector_basis(L, n)
-    rows = [basis.index[s[1:] + (s[0],)] for s in basis.states]
+    top = 3 ** (L - 1)
+    rows = np.searchsorted(basis.codes, basis.codes % top * 3 + basis.codes // top)
     return sp.csr_matrix(
         (np.ones(basis.dim), (rows, np.arange(basis.dim))), shape=(basis.dim, basis.dim)
     )
@@ -146,7 +165,7 @@ def build_transfer_matrix(lam: CurvePoint, mu: CurvePoint, L: int, n: int) -> La
     basis = sector_basis(L, n)
     R = r_matrix(lam, mu).reshape(3, 3, 3, 3)  # [aux_out, site_out, aux_in, site_in]
     D = basis.dim
-    S = np.array(basis.states)  # (D, L)
+    S = basis.digits()  # (D, L)
     T = np.zeros((D, D), dtype=complex)
     chunk = max(1, 200000 // max(D, 1))
     for i0 in range(0, D, chunk):
@@ -259,14 +278,6 @@ def sector_range(L: int) -> range:
     return range(-L, L + 1)
 
 
-def full_spectrum(U: float, L: int, sectors=None, real_tol: float = 1e-8) -> dict[int, SpectrumReport]:
-    """Dense spectra of every requested sector (default: all of them)."""
-    out = {}
-    for n in sector_range(L) if sectors is None else sectors:
-        out[n] = diagonalize(build_hamiltonian(U, L, n), mode="full", real_tol=real_tol)
-    return out
-
-
 def lowest_per_sector(U: float, L: int, k: int = 6, sectors=None) -> dict[int, SpectrumReport]:
     """k lowest (by real part) eigenvalues per sector; mirrors n < 0 from n > 0.
 
@@ -284,17 +295,24 @@ def lowest_per_sector(U: float, L: int, k: int = 6, sectors=None) -> dict[int, S
 
 
 @lru_cache(maxsize=512)
+def _lowest_levels(U: float, L: int, k: int) -> np.ndarray:
+    """Sorted real parts of the k lowest levels of every sector; read-only."""
+    reports = lowest_per_sector(U, L, k=k)
+    vals = np.sort(np.concatenate([r.eigenvalues.real for r in reports.values()]))
+    vals.setflags(write=False)
+    return vals
+
+
+@lru_cache(maxsize=512)
 def ground_state_energy(U: float, L: int, k: int = 6) -> float:
     """Smallest real part over all magnetization sectors."""
-    reports = lowest_per_sector(U, L, k=k)
-    return min(float(r.eigenvalues.real.min()) for r in reports.values())
+    return float(_lowest_levels(U, L, k)[0])
 
 
 @lru_cache(maxsize=512)
 def lowest_two_energies(U: float, L: int, k: int = 8, level_tol: float = 1e-9):
     """(E0, E1): ground energy and the next distinct level across sectors."""
-    reports = lowest_per_sector(U, L, k=k)
-    vals = np.sort(np.concatenate([r.eigenvalues.real for r in reports.values()]))
+    vals = _lowest_levels(U, L, k)
     e0 = vals[0]
     above = vals[vals > e0 + level_tol * max(1.0, abs(e0))]
     if len(above) == 0:

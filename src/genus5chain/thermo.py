@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import SQRT3, U_CRITICAL
 from .errors import KernelSingular, NoConvergence
-
-SQRT3 = np.sqrt(3.0)
-U_CRITICAL = 2.0 * SQRT3
 
 # the sigma-kernel denominator vanishes only at k = k' = K_SINGULAR when
 # U = 2*sqrt(3); grids are phased so nodes sit symmetrically around it

@@ -1,5 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus5chain import lattice, refdata
 from genus5chain.curve import CurveParams, CurvePoint, sample_points
@@ -27,6 +32,35 @@ def _trinomial(L, n):
     return total
 
 
+def _labels(code, L):
+    """Site labels of a base-3 code, site 0 first."""
+    return tuple(int(ch) for ch in np.base_repr(int(code), 3).rjust(L, "0"))
+
+
+def _tuple_states(L, n):
+    return [s for s in product(range(3), repeat=L) if sum(1 - v for v in s) == n]
+
+
+def _reference_hamiltonian(U, L, n):
+    """Loop build of H over label tuples with a dict index, as before integer codes."""
+    states = _tuple_states(L, n)
+    index = {s: i for i, s in enumerate(states)}
+    bond = lattice.bond_hamiltonian(U)
+    nz = {c: np.nonzero(np.abs(bond[:, c]) > 1e-15)[0] for c in range(9)}
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(states):
+        for j in range(L):
+            jp = (j + 1) % L
+            col = 3 * s[j] + s[jp]
+            for r in nz[col]:
+                t = list(s)
+                t[j], t[jp] = divmod(int(r), 3)
+                rows.append(index[tuple(t)])
+                cols.append(i)
+                vals.append(bond[r, col])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)), dtype=complex)
+
+
 def test_sector_dimensions_and_completeness():
     for L in (3, 5, 6):
         dims = [sector_dimension(L, n) for n in range(-L, L + 1)]
@@ -37,7 +71,31 @@ def test_sector_dimensions_and_completeness():
 
 def test_basis_is_lexicographic():
     b = sector_basis(4, 1)
-    assert list(b.states) == sorted(b.states)
+    assert [_labels(c, 4) for c in b.codes] == sorted(_tuple_states(4, 1))
+
+
+@pytest.mark.parametrize("U", [1.3, -2.7, 2 * np.sqrt(3)])
+def test_hamiltonian_matches_tuple_reference(U):
+    for L in range(2, 8):
+        for n in range(-L, L + 1):
+            H = build_hamiltonian(U, L, n).matrix
+            H_ref = _reference_hamiltonian(U, L, n)
+            assert H.shape == H_ref.shape
+            assert (H != H_ref).nnz == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 7), data=st.data(), U=st.floats(-6.0, 6.0))
+def test_sector_codes_properties(L, data, U):
+    n = data.draw(st.integers(-L, L), label="n")
+    codes = sector_basis(L, n).codes
+    assert np.all(np.diff(codes) > 0)
+    assert all(sum(1 - v for v in _labels(c, L)) == n for c in codes)
+    union = np.sort(np.concatenate([sector_basis(L, m).codes for m in range(-L, L + 1)]))
+    assert np.array_equal(union, np.arange(3**L))
+    H = build_hamiltonian(U, L, n).matrix
+    T = shift_operator(L, n)
+    assert abs(H @ T - T @ H).max() < 1e-12
 
 
 def test_vacuum_sector():
@@ -57,6 +115,23 @@ def test_one_magnon_energies():
 def test_ground_state_energy_reference_l8():
     e0 = lattice.ground_state_energy(4.0, 8)
     assert abs(e0 / 8 - refdata.TABLE2_ENERGY["4"][8]) < 1e-11
+
+
+def test_table_energies_share_one_sector_solve(monkeypatch):
+    for fn in vars(lattice).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    calls = []
+    solve = lattice.lowest_per_sector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "lowest_per_sector", counted)
+    e0, _ = lattice.lowest_two_energies(1.0, 4)
+    assert lattice.ground_state_energy(1.0, 4, k=8) == e0
+    assert len(calls) == 1
 
 
 def test_magnetization_conserved_by_bond_terms():
