@@ -78,47 +78,39 @@ def ground_state_quantum_numbers(L: int, n: int) -> list[float]:
     return [(L - n - 1) / 2.0 - j for j in range(L - n)]
 
 
-def _pair_arrays(k: np.ndarray, U: float):
-    s = np.sin(k - np.pi / 6)
-    num = s[:, None] / _E3 - s[None, :] * _E3 + 0.5j * U
-    den = s[:, None] * _E3 - s[None, :] / _E3 - 0.5j * U
-    return s, num, den
+def _pair_arrays(t: np.ndarray, a: complex, c: complex):
+    """Scattering factors num[j, i] = t_j/a - t_i a + c, den[j, i] = t_j a - t_i/a - c
+    with exact ones on the diagonal, so row products run over the other roots.
+    Momentum form: t = sin(k - pi/6), a = e^{i pi/3}, c = i U/2; Z form:
+    t = Z - eps/Z, a = eps, c = -U sqrt(eps)."""
+    num = t[:, None] / a - t[None, :] * a + c
+    den = t[:, None] * a - t[None, :] / a - c
+    np.fill_diagonal(num, 1.0)
+    np.fill_diagonal(den, 1.0)
+    return num, den
+
+
+def _momentum_pairs(k: np.ndarray, U: float):
+    return _pair_arrays(np.sin(k - np.pi / 6), _E3, 0.5j * U)
 
 
 def bethe_defect(rs: BetheRootSet, pole_tol: float = 1e-13) -> np.ndarray:
     """Residual of each momentum-form equation; zero on-shell."""
     k = np.asarray(rs.roots, dtype=complex)
-    M = len(k)
-    if M == 0:
-        return np.zeros(0, dtype=complex)
-    _, num, den = _pair_arrays(k, rs.U)
-    off = ~np.eye(M, dtype=bool)
-    if M > 1 and np.min(np.abs(den[off])) < pole_tol:
+    num, den = _momentum_pairs(k, rs.U)
+    if den.size and np.min(np.abs(den)) < pole_tol:
         raise PoleHit("scattering denominator vanishes for a root pair")
-    F = np.empty(M, dtype=complex)
-    for j in range(M):
-        m = off[j]
-        F[j] = np.exp(1j * k[j] * rs.L) - np.prod(num[j, m] / den[j, m])
-    return F
+    return np.exp(1j * k * rs.L) - np.prod(num / den, axis=1)
 
 
 def bethe_defect_z(rs: BetheRootSet, pole_tol: float = 1e-13) -> np.ndarray:
     """Same system written in Z_j = exp(i k_j); agrees with the k-form."""
     Z = rs.z_values
-    eps = CurveParams(rs.U, rs.eps_sign).eps
-    seps = CurveParams(rs.U, rs.eps_sign).sqrt_eps
-    M = len(Z)
-    t = Z - eps / Z
-    num = t[:, None] / eps - t[None, :] * eps - rs.U * seps
-    den = t[:, None] * eps - t[None, :] / eps + rs.U * seps
-    off = ~np.eye(M, dtype=bool)
-    if M > 1 and np.min(np.abs(den[off])) < pole_tol:
+    params = CurveParams(rs.U, rs.eps_sign)
+    num, den = _pair_arrays(Z - params.eps / Z, params.eps, -rs.U * params.sqrt_eps)
+    if den.size and np.min(np.abs(den)) < pole_tol:
         raise PoleHit("Z-form denominator vanishes")
-    F = np.empty(M, dtype=complex)
-    for j in range(M):
-        m = off[j]
-        F[j] = Z[j] ** rs.L - np.prod(num[j, m] / den[j, m])
-    return F
+    return Z**rs.L - np.prod(num / den, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,42 +223,37 @@ def _cleared_defect(k: np.ndarray, L: int, U: float):
     through those couplings.  The returned scale per row is the magnitude
     sum of the two competing terms, for relative convergence tests.
     """
-    M = len(k)
-    _, num, den = _pair_arrays(k, U)
-    off = ~np.eye(M, dtype=bool)
-    F = np.empty(M, dtype=complex)
-    scale = np.empty(M)
-    for j in range(M):
-        m = off[j]
-        t1 = np.exp(1j * k[j] * L) * np.prod(den[j, m])
-        t2 = np.prod(num[j, m])
-        F[j] = t1 - t2
-        scale[j] = abs(t1) + abs(t2) + 1.0
-    return F, scale
+    num, den = _momentum_pairs(k, U)
+    t1 = np.exp(1j * k * L) * np.prod(den, axis=1)
+    t2 = np.prod(num, axis=1)
+    return t1 - t2, np.abs(t1) + np.abs(t2) + 1.0
+
+
+def _products_but_one(a: np.ndarray) -> np.ndarray:
+    """out[j, i] = prod_{l != i} a[j, l], from exclusive prefix and suffix
+    products; no division, so a vanishing factor (a pinched pole) is safe."""
+    pre = np.ones_like(a)
+    suf = np.ones_like(a)
+    pre[:, 1:] = np.cumprod(a[:, :-1], axis=1)
+    suf[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+    return pre * suf
 
 
 def _cleared_jacobian(k: np.ndarray, L: int, U: float) -> np.ndarray:
-    M = len(k)
+    """J[j, i] = d/dk_i of the cleared residual of row j.  With c = cos(k - pi/6),
+    factor (j, i) has d/dk_j num = c_j/e3, den = c_j e3 and d/dk_i num = -c_i e3,
+    den = -c_i/e3; each term carries the product of the other factors."""
     c = np.cos(k - np.pi / 6)
-    _, num, den = _pair_arrays(k, U)
-    J = np.zeros((M, M), dtype=complex)
-    idx = np.arange(M)
-    for j in range(M):
-        m = idx[idx != j]
-        E = np.exp(1j * k[j] * L)
-        dprod = np.prod(den[j, m])
-        nprod = np.prod(num[j, m])
-
-        def drop(arr, skip):
-            sel = m[m != skip]
-            return np.prod(arr[j, sel])
-
-        # d/dk_j: chain through every pair factor plus the exponential
-        dd = sum((c[j] * _E3) * drop(den, i) for i in m)
-        dn = sum((c[j] / _E3) * drop(num, i) for i in m)
-        J[j, j] = 1j * L * E * dprod + E * dd - dn
-        for i in m:
-            J[j, i] = E * (-c[i] / _E3) * drop(den, i) - (-c[i] * _E3) * drop(num, i)
+    E = np.exp(1j * k * L)
+    num, den = _momentum_pairs(k, U)
+    dprod = _products_but_one(den)
+    nprod = _products_but_one(num)
+    P = np.diag(dprod).copy()  # the whole off-diagonal product of each row
+    np.fill_diagonal(dprod, 0.0)
+    np.fill_diagonal(nprod, 0.0)
+    J = E[:, None] * (-c / _E3) * dprod + (c * _E3) * nprod
+    dsum = E * _E3 * dprod.sum(axis=1) - nprod.sum(axis=1) / _E3
+    np.fill_diagonal(J, 1j * L * E * P + c * dsum)
     return J
 
 

@@ -225,11 +225,19 @@ class _ZWSystem:
         )
 
     def jacobian(self, x, y):
+        """Exact partials of (C, Z-constraint) in (x, y)."""
         eps = self.params.eps
-        h = 1e-7 * max(1.0, abs(x), abs(y))
-        fx = (self.value(x + h, y) - self.value(x - h, y)) / (2 * h)
-        fy = (self.value(x, y + h) - self.value(x, y - h)) / (2 * h)
-        return np.array([[fx[0], fy[0]], [fx[1], fy[1]]], dtype=complex)
+        useps = self.params.U * self.params.sqrt_eps
+        A = x * x + eps * y * y
+        B = x * x + y * y / eps
+        cx = 2 * x * A * A + 4 * x * A * B + useps * y * (A + 2 * x * x) - 2 * x
+        return np.array(
+            [
+                [cx, _curve_dy(x, y, self.params)],
+                [3 * x * x + eps * y * y, 2 * eps * x * y - eps * self.Z],
+            ],
+            dtype=complex,
+        )
 
 
 def points_with_Z(Z: complex, params: CurveParams, polish_tol: float = 1e-12) -> list[CurvePoint]:

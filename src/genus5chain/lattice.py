@@ -278,7 +278,7 @@ def sector_range(L: int) -> range:
     return range(-L, L + 1)
 
 
-def lowest_per_sector(U: float, L: int, k: int = 6, sectors=None) -> dict[int, SpectrumReport]:
+def lowest_per_sector(U: float, L: int, k: int = 6) -> dict[int, SpectrumReport]:
     """k lowest (by real part) eigenvalues per sector; mirrors n < 0 from n > 0.
 
     The +-n spectra coincide (checked directly at small L by the test
@@ -289,8 +289,6 @@ def lowest_per_sector(U: float, L: int, k: int = 6, sectors=None) -> dict[int, S
         reports[n] = diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=k)
     for n in range(1, L + 1):
         reports[-n] = reports[n]
-    if sectors is not None:
-        reports = {n: reports[n] for n in sectors}
     return reports
 
 

@@ -76,7 +76,9 @@ def _grid(U: float, N: int, k0: float):
     return nodes, np.full(N, h)
 
 
-def _sigma_kernel(U: float, k: np.ndarray) -> np.ndarray:
+def _kernel_parts(U: float, k: np.ndarray):
+    """F-(k, k'), F+(k, k') and the shared denominator F-^2 + (U - sqrt(3) F+)^2
+    on the grid; raises KernelSingular where the denominator vanishes."""
     fm = kernel_F(-1, k[:, None], k[None, :])
     fp = kernel_F(+1, k[:, None], k[None, :])
     den = fm * fm + (U - SQRT3 * fp) ** 2
@@ -84,15 +86,16 @@ def _sigma_kernel(U: float, k: np.ndarray) -> np.ndarray:
         raise KernelSingular(
             f"kernel denominator vanishes on the grid at U={U}; refine N or move k0"
         )
+    return fm, fp, den
+
+
+def _sigma_kernel(U: float, k: np.ndarray) -> np.ndarray:
+    fm, fp, den = _kernel_parts(U, k)
     return (U + SQRT3 * fm - SQRT3 * fp) / den
 
 
 def _rho_kernel(U: float, k: np.ndarray) -> np.ndarray:
-    fm = kernel_F(-1, k[:, None], k[None, :])
-    fp = kernel_F(+1, k[:, None], k[None, :])
-    den = fm * fm + (U - SQRT3 * fp) ** 2
-    if np.min(den) < 1e-14:
-        raise KernelSingular(f"kernel denominator vanishes on the grid at U={U}")
+    fm, fp, den = _kernel_parts(U, k)
     return np.cos(k[None, :] - np.pi / 6) * (U + SQRT3 * fm + SQRT3 * fp) / den
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus5chain import bethe, lattice, refdata
 from genus5chain.bethe import (
@@ -18,7 +20,93 @@ from genus5chain.bethe import (
     track_state,
 )
 from genus5chain.curve import CurveParams, CurvePoint, sample_points
-from genus5chain.errors import NoConvergence, NonRealDrift
+from genus5chain.errors import NoConvergence, NonRealDrift, PoleHit
+
+_E3 = np.exp(1j * np.pi / 3)
+
+
+# Per-row loop forms of the momentum-form kernel, kept as references for
+# the whole-array products in `bethe`.
+
+
+def _ref_pair_arrays(k, U):
+    s = np.sin(k - np.pi / 6)
+    num = s[:, None] / _E3 - s[None, :] * _E3 + 0.5j * U
+    den = s[:, None] * _E3 - s[None, :] / _E3 - 0.5j * U
+    return num, den
+
+
+def _ref_bethe_defect(rs, pole_tol=1e-13):
+    k = np.asarray(rs.roots, dtype=complex)
+    M = len(k)
+    if M == 0:
+        return np.zeros(0, dtype=complex)
+    num, den = _ref_pair_arrays(k, rs.U)
+    off = ~np.eye(M, dtype=bool)
+    if M > 1 and np.min(np.abs(den[off])) < pole_tol:
+        raise PoleHit("scattering denominator vanishes for a root pair")
+    F = np.empty(M, dtype=complex)
+    for j in range(M):
+        m = off[j]
+        F[j] = np.exp(1j * k[j] * rs.L) - np.prod(num[j, m] / den[j, m])
+    return F
+
+
+def _ref_cleared_defect(k, L, U):
+    M = len(k)
+    num, den = _ref_pair_arrays(k, U)
+    off = ~np.eye(M, dtype=bool)
+    F = np.empty(M, dtype=complex)
+    scale = np.empty(M)
+    for j in range(M):
+        m = off[j]
+        t1 = np.exp(1j * k[j] * L) * np.prod(den[j, m])
+        t2 = np.prod(num[j, m])
+        F[j] = t1 - t2
+        scale[j] = abs(t1) + abs(t2) + 1.0
+    return F, scale
+
+
+def _ref_cleared_jacobian(k, L, U):
+    M = len(k)
+    c = np.cos(k - np.pi / 6)
+    num, den = _ref_pair_arrays(k, U)
+    J = np.zeros((M, M), dtype=complex)
+    idx = np.arange(M)
+    for j in range(M):
+        m = idx[idx != j]
+        E = np.exp(1j * k[j] * L)
+        dprod = np.prod(den[j, m])
+
+        def drop(arr, skip):
+            sel = m[m != skip]
+            return np.prod(arr[j, sel])
+
+        dd = sum((c[j] * _E3) * drop(den, i) for i in m)
+        dn = sum((c[j] / _E3) * drop(num, i) for i in m)
+        J[j, j] = 1j * L * E * dprod + E * dd - dn
+        for i in m:
+            J[j, i] = E * (-c[i] / _E3) * drop(den, i) - (-c[i] * _E3) * drop(num, i)
+    return J
+
+
+@st.composite
+def _root_sets(draw):
+    """Real momenta mixed with conjugate pairs k +- i delta, the shape of
+    two-strings, together with a size L >= M and a coupling U."""
+    n_pairs = draw(st.integers(0, 20), label="pairs")
+    n_real = draw(st.integers(1 if n_pairs == 0 else 0, 40 - 2 * n_pairs), label="reals")
+    angle = st.floats(-np.pi, np.pi)
+    reals = draw(st.lists(angle, min_size=n_real, max_size=n_real), label="real roots")
+    pairs = draw(
+        st.lists(st.tuples(angle, st.floats(0.02, 0.8)), min_size=n_pairs, max_size=n_pairs),
+        label="strings",
+    )
+    k = np.array(reals + [a + 1j * d for a, d in pairs] + [a - 1j * d for a, d in pairs],
+                 dtype=complex)
+    L = draw(st.integers(len(k), 64), label="L")
+    U = draw(st.floats(-2.0, 6.0), label="U")
+    return k, L, U
 
 
 def test_quantum_number_rule():
@@ -222,3 +310,37 @@ def test_serialization_roundtrip():
     assert back.L == rs.L and back.n == rs.n and back.U == rs.U
     assert np.allclose(back.roots, rs.roots)
     assert back.Q == [float(q) for q in rs.Q]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_root_sets())
+def test_pair_product_kernel_matches_loop_reference(case):
+    k, L, U = case
+    rs = BetheRootSet(L, L - len(k), U, k)
+    try:
+        ref = _ref_bethe_defect(rs)
+    except PoleHit:
+        with pytest.raises(PoleHit):
+            bethe_defect(rs)
+    else:
+        assert np.array_equal(bethe_defect(rs), ref)
+
+    F, scale = bethe._cleared_defect(k, L, U)
+    F_ref, scale_ref = _ref_cleared_defect(k, L, U)
+    assert np.all(np.abs(F - F_ref) <= 1e-14 * scale_ref)
+    assert np.all(np.abs(scale - scale_ref) <= 1e-14 * scale_ref)
+
+    J = bethe._cleared_jacobian(k, L, U)
+    J_ref = _ref_cleared_jacobian(k, L, U)
+    assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
+
+    # the cleared defect is holomorphic in each k_i, so a real-direction
+    # central difference gives column i of the Jacobian
+    h = 1e-6
+    J_fd = np.empty_like(J)
+    for i in range(len(k)):
+        e = np.zeros(len(k))
+        e[i] = h
+        J_fd[:, i] = (bethe._cleared_defect(k + e, L, U)[0]
+                      - bethe._cleared_defect(k - e, L, U)[0]) / (2 * h)
+    assert np.max(np.abs(J_fd - J)) <= 1e-6 * np.max(np.abs(J))

@@ -5,6 +5,7 @@ from genus5chain.curve import (
     CurveParams,
     CurvePoint,
     U_CRITICAL,
+    _ZWSystem,
     branch_points_z,
     critical_couplings,
     cubic_factor_residuals,
@@ -185,3 +186,17 @@ def test_points_with_z_recover_prescribed_Z(rng):
         for p in pts[:4]:
             assert p.residual() < 1e-11
             assert abs(zw_map(p).Z - Z) < 1e-9
+
+
+@pytest.mark.parametrize("par", ALL_PARAMS)
+def test_zw_jacobian_matches_central_difference(par):
+    rng = np.random.default_rng(7)
+    for p in sample_points(par, 6, rng):
+        system = _ZWSystem(zw_map(p).Z, par)
+        # on the curve, and off it as Newton iterates are
+        for x, y in ((p.x, p.y), (p.x + 0.1 - 0.03j, 0.9 * p.y + 0.05j)):
+            J = system.jacobian(x, y)
+            h = 1e-7 * max(1.0, abs(x), abs(y))
+            fx = (system.value(x + h, y) - system.value(x - h, y)) / (2 * h)
+            fy = (system.value(x, y + h) - system.value(x, y - h)) / (2 * h)
+            assert np.max(np.abs(J - np.column_stack([fx, fy]))) <= 1e-7 * np.max(np.abs(J))
