@@ -83,7 +83,6 @@ def test_criterion_04_reality_thresholds(reality_thresholds):
     )
 
 
-@pytest.mark.heavy
 def test_criterion_04_reality_threshold_l7():
     u7 = lattice.reality_threshold(7)
     dev = abs(u7 - refdata.TABLE1_REALITY[7])

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,17 +155,71 @@ def test_conjugate_pair_closure():
     assert rep.conjugation_defect < 1e-9
 
 
-def test_mirror_sectors_same_spectrum():
-    def hausdorff(a, b):
-        return max(
-            max(np.min(np.abs(b - z)) for z in a), max(np.min(np.abs(a - z)) for z in b)
-        )
+def _hausdorff(a, b):
+    return max(max(np.min(np.abs(b - z)) for z in a), max(np.min(np.abs(a - z)) for z in b))
 
-    for L, U in ((5, 2.0), (6, 1.0)):
+
+def test_mirror_sectors_same_spectrum():
+    for L, U in ((5, 2.0), (6, 1.0), (7, 3.0), (7, 3.3)):
         for n in range(1, L + 1):
-            sp = diagonalize(build_hamiltonian(U, L, n), mode="full").eigenvalues
-            sm = diagonalize(build_hamiltonian(U, L, -n), mode="full").eigenvalues
-            assert hausdorff(sp, sm) < 1e-9
+            rp = diagonalize(build_hamiltonian(U, L, n), mode="full")
+            rm = diagonalize(build_hamiltonian(U, L, -n), mode="full")
+            assert _hausdorff(rp.eigenvalues, rm.eigenvalues) < 1e-9
+            assert np.all(rp.is_real) == np.all(rm.is_real)
+
+
+def test_momentum_blocks_structure():
+    for L in range(2, 8):
+        for n in range(-L, L + 1):
+            blocks = lattice.momentum_blocks(L, n)
+            assert len(blocks) == L
+            assert sum(V.shape[1] for V in blocks) == sector_dimension(L, n)
+            H = build_hamiltonian(1.3, L, n).matrix
+            tol = 1e-12 * abs(H).max()
+            for m, V in enumerate(blocks):
+                gram = (V.conj().T @ V).toarray()
+                assert np.max(np.abs(gram - np.eye(V.shape[1])), initial=0.0) < 1e-14
+                for mp, W in enumerate(blocks):
+                    if mp != m and V.shape[1] and W.shape[1]:
+                        assert abs(V.conj().T @ H @ W).max() < tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 7), data=st.data(), U=st.floats(-6.0, 6.0))
+def test_block_spectrum_matches_whole_sector_eig(L, data, U):
+    # Defective eigenvalues split under any solver: by sqrt(eps) at U = 2
+    # (L = 4, n = +-1) and by eps**(1/3) ~ 6e-6 at U = 0 (L = 6, n = +-4).
+    n = data.draw(st.integers(-L, L), label="n")
+    op = build_hamiltonian(U, L, n)
+    H = op.matrix
+    vals = diagonalize(op, mode="full").eigenvalues
+    ref = scipy.linalg.eig(H.toarray(), right=False)
+    assert len(vals) == len(ref) == H.shape[0]
+    assert abs(vals.sum() - H.diagonal().sum()) < 1e-9 * H.shape[0] * max(1.0, abs(H).max())
+    assert _hausdorff(vals, ref) <= 1e-5
+
+
+def test_full_mode_rejects_operator_without_translation_symmetry():
+    basis = sector_basis(4, 0)
+    diag = np.random.default_rng(5).normal(size=basis.dim)
+    op = lattice.LatticeOperator(basis, sp.diags(diag).tocsr().astype(complex))
+    with pytest.raises(ValueError, match="commutes with the shift"):
+        diagonalize(op, mode="full")
+
+
+def test_reflection_exact_at_defective_point():
+    # at L = 4, U = 2 the sectors n = +-1 hold a defective eigenvalue 2
+    assert lattice.symmetry_check_neg_u(4, 2.0).spectral_distance <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("U", [-2.0, 0.5, 2 * np.sqrt(3), 5.0])
+def test_arpack_lowest_matches_block_spectrum(U, n):
+    op = build_hamiltonian(U, 8, n)  # dims 1107 and 1016: the L <= 8 ARPACK sectors
+    low = diagonalize(op, mode="lowest", k=6)
+    assert low.method.startswith("arpack")
+    full = diagonalize(op, mode="full")
+    assert np.max(np.abs(np.sort(low.eigenvalues.real) - np.sort(full.eigenvalues.real)[:6])) < 1e-9
 
 
 def test_transfer_matrix_is_shift_at_regular_point():
