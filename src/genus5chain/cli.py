@@ -145,7 +145,7 @@ def cmd_ed(args):
 def cmd_reality_threshold(args):
     if args.L > 9:
         raise ValueError("full-spectrum threshold scan is limited to L <= 9")
-    if args.L > 7 and not args.heavy:
+    if args.L > 8 and not args.heavy:
         raise ValueError(f"L={args.L} takes long; rerun with --heavy")
     bracket = tuple(float(v) for v in args.bracket.split(","))
     u_l = lattice.reality_threshold(args.L, tol=args.tol, bracket=bracket)

@@ -1,18 +1,14 @@
 """Thermodynamic-limit root density, bulk energy and mass gap for U >= 2*sqrt(3).
 
-The ground-state density sigma(k) on a period [k0, k0 + 2 pi] solves
+With s = sin(k - pi/6) and D(s, s') = 1 / [(s - s')^2 + (U - sqrt(3)(s + s'))^2],
+the ground-state density sigma(k) on a period [k0, k0 + 2 pi] solves
 
-    2 pi sigma(k) = 1 + 2 cos(k - pi/6) * Integral
-        [U + sqrt(3) F-(k,k') - sqrt(3) F+(k,k')]
-        / [F-(k,k')^2 + (U - sqrt(3) F+(k,k'))^2] * sigma(k') dk',
+    2 pi sigma(k) = 1 + 2 cos(k - pi/6) Integral (U - 2 sqrt(3) s') D(s, s') sigma(k') dk';
 
-with F+-(x, y) = sin(x - pi/6) +- sin(y - pi/6); its integral over the
-period equals one root per site.  Removing one root drives the back-flow
-density rho(k), which solves the homogeneous equation
+its integral over the period equals one root per site.  Removing one root
+drives the back-flow density rho(k), which solves the homogeneous equation
 
-    2 pi rho(k) = Integral cos(k' - pi/6)
-        [U + sqrt(3) F- + sqrt(3) F+] / [F-^2 + (U - sqrt(3) F+)^2]
-        * rho(k') dk',
+    2 pi rho(k) = Integral cos(k' - pi/6) (U + 2 sqrt(3) s) D(s, s') rho(k') dk',
 
 and collapses to zero (the iteration operator annihilates constants and,
 by the reflection symmetry about k = 2 pi/3, squares to zero).  The gap is
@@ -20,6 +16,10 @@ by the reflection symmetry about k = 2 pi/3, squares to zero).  The gap is
     Delta(U) = U/2 - sqrt(3) + 2 Integral sin(k + pi/6) rho(k) dk,
 
 which reduces to U/2 - sqrt(3) once rho vanishes.
+
+D sees k only through s, which is invariant under k -> 4 pi/3 - k, so the sigma
+solve folds reflected node pairs onto an (N/2) x (N/2) kernel.  The rho solve
+keeps all N nodes: a fold would build in the collapse and radius it measures.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import KernelSingular, NoConvergence
 # the sigma-kernel denominator vanishes only at k = k' = K_SINGULAR when
 # U = 2*sqrt(3); grids are phased so nodes sit symmetrically around it
 K_SINGULAR = 2.0 * np.pi / 3.0
+_ROW_BLOCK = 64
 
 
 @dataclass
@@ -61,11 +62,12 @@ def kernel_F(sign: int, x, y):
 def _grid(U: float, N: int, k0: float):
     """Uniform periodic nodes, phased symmetrically about K_SINGULAR.
 
-    The iteration kernels are even under reflection about 2 pi/3 while the
-    driving cosine is odd; a reflection-symmetric node set preserves that
-    cancellation exactly in quadrature, which keeps the fixed point stable
-    arbitrarily close to the critical coupling.  k0 is honored up to a
-    shift below one half grid spacing.
+    The iteration kernels are even under reflection about 2 pi/3, which maps
+    node a to node (j - a) mod N, while the driving cosine is odd; a
+    reflection-symmetric node set preserves that cancellation exactly in
+    quadrature, which keeps the fixed point stable arbitrarily close to the
+    critical coupling.  k0 is honored up to a shift below one half grid
+    spacing.  Node a's pair index is |2a - j| // 2, with 2a - j reduced into [-N, N).
     """
     if N < 256 or N % 2:
         raise ValueError("need an even node count N >= 256")
@@ -73,30 +75,23 @@ def _grid(U: float, N: int, k0: float):
     j = round(2.0 * (K_SINGULAR - k0) / h)
     t0 = K_SINGULAR - 0.5 * j * h
     nodes = t0 + h * np.arange(N)
-    return nodes, np.full(N, h)
+    return nodes, np.full(N, h), np.abs((2 * np.arange(N) - j + N) % (2 * N) - N) // 2
 
 
-def _kernel_parts(U: float, k: np.ndarray):
-    """F-(k, k'), F+(k, k') and the shared denominator F-^2 + (U - sqrt(3) F+)^2
-    on the grid; raises KernelSingular where the denominator vanishes."""
-    fm = kernel_F(-1, k[:, None], k[None, :])
-    fp = kernel_F(+1, k[:, None], k[None, :])
-    den = fm * fm + (U - SQRT3 * fp) ** 2
-    if np.min(den) < 1e-14:
-        raise KernelSingular(
-            f"kernel denominator vanishes on the grid at U={U}; refine N or move k0"
-        )
-    return fm, fp, den
-
-
-def _sigma_kernel(U: float, k: np.ndarray) -> np.ndarray:
-    fm, fp, den = _kernel_parts(U, k)
-    return (U + SQRT3 * fm - SQRT3 * fp) / den
-
-
-def _rho_kernel(U: float, k: np.ndarray) -> np.ndarray:
-    fm, fp, den = _kernel_parts(U, k)
-    return np.cos(k[None, :] - np.pi / 6) * (U + SQRT3 * fm + SQRT3 * fp) / den
+def _inverse_denominator(U: float, s: np.ndarray) -> np.ndarray:
+    """D(s_i, s_j), filled in row blocks; raises KernelSingular where 1/D vanishes."""
+    out = np.empty((len(s), len(s)))
+    for i0 in range(0, len(s), _ROW_BLOCK):
+        si = s[i0:i0 + _ROW_BLOCK, None]
+        den = np.subtract(si, s, out=out[i0:i0 + _ROW_BLOCK])
+        den *= den
+        den += (U - SQRT3 * (si + s)) ** 2
+        if np.min(den) < 1e-14:
+            raise KernelSingular(
+                f"kernel denominator vanishes on the grid at U={U}; refine N or move k0"
+            )
+        np.reciprocal(den, out=den)
+    return out
 
 
 def _anderson_step(x_hist, g_hist):
@@ -132,13 +127,15 @@ def solve_sigma(
     """
     if U < U_CRITICAL - 1e-12:
         raise ValueError(f"density equation requires U >= 2*sqrt(3), got U={U}")
-    nodes, w = _grid(U, N, k0)
-    K = _sigma_kernel(U, nodes) * w[None, :]
+    nodes, w, pair = _grid(U, N, k0)
+    s = np.bincount(pair, np.sin(nodes - np.pi / 6)) / np.bincount(pair)
+    K = _inverse_denominator(U, s)
+    K *= U - 2 * SQRT3 * s
     drive = 2.0 * np.cos(nodes - np.pi / 6)
     sigma = np.full(N, 1.0 / (2 * np.pi))
     x_hist, g_hist = [], []
     for _ in range(max_iter):
-        g = (1.0 + drive * (K @ sigma)) / (2 * np.pi)
+        g = (1.0 + drive * (K @ np.bincount(pair, w * sigma))[pair]) / (2 * np.pi)
         delta = float(np.max(np.abs(g - sigma)))
         if delta < tol:
             return DensityGrid(k0, N, U, nodes, w, g, "sigma")
@@ -176,8 +173,11 @@ def solve_rho(
     """
     if U <= U_CRITICAL:
         raise ValueError(f"back-flow equation requires U > 2*sqrt(3), got U={U}")
-    nodes, w = _grid(U, N, k0)
-    K = _rho_kernel(U, nodes) * w[None, :] / (2 * np.pi)
+    nodes, w, _ = _grid(U, N, k0)
+    s = np.sin(nodes - np.pi / 6)
+    K = _inverse_denominator(U, s)
+    K *= (U + 2 * SQRT3 * s)[:, None]
+    K *= np.cos(nodes - np.pi / 6) * w / (2 * np.pi)
     rho = np.ones(N)
     delta = np.inf
     for _ in range(max_iter):

@@ -99,6 +99,16 @@ def test_thermo_and_gap_commands(capsys):
     assert abs(data["gap"] - data["closed_form"]) < 1e-10
 
 
+def test_thermo_singular_grid_is_numerical_failure(capsys):
+    # k0 one grid step below 2 pi/3 puts a node on the critical kernel's pole
+    k0 = 2 * np.pi / 3 - 2 * np.pi / 256
+    code = main(["thermo", "--U", "3.4641016151377544", "--N", "256", "--k0", repr(k0)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("numerical failure: kernel denominator vanishes")
+    assert captured.out == ""
+
+
 def test_density_profile_refusal(capsys):
     assert main(["density-profile", "--U", "1"]) == 2
 
@@ -140,7 +150,17 @@ def test_reality_threshold_command(capsys):
 
 
 def test_reality_threshold_refuses_large_l(capsys):
-    assert main(["reality-threshold", "--L", "8"]) == 2
+    assert main(["reality-threshold", "--L", "9"]) == 2
+
+
+def test_reality_threshold_accepts_l8(monkeypatch, capsys):
+    from genus5chain import lattice
+
+    monkeypatch.setattr(lattice, "reality_threshold", lambda L, tol, bracket: 3.34602)
+    code, out = run(["reality-threshold", "--L", "8"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["L"] == 8 and data["threshold"] == 3.34602
 
 
 def test_symmetry_check_command(capsys):

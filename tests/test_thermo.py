@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,49 @@ def test_kernel_singular_when_node_hits_singularity():
     # singular point of the critical-coupling kernel
     with pytest.raises(KernelSingular):
         solve_sigma(U_CRITICAL, N=256, k0=2 * np.pi / 3 - 2 * np.pi / 256)
+
+
+def _dense_sigma_reference(U, N, k0):
+    """The unfolded N x N sigma kernel on the solver's grid, built from F+-,
+    and the exact fixed point of its quadrature equation."""
+    nodes, w, _ = thermo._grid(U, N, k0)
+    fm = kernel_F(-1, nodes[:, None], nodes[None, :])
+    fp = kernel_F(+1, nodes[:, None], nodes[None, :])
+    K = (U + SQRT3 * fm - SQRT3 * fp) / (fm * fm + (U - SQRT3 * fp) ** 2) * w[None, :]
+    drive = 2.0 * np.cos(nodes - np.pi / 6)
+    sigma = np.linalg.solve(2 * np.pi * np.eye(N) - drive[:, None] * K, np.ones(N))
+    return thermo.DensityGrid(k0, N, U, nodes, w, sigma, "sigma")
+
+
+def test_folded_sigma_matches_dense_reference():
+    parities = set()
+    for U in (U_CRITICAL, 3.6, 4.0, 5.0, 10.0):
+        for N in (256, 512, 1024):
+            h = 2 * np.pi / N
+            # k0 = -pi and half a step above it give both parities of the phase index
+            for k0 in (-np.pi, -np.pi + h / 2):
+                j = round(2.0 * (thermo.K_SINGULAR - k0) / h)
+                if U == U_CRITICAL and j % 2 == 0:
+                    continue  # a node sits on the singular point
+                parities.add((U, j % 2))
+                ref = _dense_sigma_reference(U, N, k0)
+                got = solve_sigma(U, N=N, k0=k0)
+                scale = np.max(np.abs(ref.values))
+                assert np.max(np.abs(got.values - ref.values)) <= 1e-11 * scale, (U, N, j)
+                assert abs(bulk_energy(got) - bulk_energy(ref)) <= 1e-14, (U, N, j)
+    assert len(parities) == 9
+
+
+def test_sigma_memory_below_folded_kernel_bound():
+    # the folded kernel holds (N/2)^2 floats; one N x N array alone is 4x that
+    N = 4096
+    tracemalloc.start()
+    try:
+        solve_sigma(U_CRITICAL, N=N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (N // 2) ** 2 * 8
 
 
 def test_sigma_grid_refinement_stable():
