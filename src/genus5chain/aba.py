@@ -1,9 +1,11 @@
 """Algebraic construction of transfer-matrix eigenvectors at small particle number.
 
-The monodromy matrix is the un-traced ordered product of R-matrices; its
-3x3 auxiliary blocks T_ij act on the chain Hilbert space, lower the total
-magnetization by the auxiliary spin difference, and act triangularly on
-the fully polarized reference state:
+The monodromy matrix is the un-traced ordered product of R-matrices,
+applied as T_ij = sum_c A_ic (x) B_cj over the two half-chain factors of
+`lattice.monodromy_halves` (the transfer matrix is assembled from the
+same factors).  Its 3x3 auxiliary blocks T_ij act on the chain Hilbert
+space, lower the total magnetization by the auxiliary spin difference,
+and act triangularly on the fully polarized reference state:
 
     T_11 |0> = a(lam, mu)^L |0>,   T_22 |0> = bbar^L |0>,
     T_33 |0> = f^L |0>,            T_ij |0> = 0  for i > j.
@@ -27,28 +29,20 @@ import numpy as np
 from .bethe import BetheRootSet, curve_points_for_roots, eigenvalue_lambda
 from .curve import CurveParams, CurvePoint
 from .errors import DegenerateRoots, ZeroVector
-from .lattice import build_transfer_matrix, sector_basis
-from .rmatrix import phase_shift, r_matrix, weights
-
-
-def _apply_block(i: int, j: int, R4: np.ndarray, L: int, vec: np.ndarray) -> np.ndarray:
-    """Apply the auxiliary block T_ij of the monodromy to a state vector."""
-    # carrier[b] holds the partial contraction with open auxiliary index b
-    carrier = np.zeros((3,) + vec.shape, dtype=complex)
-    carrier[j] = vec
-    for site in range(L - 1, -1, -1):
-        # row-index digits sit above any trailing axes in C order, so the
-        # site axis can be exposed without disturbing extra columns
-        v = carrier.reshape(3, 3**site, 3, -1)
-        carrier = np.einsum("asbt,bxty->axsy", R4, v).reshape((3,) + vec.shape)
-    return carrier[i]
+from .lattice import build_transfer_matrix, monodromy_halves, sector_basis
+from .rmatrix import phase_shift, weights
 
 
 def monodromy_apply(i: int, j: int, lam: CurvePoint, mu: CurvePoint, L: int,
                     vec: np.ndarray) -> np.ndarray:
-    """Matrix-free action of T_ij on a full-space vector or on the columns of a matrix."""
-    R4 = r_matrix(lam, mu).reshape(3, 3, 3, 3)
-    return _apply_block(i - 1, j - 1, R4, L, vec)
+    """Action of T_ij on a full-space vector or on the columns of a matrix."""
+    if vec.shape[0] != 3**L:
+        raise ValueError(f"expected {3**L} rows for L={L}, got {vec.shape[0]}")
+    A, B = monodromy_halves(lam, mu, L)
+    # columns first; each is a matrix over the (hi, lo) half-chain codes
+    V = vec.reshape(A.shape[1], B.shape[1], -1).transpose(2, 0, 1)
+    out = sum(A[i - 1, :, c] @ V @ B[c, :, j - 1].T for c in range(3))
+    return out.transpose(1, 2, 0).reshape(vec.shape)
 
 
 def vacuum_state(L: int) -> np.ndarray:

@@ -207,32 +207,36 @@ def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
     return tuple(blocks)
 
 
-def build_transfer_matrix(lam: CurvePoint, mu: CurvePoint, L: int, n: int) -> LatticeOperator:
-    """Auxiliary-space trace of R_{01} ... R_{0L}, restricted to a sector.
+def _monodromy(R4: np.ndarray, k: int) -> np.ndarray:
+    """Un-traced product R_{01} ... R_{0k} as [aux_out, chain_out, aux_in, chain_in].
 
-    Matrix elements are traces of length-L products of the 3x3 auxiliary
-    blocks R[:, t, :, s]; pairs are processed in chunks so memory stays
-    bounded at larger sector dimensions.
+    Chain indices are base-3 codes with site 0 the most significant digit.
     """
+    M = np.eye(3, dtype=complex).reshape(3, 1, 3, 1)
+    for _ in range(k):  # append a site as the new least significant digit
+        M = np.einsum("aocx,csdt->aosdxt", M, R4).reshape(3, 3 * M.shape[1], 3, -1)
+    return M
+
+
+def monodromy_halves(lam: CurvePoint, mu: CurvePoint, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monodromies A of sites 0 .. L//2 - 1 and B of the rest, so that with
+    hi, lo = divmod(code, 3**(L - L//2)) the L-site monodromy is
+    T[a, (hi, lo), b, (hi', lo')] = sum_c A[a, hi, c, hi'] B[c, lo, b, lo'].
+    """
+    R4 = r_matrix(lam, mu).reshape(3, 3, 3, 3)  # [aux_out, site_out, aux_in, site_in]
+    return _monodromy(R4, L // 2), _monodromy(R4, L - L // 2)
+
+
+def build_transfer_matrix(lam: CurvePoint, mu: CurvePoint, L: int, n: int) -> LatticeOperator:
+    """Auxiliary-space trace of R_{01} ... R_{0L}, restricted to a sector,
+    assembled from the two factors of `monodromy_halves`."""
     if L < 1:
         raise ValueError("need at least one site")
     basis = sector_basis(L, n)
-    R = r_matrix(lam, mu).reshape(3, 3, 3, 3)  # [aux_out, site_out, aux_in, site_in]
-    D = basis.dim
-    S = basis.digits()  # (D, L)
-    T = np.zeros((D, D), dtype=complex)
-    chunk = max(1, 200000 // max(D, 1))
-    for i0 in range(0, D, chunk):
-        i1 = min(i0 + chunk, D)
-        B = i1 - i0
-        # G[b, p, a, a'] accumulates the aux product for target-row block b, source p
-        G = np.broadcast_to(np.eye(3, dtype=complex), (B, D, 3, 3)).copy()
-        for site in range(L):
-            t_lbl = S[i0:i1, site]  # (B,)
-            s_lbl = S[:, site]  # (D,)
-            M = R[:, t_lbl[:, None], :, s_lbl[None, :]]  # (B, D, 3, 3)
-            G = np.einsum("bpij,bpjk->bpik", G, M)
-        T[i0:i1, :] = np.trace(G, axis1=2, axis2=3)
+    A, B = monodromy_halves(lam, mu, L)
+    hi, lo = np.divmod(basis.codes, 3 ** (L - L // 2))
+    T = sum(A[a, :, c][hi[:, None], hi] * B[c, :, a][lo[:, None], lo]
+            for a in range(3) for c in range(3))
     return LatticeOperator(basis, sp.csr_matrix(T))
 
 

@@ -294,8 +294,7 @@ def test_eigenvalue_formula_against_transfer_matrix(rng):
     par = CurveParams(5.0)
     p0 = CurvePoint(par, 1.0, 0.0)
     (lam,) = sample_points(par, 1, rng)
-    L = 4
-    for n in (3, 2):
+    for L, n in ((4, 3), (4, 2), (8, 5), (8, 2)):
         rs = solve_log_form(L, n, 5.0)
         val = eigenvalue_lambda(lam, rs)
         T = lattice.build_transfer_matrix(lam, p0, L, n).matrix.toarray()
