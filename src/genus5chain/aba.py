@@ -29,7 +29,7 @@ import numpy as np
 from .bethe import BetheRootSet, curve_points_for_roots, eigenvalue_lambda
 from .curve import CurveParams, CurvePoint
 from .errors import DegenerateRoots, ZeroVector
-from .lattice import build_transfer_matrix, monodromy_halves, sector_basis
+from .lattice import _code_spins, build_transfer_matrix, monodromy_halves, sector_basis
 from .rmatrix import phase_shift, weights
 
 
@@ -105,17 +105,16 @@ def _phi_recursive(points: tuple, mu: CurvePoint, L: int) -> np.ndarray:
 
 def state_sector(phi: np.ndarray, L: int, tol: float = 1e-10) -> int:
     """Magnetization sector carrying the state's weight; fails if mixed."""
-    best, best_n = 0.0, None
-    for n in range(-L, L + 1):
-        w = float(np.linalg.norm(phi[sector_basis(L, n).codes]))
-        if w > best:
-            best, best_n = w, n
     total = float(np.linalg.norm(phi))
     if total < 1e-13:
         raise ZeroVector("state vector vanished")
-    if best < (1 - tol) * total:
+    codes = np.flatnonzero(phi)
+    weight = np.bincount(_code_spins(codes, L) + L, weights=np.abs(phi[codes]) ** 2,
+                         minlength=2 * L + 1)
+    best = int(np.argmax(weight))
+    if np.sqrt(weight[best]) < (1 - tol) * total:
         raise ValueError("state is not supported on a single sector")
-    return best_n
+    return best - L
 
 
 def eigenstate_residual(

@@ -84,16 +84,21 @@ class SectorBasis:
         return self.codes[:, None] // 3 ** np.arange(self.L - 1, -1, -1) % 3
 
 
+def _code_spins(codes: np.ndarray, L: int) -> np.ndarray:
+    """Total spin of each L-site base-3 code."""
+    spin, rest = np.zeros_like(codes), codes
+    for _ in range(L):
+        rest, label = np.divmod(rest, 3)
+        spin += 1 - label
+    return spin
+
+
 @lru_cache(maxsize=None)
 def sector_basis(L: int, n: int) -> SectorBasis:
     if not (-L <= n <= L):
         raise ValueError(f"sector n={n} out of range for L={L}")
     codes = np.arange(3**L, dtype=np.int64)
-    spin, rest = np.zeros_like(codes), codes
-    for _ in range(L):
-        rest, label = np.divmod(rest, 3)
-        spin += 1 - label
-    codes = codes[spin == n]
+    codes = codes[_code_spins(codes, L) == n]
     codes.setflags(write=False)
     return SectorBasis(L, n, codes)
 
@@ -251,10 +256,6 @@ class SpectrumReport:
     real_tol: float
 
     @property
-    def lowest(self) -> complex:
-        return self.eigenvalues[0]
-
-    @property
     def lowest_real(self) -> float:
         reals = self.eigenvalues[self.is_real]
         if len(reals) == 0:
@@ -278,6 +279,18 @@ def _make_report(basis: SectorBasis, vals: np.ndarray, method: str, real_tol: fl
     )
 
 
+def _block_eigenvalues(op: LatticeOperator) -> np.ndarray:
+    """Every eigenvalue of a shift-commuting operator, by dense LAPACK per momentum block."""
+    basis, H = op.sector, op.matrix
+    S = shift_operator(basis.L, basis.n)
+    if abs(H @ S - S @ H).max() > 1e-12 * max(1.0, abs(H).max()):
+        raise ValueError("dense solves need an operator that commutes with the shift")
+    return np.concatenate([
+        eig((V.conj().T @ (H @ V)).toarray(), right=False)
+        for V in momentum_blocks(basis.L, basis.n) if V.shape[1]
+    ])
+
+
 def diagonalize(
     op: LatticeOperator,
     mode: str = "full",
@@ -286,38 +299,35 @@ def diagonalize(
 ) -> SpectrumReport:
     """Eigenvalues of a (generally non-Hermitian) sector operator.
 
-    mode="full" returns every eigenvalue via dense LAPACK, one momentum
-    block at a time (`momentum_blocks`), so the operator must commute with
-    the shift; a ValueError is raised when it does not.  mode="lowest"
-    returns the k smallest-real-part eigenvalues of the whole sector, using
-    ARPACK on larger sectors with a dense fallback.
+    Dense solves run one momentum block at a time (`momentum_blocks`), so
+    they raise a ValueError for an operator that does not commute with the
+    shift.  mode="full" returns every eigenvalue.  mode="lowest" returns the
+    k >= 1 smallest-real-part eigenvalues: from the block spectrum up to
+    _DENSE_EIG_CUTOFF states, from ARPACK above, and from the block spectrum
+    again ("dense-fallback") when ARPACK fails on up to DENSE_LIMIT states.
     """
-    basis = op.sector
-    D = op.dim
     if mode == "full":
-        if D > DENSE_LIMIT:
-            raise ValueError(f"full diagonalization capped at dim {DENSE_LIMIT}, got {D}")
-        H = op.matrix
-        S = shift_operator(basis.L, basis.n)
-        if abs(H @ S - S @ H).max() > 1e-12 * max(1.0, abs(H).max()):
-            raise ValueError("full mode needs an operator that commutes with the shift")
-        vals = np.concatenate([
-            eig((V.conj().T @ (H @ V)).toarray(), right=False)
-            for V in momentum_blocks(basis.L, basis.n) if V.shape[1]
-        ])
-        return _make_report(basis, vals, "dense", real_tol)
+        if op.dim > DENSE_LIMIT:
+            raise ValueError(f"full diagonalization capped at dim {DENSE_LIMIT}, got {op.dim}")
+        return _make_report(op.sector, _block_eigenvalues(op), "dense", real_tol)
     if mode != "lowest":
         raise ValueError(f"unknown mode {mode!r}")
-    if D <= max(_DENSE_EIG_CUTOFF, 3 * k + 2):
-        vals = eig(op.matrix.toarray(), right=False)
-        vals = vals[np.argsort(vals.real)][: min(k, D)]
-        return _make_report(basis, vals, "dense", real_tol)
-    return _lowest_arpack(op, k, real_tol)
+    if k < 1:
+        raise ValueError(f"lowest mode needs k >= 1, got {k}")
+    method = "dense"
+    if op.dim > max(_DENSE_EIG_CUTOFF, 3 * k + 2):
+        try:
+            return _lowest_arpack(op, k, real_tol)
+        except ConvergenceFailure:
+            if op.dim > DENSE_LIMIT:
+                raise
+            method = "dense-fallback"
+    vals = _block_eigenvalues(op)
+    return _make_report(op.sector, vals[np.argsort(vals.real)][:k], method, real_tol)
 
 
 def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumReport:
-    D = op.dim
-    A = op.matrix
+    D, A = op.dim, op.matrix
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
     for ncv in (max(40, 4 * k), max(90, 8 * k)):
@@ -328,14 +338,9 @@ def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumRepo
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
         res = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
-        scale = spla.norm(A, np.inf)
-        if np.all(res <= 1e-9 * max(1.0, scale)):
+        if np.all(res <= 1e-9 * max(1.0, spla.norm(A, np.inf))):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})", real_tol)
         attempts.append(f"SR ncv={ncv}: residual {np.max(res):.2e}")
-    if D <= DENSE_LIMIT:
-        vals = eig(A.toarray(), right=False)
-        vals = vals[np.argsort(vals.real)][:k]
-        return _make_report(op.sector, vals, "dense-fallback", real_tol)
     raise ConvergenceFailure(
         f"lowest-eigenvalue iteration failed for dim {D}", diagnostics={"attempts": attempts}
     )
@@ -351,12 +356,9 @@ def lowest_per_sector(U: float, L: int, k: int = 6) -> dict[int, SpectrumReport]
     The +-n spectra coincide (checked directly at small L by the test
     suite), so only n >= 0 is diagonalized.
     """
-    reports = {}
-    for n in range(0, L + 1):
-        reports[n] = diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=k)
-    for n in range(1, L + 1):
-        reports[-n] = reports[n]
-    return reports
+    reports = {n: diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=k)
+               for n in range(L + 1)}
+    return reports | {-n: reports[n] for n in range(1, L + 1)}
 
 
 @lru_cache(maxsize=512)
@@ -368,13 +370,11 @@ def _lowest_levels(U: float, L: int, k: int) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=512)
 def ground_state_energy(U: float, L: int, k: int = 6) -> float:
     """Smallest real part over all magnetization sectors."""
     return float(_lowest_levels(U, L, k)[0])
 
 
-@lru_cache(maxsize=512)
 def lowest_two_energies(U: float, L: int, k: int = 8, level_tol: float = 1e-9):
     """(E0, E1): ground energy and the next distinct level across sectors."""
     vals = _lowest_levels(U, L, k)

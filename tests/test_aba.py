@@ -64,6 +64,20 @@ def test_phi_sector_bookkeeping(par, mu0, rng):
     assert state_sector(build_phi(pts[:3], mu0, L), L) == L - 3
 
 
+def test_state_sector_rejects_mixed_state(par, mu0, rng):
+    pts = sample_points(par, 2, rng)
+    L = 4
+    one, two = build_phi(pts[:1], mu0, L), build_phi(pts[:2], mu0, L)
+    mixed = one / np.linalg.norm(one) + two / np.linalg.norm(two)
+    with pytest.raises(ValueError, match="single sector"):
+        state_sector(mixed, L)
+
+
+def test_state_sector_rejects_zero_vector():
+    with pytest.raises(ZeroVector):
+        state_sector(np.zeros(3**4, dtype=complex), 4)
+
+
 def test_degenerate_rapidities_rejected(par, mu0, rng):
     (p,) = sample_points(par, 1, rng)
     with pytest.raises(DegenerateRoots):

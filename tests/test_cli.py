@@ -59,6 +59,16 @@ def test_ed_command_lowest_mode(capsys):
     assert vals[0]["re"] <= vals[1]["re"] <= vals[2]["re"]
 
 
+@pytest.mark.parametrize("L", ["4", "8"])  # block and ARPACK sizes
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_ed_lowest_mode_refuses_nonpositive_k(L, k, capsys):
+    code = main(["ed", "--L", L, "--U", "1", "--n", "0", "--mode", "lowest", "--k", k])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "k >= 1" in captured.err
+
+
 def test_bethe_solve_command(tmp_path, capsys):
     out_file = tmp_path / "roots.json"
     code = main(["bethe-solve", "--L", "8", "--n", "0", "--U", "5", "--out", str(out_file)])

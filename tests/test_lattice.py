@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,8 +204,21 @@ def test_full_mode_rejects_operator_without_translation_symmetry():
     basis = sector_basis(4, 0)
     diag = np.random.default_rng(5).normal(size=basis.dim)
     op = lattice.LatticeOperator(basis, sp.diags(diag).tocsr().astype(complex))
-    with pytest.raises(ValueError, match="commutes with the shift"):
-        diagonalize(op, mode="full")
+    for mode in ("full", "lowest"):
+        with pytest.raises(ValueError, match="commutes with the shift"):
+            diagonalize(op, mode=mode)
+
+
+def test_arpack_failure_falls_back_to_block_spectrum(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    op = build_hamiltonian(0.5, 8, 0)  # dim 1107: above the dense cutoff
+    full = diagonalize(op, mode="full")
+    monkeypatch.setattr(spla, "eigs", no_convergence)
+    low = diagonalize(op, mode="lowest", k=6)
+    assert low.method == "dense-fallback"
+    assert np.array_equal(np.sort(low.eigenvalues.real), np.sort(full.eigenvalues.real)[:6])
 
 
 def test_reflection_exact_at_defective_point():
@@ -276,10 +290,9 @@ def test_diagonalize_identity():
 def test_lowest_mode_matches_dense():
     op = build_hamiltonian(1.0, 7, 0)  # dim 393: dense path in lowest mode
     low = diagonalize(op, mode="lowest", k=4)
+    assert low.method == "dense"
     full = diagonalize(op, mode="full")
-    assert np.allclose(
-        np.sort(low.eigenvalues.real)[:4], np.sort(full.eigenvalues.real)[:4], atol=1e-9
-    )
+    assert np.array_equal(np.sort(low.eigenvalues.real), np.sort(full.eigenvalues.real)[:4])
 
 
 def test_lowest_mode_arpack_path():
@@ -307,6 +320,13 @@ def test_symmetry_check_table5_values():
     assert abs(rep.f0_per_site - refdata.TABLE5_F0["4"][4]) < 1e-10
     rep6 = lattice.symmetry_check_neg_u(6, 1.0)
     assert abs(rep6.f0_per_site - refdata.TABLE5_F0["1"][6]) < 1e-10
+
+
+@pytest.mark.parametrize("key", ["4", "2sqrt3", "sqrt2", "1"])
+def test_table5_f0_matches_symmetry_check(key):
+    U = refdata.u_value(key)
+    for L in (4, 6):
+        assert lattice.f0_per_site(U, L) == lattice.symmetry_check_neg_u(L, U).f0_per_site
 
 
 def test_e1_relation_even_sizes():
