@@ -5,8 +5,8 @@ R-matrix and Yang-Baxter checks (`rmatrix`), exact diagonalization of the
 related non-Hermitian spin-1 chain (`lattice`), Bethe-equation solvers and
 transfer-matrix eigenvalues (`bethe`), thermodynamic-limit densities and
 the mass gap (`thermo`), the algebraic eigenvector construction (`aba`),
-and a command-line interface reproducing the published benchmark tables
-(`cli`, console script `genus5`).
+the published benchmark tables with their deviations (`tables`), and a
+command-line interface that prints them (`cli`, console script `genus5`).
 """
 
 from .curve import CurveParams, CurvePoint, critical_couplings

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from genus5chain import aba, bethe, lattice, refdata, thermo
-from genus5chain.cli import fit_threshold
+from genus5chain.tables import fit_threshold
 from genus5chain.curve import (
     CurveParams,
     CurvePoint,

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from genus5chain.cli import RunConfig, fit_threshold, main
+from genus5chain import lattice
+from genus5chain.cli import RunConfig, main
+from genus5chain.tables import extrapolate_gap, fit_threshold
 
 
 def run(argv, capsys):
@@ -39,6 +41,26 @@ def test_ybe_check_bad_eps_sign_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ybe-check", "--eps-sign", "circle"])
     assert exc.value.code == 2
+
+
+def test_format_option_is_usage_error(capsys):
+    # each command has one output format
+    with pytest.raises(SystemExit) as exc:
+        main(["ybe-check", "--format", "json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ybe-check", "--samples", "2"],
+    ["density-profile", "--U", "4", "--N", "256"],
+])
+def test_out_file_matches_stdout(argv, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 def test_ed_command_single_sector(capsys):
@@ -139,6 +161,17 @@ def test_fit_threshold_insufficient_data():
     assert main(["fit-threshold", "--data", "4:2.99684,5:3.1637"]) == 2
 
 
+@pytest.mark.parametrize("ls", ["4,5,9", "4,5,10"])
+def test_fit_threshold_compute_refuses_long_scans(ls, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(lattice, "reality_threshold", lambda L: calls.append(L) or 3.0)
+    code = main(["fit-threshold", "--compute", "--Ls", ls])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_fit_threshold_constant_series():
     u_inf, slope = fit_threshold([(4, 3.0), (5, 3.0), (6, 3.0)])
     assert abs(u_inf - 3.0) < 1e-12
@@ -157,6 +190,12 @@ def test_reality_threshold_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["threshold"] - 2.99684) < 1e-4
+
+
+def test_reality_threshold_heavy_flag_leaves_output(capsys):
+    assert run(["reality-threshold", "--L", "4"], capsys) == run(
+        ["reality-threshold", "--L", "4", "--heavy"], capsys
+    )
 
 
 def test_reality_threshold_refuses_large_l(capsys):
@@ -202,3 +241,32 @@ def test_table_command_five(tmp_path):
 
 def test_table_bad_index(capsys):
     assert main(["table", "9"]) == 2
+
+
+@pytest.mark.parametrize("k, label, last, bound", [
+    ("2", "E/L", "bulk", 1e-9),
+    ("3", "gap", "conjecture", 1e-8),
+])
+def test_table_command_grids(k, label, last, bound, capsys):
+    code, out = run(["table", k], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    keys = ["5", "4.5", "4", "2sqrt3"]
+    assert lines[0] == "L," + ",".join(f"{label}(U={u}),dev(U={u})" for u in keys)
+    assert lines[-1].split(",")[0] == last
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 9
+        for col in range(2, 9, 2):
+            # the critical bulk energy is quadrature-limited (5.9e-8 at N = 8192)
+            critical_bulk = cells[0] == "bulk" and col == 8
+            assert float(cells[col]) < (1e-7 if critical_bulk else bound), (line, col)
+
+
+def test_extrapolate_gap_recovers_cubic_intercept():
+    ls = np.arange(4, 11)
+    gaps = {int(L): 0.1 + 0.5 / L - 0.3 / L**2 + 0.2 / L**3 for L in ls}
+    value, err = extrapolate_gap(gaps)
+    assert abs(value - 0.1) < 1e-12
+    quadratic = np.polyfit(1.0 / ls, [gaps[int(L)] for L in ls], 2)[-1]
+    assert err == pytest.approx(abs(value - quadratic), rel=1e-9)
