@@ -38,7 +38,13 @@ def monodromy_apply(i: int, j: int, lam: CurvePoint, mu: CurvePoint, L: int,
     """Action of T_ij on a full-space vector or on the columns of a matrix."""
     if vec.shape[0] != 3**L:
         raise ValueError(f"expected {3**L} rows for L={L}, got {vec.shape[0]}")
-    A, B = monodromy_halves(lam, mu, L)
+    return _apply_halves(i, j, monodromy_halves(lam, mu, L), vec)
+
+
+def _apply_halves(i: int, j: int, halves: tuple[np.ndarray, np.ndarray],
+                  vec: np.ndarray) -> np.ndarray:
+    """T_ij from the factors (A, B) of `lattice.monodromy_halves`, applied to `vec`."""
+    A, B = halves
     # columns first; each is a matrix over the (hi, lo) half-chain codes
     V = vec.reshape(A.shape[1], B.shape[1], -1).transpose(2, 0, 1)
     out = sum(A[i - 1, :, c] @ V @ B[c, :, j - 1].T for c in range(3))
@@ -72,16 +78,18 @@ def build_phi(points: list[CurvePoint], mu: CurvePoint, L: int) -> np.ndarray:
     if m > 3:
         raise ValueError("eigenvector recursion implemented for m <= 3")
     _check_distinct(points)
-    return _phi_recursive(tuple(points), mu, L)
+    halves = tuple(monodromy_halves(p, mu, L) for p in points)
+    return _phi_recursive(tuple(points), halves, mu, L)
 
 
-def _phi_recursive(points: tuple, mu: CurvePoint, L: int) -> np.ndarray:
+def _phi_recursive(points: tuple, halves: tuple, mu: CurvePoint, L: int) -> np.ndarray:
+    """phi_m of `points`; halves[i] holds the monodromy factors of points[i]."""
     m = len(points)
     if m == 0:
         return vacuum_state(L)
     lam1 = points[0]
-    rest = points[1:]
-    out = monodromy_apply(1, 2, lam1, mu, L, _phi_recursive(rest, mu, L))
+    rest, rest_halves = points[1:], halves[1:]
+    out = _apply_halves(1, 2, halves[0], _phi_recursive(rest, rest_halves, mu, L))
     if m < 2:
         return out
     correction = np.zeros_like(out)
@@ -99,8 +107,9 @@ def _phi_recursive(points: tuple, mu: CurvePoint, L: int) -> np.ndarray:
             if pos_k < pos_j:
                 coeff *= phase_shift(lam_k, lam_j)
         remaining = rest[:pos_j] + rest[pos_j + 1:]
-        correction += coeff * _phi_recursive(remaining, mu, L)
-    return out - monodromy_apply(1, 3, lam1, mu, L, correction)
+        remaining_halves = rest_halves[:pos_j] + rest_halves[pos_j + 1:]
+        correction += coeff * _phi_recursive(remaining, remaining_halves, mu, L)
+    return out - _apply_halves(1, 3, halves[0], correction)
 
 
 def state_sector(phi: np.ndarray, L: int, tol: float = 1e-10) -> int:

@@ -104,13 +104,13 @@ def cmd_ed(args):
     return {"L": args.L, "U": args.U, "sectors": spectra}
 
 
-def _check_threshold_sizes(ls, heavy=False):
+def _check_threshold_sizes(ls, heavy=False, hint="rerun with --heavy"):
     """Refuse the chain lengths whose full-spectrum threshold scan is out of reach."""
     for L in ls:
         if L > 9:
             raise ValueError("full-spectrum threshold scan is limited to L <= 9")
         if L > 8 and not heavy:
-            raise ValueError(f"L={L} takes long; rerun with --heavy")
+            raise ValueError(f"L={L} takes long; {hint}")
 
 
 def cmd_reality_threshold(args):
@@ -194,7 +194,9 @@ def cmd_fit_threshold(args):
             pairs.append((int(l_str), float(u_str)))
     elif args.compute:
         ls = [int(v) for v in args.Ls.split(",")]
-        _check_threshold_sizes(ls)
+        # only L = 9 is refused as long: L > 9 is refused outright
+        _check_threshold_sizes(
+            ls, hint="run reality-threshold --L 9 --heavy and pass 9:U through --data")
         pairs = [(L, lattice.reality_threshold(L)) for L in ls]
     else:
         pairs = sorted(refdata.TABLE1_REALITY.items())

@@ -206,10 +206,49 @@ def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
         cols = np.broadcast_to(np.arange(len(sel)), on_orbit.shape)[on_orbit]
         vals = (w[m * j % L] / np.sqrt(period[sel]))[on_orbit]
         V = sp.csr_matrix((vals, (orbit[:, reps[sel]][on_orbit], cols)), shape=(D, len(sel)))
-        for a in (V.data, V.indices, V.indptr):
-            a.setflags(write=False)
-        blocks.append(V)
+        blocks.append(_read_only(V))
     return tuple(blocks)
+
+
+def _read_only(M: sp.spmatrix) -> sp.spmatrix:
+    """Mark the arrays of a cached sparse matrix read-only; returns M."""
+    for a in (M.data, M.indices, M.indptr):
+        a.setflags(write=False)
+    return M
+
+
+@lru_cache(maxsize=None)
+def _block_adjoints(L: int, n: int) -> tuple[sp.csc_matrix, ...]:
+    """V_mᴴ for every block V_m of `momentum_blocks`, with read-only arrays."""
+    return tuple(_read_only(V.conj().T) for V in momentum_blocks(L, n))
+
+
+@lru_cache(maxsize=None)
+def _pt_basis(L: int, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """A unitary W that makes PT-symmetric sector operators real, and Wᴴ.
+
+    P is the site reflection (site k takes site L - 1 - k's label), an
+    involution on the sector's states, and T is complex conjugation.  The
+    columns of W are fixed by PT: e_a for a state with Pa = a, and for a pair
+    a < Pa, column a is (e_a + e_Pa)/sqrt(2) and column Pa is
+    i (e_a - e_Pa)/sqrt(2).  So Wᴴ H W is real whenever P H P = conj(H), as it
+    is for the chain Hamiltonian.  The arrays of W and Wᴴ are read-only.
+    """
+    basis = sector_basis(L, n)
+    idx = np.arange(basis.dim)
+    mirror = np.searchsorted(basis.codes, basis.digits() @ 3 ** np.arange(L))  # reflected codes
+    paired = mirror != idx
+    lower = idx < mirror
+    s = 1 / np.sqrt(2)
+    # column a holds W[a, a] and, for a paired state, W[Pa, a]
+    diag = np.where(paired, np.where(lower, s, -1j * s), 1.0)
+    off = np.where(lower, s, 1j * s)[paired]
+    W = sp.csr_matrix(
+        (np.concatenate([diag, off]),
+         (np.concatenate([idx, mirror[paired]]), np.concatenate([idx, idx[paired]]))),
+        shape=(basis.dim, basis.dim),
+    )
+    return _read_only(W), _read_only(W.conj().T.tocsr())
 
 
 def _monodromy(R4: np.ndarray, k: int) -> np.ndarray:
@@ -286,8 +325,9 @@ def _block_eigenvalues(op: LatticeOperator) -> np.ndarray:
     if abs(H @ S - S @ H).max() > 1e-12 * max(1.0, abs(H).max()):
         raise ValueError("dense solves need an operator that commutes with the shift")
     return np.concatenate([
-        eig((V.conj().T @ (H @ V)).toarray(), right=False)
-        for V in momentum_blocks(basis.L, basis.n) if V.shape[1]
+        eig((Vh @ (H @ V)).toarray(), right=False)
+        for V, Vh in zip(momentum_blocks(basis.L, basis.n), _block_adjoints(basis.L, basis.n))
+        if V.shape[1]
     ])
 
 
@@ -305,6 +345,9 @@ def diagonalize(
     k >= 1 smallest-real-part eigenvalues: from the block spectrum up to
     _DENSE_EIG_CUTOFF states, from ARPACK above, and from the block spectrum
     again ("dense-fallback") when ARPACK fails on up to DENSE_LIMIT states.
+    ARPACK runs in real arithmetic on Wᴴ H W (`_pt_basis`), so above the
+    cutoff mode="lowest" also needs P H P = conj(H) for the site reflection
+    P, as the chain Hamiltonian has, and raises a ValueError otherwise.
     """
     if mode == "full":
         if op.dim > DENSE_LIMIT:
@@ -327,16 +370,23 @@ def diagonalize(
 
 
 def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumReport:
+    """ARPACK's real nonsymmetric mode on Wᴴ H W (`_pt_basis`); residuals against H."""
     D, A = op.dim, op.matrix
+    W, Wh = _pt_basis(op.sector.L, op.sector.n)
+    B = Wh @ A @ W
+    if abs(B.imag).max() > 1e-12 * max(1.0, abs(A).max()):
+        raise ValueError("lowest-mode ARPACK needs an operator with P H P = conj(H)")
+    B = B.real
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
     for ncv in (max(40, 4 * k), max(90, 8 * k)):
         try:
-            vals, vecs = spla.eigs(A, k=k, which="SR", ncv=min(ncv, D - 1), tol=1e-12,
+            vals, vecs = spla.eigs(B, k=k, which="SR", ncv=min(ncv, D - 1), tol=1e-12,
                                    maxiter=8000, v0=v0)
         except spla.ArpackNoConvergence as exc:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
+        vecs = W @ vecs
         res = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
         if np.all(res <= 1e-9 * max(1.0, spla.norm(A, np.inf))):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})", real_tol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genus5chain import bethe, lattice
+from genus5chain import aba, bethe, lattice
 from genus5chain.aba import (
     build_phi,
     eigenstate_residual,
@@ -54,6 +54,20 @@ def test_vacuum_triangularity_random_pairs(par, rng):
 
 def test_phi_zero_is_vacuum(mu0):
     assert np.array_equal(build_phi([], mu0, 4), vacuum_state(4))
+
+
+def test_phi_builds_monodromy_factors_once_per_rapidity(par, mu0, monkeypatch):
+    builds = []
+    halves = aba.monodromy_halves
+
+    def counted(lam, mu, L):
+        builds.append(lam)
+        return halves(lam, mu, L)
+
+    monkeypatch.setattr(aba, "monodromy_halves", counted)
+    pts = sample_points(par, 3, np.random.default_rng(7))  # leaves the shared rng's draws alone
+    build_phi(pts, mu0, 4)
+    assert builds == pts
 
 
 def test_phi_sector_bookkeeping(par, mu0, rng):

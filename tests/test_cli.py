@@ -172,6 +172,16 @@ def test_fit_threshold_compute_refuses_long_scans(ls, monkeypatch, capsys):
     assert calls == []
 
 
+def test_fit_threshold_refusal_names_the_heavy_command(capsys):
+    assert main(["fit-threshold", "--compute", "--Ls", "4,5,9"]) == 2
+    assert capsys.readouterr().err == (
+        "refused: L=9 takes long; run reality-threshold --L 9 --heavy"
+        " and pass 9:U through --data\n"
+    )
+    assert main(["reality-threshold", "--L", "9"]) == 2
+    assert capsys.readouterr().err == "refused: L=9 takes long; rerun with --heavy\n"
+
+
 def test_fit_threshold_constant_series():
     u_inf, slope = fit_threshold([(4, 3.0), (5, 3.0), (6, 3.0)])
     assert abs(u_inf - 3.0) < 1e-12

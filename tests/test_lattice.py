@@ -100,6 +100,21 @@ def test_sector_codes_properties(L, data, U):
     assert abs(H @ T - T @ H).max() < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), U=st.floats(-6.0, 6.0))
+def test_reflection_conjugates_hamiltonian(L, data, U):
+    # P H P = conj(H) for the site reflection P, so W^H H W is real (`_pt_basis`)
+    n = data.draw(st.integers(-L, L), label="n")
+    states = _tuple_states(L, n)
+    index = {s: i for i, s in enumerate(states)}
+    R = [index[s[::-1]] for s in states]
+    H = build_hamiltonian(U, L, n).matrix
+    assert np.array_equal(H[R][:, R].toarray(), H.conj().toarray())
+    W, Wh = lattice._pt_basis(L, n)
+    assert np.max(np.abs((Wh @ W).toarray() - np.eye(len(states)))) < 1e-15
+    assert abs((Wh @ H @ W).imag).max() <= 1e-14 * max(1.0, abs(H).max())
+
+
 def test_vacuum_sector():
     rep = diagonalize(build_hamiltonian(3.7, 5, 5), mode="full")
     assert rep.eigenvalues.shape == (1,)
@@ -234,6 +249,25 @@ def test_arpack_lowest_matches_block_spectrum(U, n):
     assert low.method.startswith("arpack")
     full = diagonalize(op, mode="full")
     assert np.max(np.abs(np.sort(low.eigenvalues.real) - np.sort(full.eigenvalues.real)[:6])) < 1e-9
+
+
+def test_arpack_keeps_low_conjugate_pair():
+    op = build_hamiltonian(1.0, 8, 0)  # levels 2 and 3 are a pair, about -4.438 +- 0.028i
+    low = diagonalize(op, mode="lowest", k=6)
+    assert low.method.startswith("arpack")
+    full = diagonalize(op, mode="full").eigenvalues
+    ref = full[np.argsort(full.real)][:6]
+    assert len(low.eigenvalues) == 6
+    assert _hausdorff(low.eigenvalues, ref) < 1e-9
+    pair = low.eigenvalues[~low.is_real]
+    assert len(pair) == 2 and abs(pair[0] - pair[1].conj()) < 1e-9 and abs(pair[0].imag) > 0.02
+
+
+def test_arpack_rejects_operator_without_pt_symmetry():
+    op = build_hamiltonian(0.5, 8, 0)  # dim 1107: above the dense cutoff
+    shifted = lattice.LatticeOperator(op.sector, op.matrix + 0.1j * sp.identity(op.dim, format="csr"))
+    with pytest.raises(ValueError, match="P H P = conj"):
+        diagonalize(shifted, mode="lowest", k=6)
 
 
 def test_transfer_matrix_is_shift_at_regular_point():
