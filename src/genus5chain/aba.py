@@ -73,43 +73,59 @@ def _check_distinct(points: list[CurvePoint]):
 
 
 def build_phi(points: list[CurvePoint], mu: CurvePoint, L: int) -> np.ndarray:
-    """State vector phi_m for the given rapidity points (m = len(points) <= 3)."""
+    """State vector phi_m for the given rapidity points (m = len(points) <= 3).
+
+    phi of a point tuple needs phi of its tail and of the tail without each
+    of its points.  Those sub-states are built once each, grouped by leading
+    point from the last point to the first, so every point's monodromy
+    factors are built once and dropped before the next point's.
+    """
     m = len(points)
     if m > 3:
         raise ValueError("eigenvector recursion implemented for m <= 3")
     _check_distinct(points)
-    halves = tuple(monodromy_halves(p, mu, L) for p in points)
-    return _phi_recursive(tuple(points), halves, mu, L)
+    needed = set()
+
+    def collect(sub):
+        if sub not in needed:
+            needed.add(sub)
+            rest = sub[1:]
+            for tail in [rest] + [rest[:j] + rest[j + 1:] for j in range(len(rest))]:
+                collect(tail)
+
+    collect(tuple(range(m)))
+    phis = {(): vacuum_state(L)}
+    for k in reversed(range(m)):
+        halves = monodromy_halves(points[k], mu, L)
+        for sub in sorted(s for s in needed if s and s[0] == k):
+            rest = sub[1:]
+            drops = [phis[rest[:j] + rest[j + 1:]] for j in range(len(rest))]
+            phis[sub] = _phi_step(points[k], halves, [points[i] for i in rest], phis[rest], drops,
+                                  mu, L)
+        del halves
+    return phis[tuple(range(m))]
 
 
-def _phi_recursive(points: tuple, halves: tuple, mu: CurvePoint, L: int) -> np.ndarray:
-    """phi_m of `points`; halves[i] holds the monodromy factors of points[i]."""
-    m = len(points)
-    if m == 0:
-        return vacuum_state(L)
-    lam1 = points[0]
-    rest, rest_halves = points[1:], halves[1:]
-    out = _apply_halves(1, 2, halves[0], _phi_recursive(rest, rest_halves, mu, L))
-    if m < 2:
+def _phi_step(lam1: CurvePoint, halves1: tuple, rest: list, phi_rest: np.ndarray, drops: list,
+              mu: CurvePoint, L: int) -> np.ndarray:
+    """T_12(lam1) phi(rest) - T_13(lam1) sum_j c_j phi(rest without its j-th point)."""
+    out = _apply_halves(1, 2, halves1, phi_rest)
+    if not rest:
         return out
     correction = np.zeros_like(out)
-    for pos_j in range(len(rest)):  # position j = pos_j + 2 in 1-based labelling
-        lam_j = rest[pos_j]
+    for pos_j, lam_j in enumerate(rest):  # position j = pos_j + 2 in 1-based labelling
         w1j = weights(lam1, lam_j)
         coeff = lam1.params.eps * w1j.d / w1j.f
         coeff *= weights(lam_j, mu).a ** L
-        for pos_k in range(len(rest)):
+        for pos_k, lam_k in enumerate(rest):
             if pos_k == pos_j:
                 continue
-            lam_k = rest[pos_k]
             wkj = weights(lam_k, lam_j)
             coeff *= wkj.a / wkj.b_bar
             if pos_k < pos_j:
                 coeff *= phase_shift(lam_k, lam_j)
-        remaining = rest[:pos_j] + rest[pos_j + 1:]
-        remaining_halves = rest_halves[:pos_j] + rest_halves[pos_j + 1:]
-        correction += coeff * _phi_recursive(remaining, remaining_halves, mu, L)
-    return out - _apply_halves(1, 3, halves[0], correction)
+        correction += coeff * drops[pos_j]
+    return out - _apply_halves(1, 3, halves1, correction)
 
 
 def state_sector(phi: np.ndarray, L: int, tol: float = 1e-10) -> int:

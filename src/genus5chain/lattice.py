@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -163,92 +164,80 @@ def shift_operator(L: int, n: int) -> sp.csr_matrix:
     )
 
 
-def _roots_of_unity(L: int) -> np.ndarray:
-    """w[a] = exp(-2 pi i a / L); for even L, w[a + L/2] == -w[a] exactly.
+def _half_turn_roots(L: int) -> np.ndarray:
+    """z[a] = exp(-i pi a / L), a < 2L, so z[2a] = w^a with w = exp(-2 pi i / L).
 
-    The exact half-turn sign keeps the U <-> -U reflection exact block by
-    block: the staggered sign that maps H(U) to -H(-U) moves momentum m to
-    m + n L / 2, and maps the phases of one block onto the other's bit for bit.
+    Turns are exact, z[a + L] == -z[a] and for even L z[a + L/2] == -1j z[a],
+    so the U <-> -U reflection (`_orbits`) stays exact block by block.
     """
-    if L % 2:
-        return np.exp(-2j * np.pi * np.arange(L) / L)
-    half = np.exp(-2j * np.pi * np.arange(L // 2) / L)
-    return np.concatenate([half, -half])
+    turns = (1, -1j, -1, 1j) if L % 2 == 0 else (1, -1)
+    base = np.exp(-1j * np.pi * np.arange(2 * L // len(turns)) / L)
+    return np.concatenate([base * t for t in turns])
 
 
 @lru_cache(maxsize=None)
-def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
-    """Sector isometries V_0 .. V_{L-1} onto the translation eigenspaces.
+def _orbits(L: int, n: int) -> SimpleNamespace:
+    """Translation orbits of a sector and the real basis of its momentum blocks.
 
-    V_m has one column per orbit representative r (the smallest code of its
-    translation orbit) whose period p admits momentum m, i.e. m p = 0 mod L,
-    with entries w^{m j} / sqrt(p) on the codes T^j r, j < p.  Together the
-    blocks form a unitary that block-diagonalizes every operator commuting
-    with the shift.  The arrays of every V_m are read-only.
+    Orbit r (representative: its smallest code, state `states[r]`) has period
+    p = `period[r]`; state s is T^l r with r = `rep[s]`, l = `shift[s]` < p.
+    `column[m, r]` is r's column in block m, or -1 unless m p = 0 mod L.
+    A = P conj (P the site reflection) maps |r, m> to w^(-m t) |r~, m>, where
+    P r = T^t r~ and r~ = `mirror[r]`.  Row r of the unitary W_m whose columns
+    A fixes holds W_m[r, r] = `own[m, r]` and W_m[r, r~] = `other[m, r]`:
+    column r is z^(-m t) e_r if r = r~; for r < r~ columns r and r~ are
+    (x e_r + y e_r~)/sqrt(2) and i (x e_r - y e_r~)/sqrt(2), x = z^(-m),
+    y = conj(x) w^(-m t).  With that odd power of z, the staggered sign that
+    maps H(U) to -H(-U) and momentum m to m + n L / 2 sends each column to
+    +-1 or +-1j times the same column of the other block.  Arrays are read-only.
     """
     basis = sector_basis(L, n)
-    D = basis.dim
     step = _shift_targets(basis)
-    orbit = np.empty((L, D), dtype=np.int64)  # orbit[j, i]: index of T^j applied to state i
-    orbit[0] = np.arange(D)
+    orbit = np.empty((L, basis.dim), dtype=np.int64)  # orbit[j, i]: index of T^j applied to state i
+    orbit[0] = np.arange(basis.dim)
     for k in range(1, L):
         orbit[k] = step[orbit[k - 1]]
-    reps = np.nonzero(orbit.min(axis=0) == orbit[0])[0]
-    # the period is the first j > 0 that returns the representative to itself
-    back = np.vstack([orbit[1:, reps] == reps, np.ones((1, len(reps)), dtype=bool)])
-    period = np.argmax(back, axis=0) + 1
-    w = _roots_of_unity(L)
-    j = np.arange(L)[:, None]
-    blocks = []
-    for m in range(L):
-        sel = np.nonzero(m * period % L == 0)[0]
-        on_orbit = j < period[sel]  # (L, columns): T^j r with j < p
-        cols = np.broadcast_to(np.arange(len(sel)), on_orbit.shape)[on_orbit]
-        vals = (w[m * j % L] / np.sqrt(period[sel]))[on_orbit]
-        V = sp.csr_matrix((vals, (orbit[:, reps[sel]][on_orbit], cols)), shape=(D, len(sel)))
-        blocks.append(_read_only(V))
-    return tuple(blocks)
-
-
-def _read_only(M: sp.spmatrix) -> sp.spmatrix:
-    """Mark the arrays of a cached sparse matrix read-only; returns M."""
-    for a in (M.data, M.indices, M.indptr):
+    first = orbit.argmin(axis=0)  # T^first s is the representative of s
+    states = np.nonzero(first == 0)[0]
+    rep = np.searchsorted(states, orbit.min(axis=0))
+    period = np.bincount(rep)
+    shift = -first % period[rep]
+    labels = basis.codes[states, None] // 3 ** np.arange(L - 1, -1, -1) % 3
+    flipped = np.searchsorted(basis.codes, labels @ 3 ** np.arange(L))  # P r
+    mirror, t = rep[flipped], shift[flipped]
+    m, idx = np.arange(L)[:, None], np.arange(len(states))
+    admitted = m * period % L == 0
+    column = np.where(admitted, np.cumsum(admitted, axis=1) - 1, -1)
+    z, s = _half_turn_roots(L), 1 / np.sqrt(2)
+    x, y = z[-m % (2 * L)] * s, z[m * (1 - 2 * t) % (2 * L)] * s
+    own = np.where(mirror == idx, z[-m * t % (2 * L)], np.where(idx < mirror, x, -1j * y))
+    other = np.where(mirror == idx, 0, np.where(idx < mirror, 1j * x, y))
+    for a in (states, period, mirror, rep, shift, column, own, other):
         a.setflags(write=False)
-    return M
+    return SimpleNamespace(states=states, period=period, mirror=mirror, rep=rep, shift=shift,
+                           column=column, own=own, other=other)
 
 
-@lru_cache(maxsize=None)
-def _block_adjoints(L: int, n: int) -> tuple[sp.csc_matrix, ...]:
-    """V_mᴴ for every block V_m of `momentum_blocks`, with read-only arrays."""
-    return tuple(_read_only(V.conj().T) for V in momentum_blocks(L, n))
+def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
+    """Sector isometries Q_0 .. Q_{L-1} onto the translation eigenspaces.
 
-
-@lru_cache(maxsize=None)
-def _pt_basis(L: int, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """A unitary W that makes PT-symmetric sector operators real, and Wᴴ.
-
-    P is the site reflection (site k takes site L - 1 - k's label), an
-    involution on the sector's states, and T is complex conjugation.  The
-    columns of W are fixed by PT: e_a for a state with Pa = a, and for a pair
-    a < Pa, column a is (e_a + e_Pa)/sqrt(2) and column Pa is
-    i (e_a - e_Pa)/sqrt(2).  So Wᴴ H W is real whenever P H P = conj(H), as it
-    is for the chain Hamiltonian.  The arrays of W and Wᴴ are read-only.
+    Q_m = V_m W_m: V_m has one column |r, m> per orbit representative r that
+    momentum m admits, with entries w^(m l) / sqrt(p) on the codes T^l r,
+    l < p, and W_m (`_orbits`) makes Q_mᴴ H Q_m real for an operator with
+    P H P = conj(H).  Together the blocks form a unitary that
+    block-diagonalizes every operator commuting with the shift.
     """
-    basis = sector_basis(L, n)
-    idx = np.arange(basis.dim)
-    mirror = np.searchsorted(basis.codes, basis.digits() @ 3 ** np.arange(L))  # reflected codes
-    paired = mirror != idx
-    lower = idx < mirror
-    s = 1 / np.sqrt(2)
-    # column a holds W[a, a] and, for a paired state, W[Pa, a]
-    diag = np.where(paired, np.where(lower, s, -1j * s), 1.0)
-    off = np.where(lower, s, 1j * s)[paired]
-    W = sp.csr_matrix(
-        (np.concatenate([diag, off]),
-         (np.concatenate([idx, mirror[paired]]), np.concatenate([idx, idx[paired]]))),
-        shape=(basis.dim, basis.dim),
-    )
-    return _read_only(W), _read_only(W.conj().T.tocsr())
+    orb = _orbits(L, n)
+    z, c = _half_turn_roots(L), orb.rep
+    blocks = []
+    for m, col in enumerate(orb.column):
+        on = np.nonzero(col[c] >= 0)[0]
+        phase = z[2 * m * orb.shift[on] % (2 * L)] / np.sqrt(orb.period[c[on]])
+        vals = np.concatenate([phase * orb.own[m, c[on]], phase * orb.other[m, c[on]]])
+        cols = np.concatenate([col[c[on]], col[orb.mirror[c[on]]]])
+        blocks.append(sp.csr_matrix((vals, (np.tile(on, 2), cols)),
+                                    shape=(len(c), np.count_nonzero(col >= 0))))
+    return tuple(blocks)
 
 
 def _monodromy(R4: np.ndarray, k: int) -> np.ndarray:
@@ -290,7 +279,6 @@ class SpectrumReport:
     n: int
     eigenvalues: np.ndarray  # sorted by (Re, Im)
     is_real: np.ndarray
-    conjugation_defect: float
     method: str
     real_tol: float
 
@@ -302,33 +290,64 @@ class SpectrumReport:
         return float(np.min(reals.real))
 
 
-def _conjugation_defect(vals: np.ndarray, is_real: np.ndarray) -> float:
-    comp = vals[~is_real]
-    if len(comp) == 0:
-        return 0.0
-    return float(max(np.min(np.abs(np.conj(z) - comp)) for z in comp))
-
-
 def _make_report(basis: SectorBasis, vals: np.ndarray, method: str, real_tol: float) -> SpectrumReport:
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
+    vals = vals[np.lexsort((vals.imag, vals.real))]
     is_real = np.abs(vals.imag) <= real_tol * np.maximum(1.0, np.abs(vals.real))
-    return SpectrumReport(
-        basis.L, basis.n, vals, is_real, _conjugation_defect(vals, is_real), method, real_tol
-    )
+    return SpectrumReport(basis.L, basis.n, vals, is_real, method, real_tol)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with each real product rounded on its own; numpy's complex multiply
+    may fuse them, and then a factor 1j does not commute exactly with it."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _real_blocks(op: LatticeOperator, sparse: bool = False):
+    """Yield the real momentum blocks Q_mᴴ H Q_m (`momentum_blocks`), m = 0 .. L-1.
+
+    Block m comes from H's columns at the orbit representatives alone,
+    H_m[r', r] = sqrt(p_r / p_r') sum over s = T^l r' of H[s, r] conj(w^(m l)),
+    made real by W_m (`_orbits`), and is summed by one bincount (dense
+    arrays) or one COO sum (CSR when `sparse`).  Raises a ValueError unless H
+    commutes with the shift and P H P = conj(H).
+    """
+    basis, H, L = op.sector, op.matrix, op.sector.L
+    S = shift_operator(L, basis.n)
+    tol = 1e-12 * max(1.0, abs(H).max())
+    if abs(H @ S - S @ H).max() > tol:
+        raise ValueError("momentum blocks need an operator that commutes with the shift")
+    orb = _orbits(L, basis.n)
+    cols = H[:, orb.states].tocoo()
+    r, rp, l = cols.col, orb.rep[cols.row], orb.shift[cols.row]  # H[T^l r', r]
+    h, z = cols.data * np.sqrt(orb.period[r] / orb.period[rp]), _half_turn_roots(L)
+    for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
+        d = np.count_nonzero(col >= 0)
+        on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
+        v = h[on] * z[-2 * m * l[on] % (2 * L)]
+        rpm, rm = rp[on], r[on]
+        # term (r', r) of H_m enters B[a', a] for a' in {r', r'~} and a in {r, r~}
+        uv = (_cmul(own[rpm].conj(), v), _cmul(other[rpm].conj(), v))
+        b = np.concatenate([_cmul(u, x) for u in uv for x in (own[rm], other[rm])])
+        i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
+        j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
+        if sparse:
+            B = sp.csr_matrix((b, (i, j)), shape=(d, d))
+            imag, B = B.data.imag, B.real
+        else:
+            flat = i * d + j
+            imag = np.bincount(flat, b.imag, d * d)
+            B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
+        if len(imag) and abs(imag).max() > tol:
+            raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
+        yield B
 
 
 def _block_eigenvalues(op: LatticeOperator) -> np.ndarray:
-    """Every eigenvalue of a shift-commuting operator, by dense LAPACK per momentum block."""
-    basis, H = op.sector, op.matrix
-    S = shift_operator(basis.L, basis.n)
-    if abs(H @ S - S @ H).max() > 1e-12 * max(1.0, abs(H).max()):
-        raise ValueError("dense solves need an operator that commutes with the shift")
-    return np.concatenate([
-        eig((Vh @ (H @ V)).toarray(), right=False)
-        for V, Vh in zip(momentum_blocks(basis.L, basis.n), _block_adjoints(basis.L, basis.n))
-        if V.shape[1]
-    ])
+    """Every eigenvalue of a sector operator, by dense LAPACK per real momentum block."""
+    return np.concatenate([eig(B, right=False) for B in _real_blocks(op) if len(B)])
 
 
 def diagonalize(
@@ -339,15 +358,14 @@ def diagonalize(
 ) -> SpectrumReport:
     """Eigenvalues of a (generally non-Hermitian) sector operator.
 
-    Dense solves run one momentum block at a time (`momentum_blocks`), so
-    they raise a ValueError for an operator that does not commute with the
-    shift.  mode="full" returns every eigenvalue.  mode="lowest" returns the
-    k >= 1 smallest-real-part eigenvalues: from the block spectrum up to
-    _DENSE_EIG_CUTOFF states, from ARPACK above, and from the block spectrum
-    again ("dense-fallback") when ARPACK fails on up to DENSE_LIMIT states.
-    ARPACK runs in real arithmetic on Wᴴ H W (`_pt_basis`), so above the
-    cutoff mode="lowest" also needs P H P = conj(H) for the site reflection
-    P, as the chain Hamiltonian has, and raises a ValueError otherwise.
+    Every solve runs on the real momentum blocks (`momentum_blocks`), so the
+    operator must commute with the shift and have P H P = conj(H) for the
+    site reflection P, as the chain Hamiltonian has (else ValueError).
+    mode="full" returns every eigenvalue, by dense LAPACK per block.
+    mode="lowest" returns the k >= 1 smallest-real-part eigenvalues: from the
+    block spectrum up to _DENSE_EIG_CUTOFF states, from ARPACK on the direct
+    sum of the blocks above, and from the block spectrum again
+    ("dense-fallback") when ARPACK fails on up to DENSE_LIMIT states.
     """
     if mode == "full":
         if op.dim > DENSE_LIMIT:
@@ -370,13 +388,10 @@ def diagonalize(
 
 
 def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumReport:
-    """ARPACK's real nonsymmetric mode on Wᴴ H W (`_pt_basis`); residuals against H."""
+    """ARPACK's real nonsymmetric mode on the direct sum of the real momentum
+    blocks, assembled sparse; eigenvectors mapped back by Q_m, residuals against H."""
     D, A = op.dim, op.matrix
-    W, Wh = _pt_basis(op.sector.L, op.sector.n)
-    B = Wh @ A @ W
-    if abs(B.imag).max() > 1e-12 * max(1.0, abs(A).max()):
-        raise ValueError("lowest-mode ARPACK needs an operator with P H P = conj(H)")
-    B = B.real
+    B = sp.block_diag(list(_real_blocks(op, sparse=True)), format="csr")
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
     for ncv in (max(40, 4 * k), max(90, 8 * k)):
@@ -386,7 +401,7 @@ def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumRepo
         except spla.ArpackNoConvergence as exc:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
-        vecs = W @ vecs
+        vecs = sp.hstack(momentum_blocks(op.sector.L, op.sector.n), format="csr") @ vecs
         res = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
         if np.all(res <= 1e-9 * max(1.0, spla.norm(A, np.inf))):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})", real_tol)
@@ -394,10 +409,6 @@ def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumRepo
     raise ConvergenceFailure(
         f"lowest-eigenvalue iteration failed for dim {D}", diagnostics={"attempts": attempts}
     )
-
-
-def sector_range(L: int) -> range:
-    return range(-L, L + 1)
 
 
 def lowest_per_sector(U: float, L: int, k: int = 6) -> dict[int, SpectrumReport]:
@@ -441,11 +452,8 @@ def spectrum_is_real(U: float, L: int, tol: float = 1e-8) -> bool:
     The +-n spectra coincide, as in `lowest_per_sector`, so only n >= 0 is
     diagonalized, from the small n = L sector down.
     """
-    for n in range(L, -1, -1):
-        rep = diagonalize(build_hamiltonian(U, L, n), mode="full", real_tol=tol)
-        if not np.all(rep.is_real):
-            return False
-    return True
+    return all(np.all(diagonalize(build_hamiltonian(U, L, n), mode="full", real_tol=tol).is_real)
+               for n in range(L, -1, -1))
 
 
 def reality_threshold(
@@ -500,24 +508,14 @@ def symmetry_check_neg_u(L: int, U: float) -> SymmetryReport:
     """
     if L % 2:
         raise ValueError("the spectral reflection holds for even L only")
-    spec_p, spec_m = {}, {}
-    for n in sector_range(L):
-        spec_p[n] = diagonalize(build_hamiltonian(U, L, n), mode="full").eigenvalues
-        spec_m[n] = diagonalize(build_hamiltonian(-U, L, n), mode="full").eigenvalues
-    all_p = np.concatenate(list(spec_p.values()))
-    all_m = np.concatenate(list(spec_m.values()))
-    dist = _hausdorff(all_p, -all_m)
-    e1p = float(np.min(spec_p[1].real))
-    e1m = float(np.min(spec_m[1].real))
-    e0p = float(min(np.min(v.real) for v in spec_p.values()))
-    e0m = float(min(np.min(v.real) for v in spec_m.values()))
-    return SymmetryReport(
-        L,
-        U,
-        spectral_distance=dist,
-        e1_relation_defect=e1p - e1m - U * L / 2.0,
-        f0_per_site=(e0p - e0m - U * L / 2.0) / L,
-    )
+    spec_p, spec_m = ({n: diagonalize(build_hamiltonian(u, L, n), mode="full").eigenvalues
+                       for n in range(-L, L + 1)} for u in (U, -U))
+    all_p, all_m = np.concatenate(list(spec_p.values())), np.concatenate(list(spec_m.values()))
+    e1p, e1m = float(np.min(spec_p[1].real)), float(np.min(spec_m[1].real))
+    e0p, e0m = float(np.min(all_p.real)), float(np.min(all_m.real))
+    return SymmetryReport(L, U, spectral_distance=_hausdorff(all_p, -all_m),
+                          e1_relation_defect=e1p - e1m - U * L / 2.0,
+                          f0_per_site=(e0p - e0m - U * L / 2.0) / L)
 
 
 @lru_cache(maxsize=512)

@@ -81,6 +81,19 @@ def test_ed_command_lowest_mode(capsys):
     assert vals[0]["re"] <= vals[1]["re"] <= vals[2]["re"]
 
 
+def test_ed_prints_conjugate_pairs_minus_im_first(capsys):
+    # real blocks give conjugate pairs with equal real parts, so (Re, Im) order is fixed
+    code, out = run(["ed", "--L", "7", "--U", "1", "--mode", "lowest", "--k", "4"], capsys)
+    assert code == 0
+    sectors = json.loads(out)["sectors"]
+    for n in ("0", "2", "-2"):
+        vals = sectors[n]["eigenvalues"]
+        pair = [i for i, v in enumerate(vals) if v["im"] != 0]
+        assert len(pair) == 2 and pair[1] == pair[0] + 1
+        low, high = vals[pair[0]], vals[pair[1]]
+        assert low["re"] == high["re"] and low["im"] == -high["im"] < 0
+
+
 @pytest.mark.parametrize("L", ["4", "8"])  # block and ARPACK sizes
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_ed_lowest_mode_refuses_nonpositive_k(L, k, capsys):

@@ -103,16 +103,49 @@ def test_sector_codes_properties(L, data, U):
 @settings(max_examples=40, deadline=None)
 @given(L=st.integers(2, 8), data=st.data(), U=st.floats(-6.0, 6.0))
 def test_reflection_conjugates_hamiltonian(L, data, U):
-    # P H P = conj(H) for the site reflection P, so W^H H W is real (`_pt_basis`)
+    # P H P = conj(H) for the site reflection P, so every momentum block has a real form
     n = data.draw(st.integers(-L, L), label="n")
     states = _tuple_states(L, n)
     index = {s: i for i, s in enumerate(states)}
     R = [index[s[::-1]] for s in states]
     H = build_hamiltonian(U, L, n).matrix
     assert np.array_equal(H[R][:, R].toarray(), H.conj().toarray())
-    W, Wh = lattice._pt_basis(L, n)
-    assert np.max(np.abs((Wh @ W).toarray() - np.eye(len(states)))) < 1e-15
-    assert abs((Wh @ H @ W).imag).max() <= 1e-14 * max(1.0, abs(H).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), U=st.floats(-6.0, 6.0))
+def test_real_blocks_are_isometry_products(L, data, U):
+    n = data.draw(st.integers(-L, L), label="n")
+    op = build_hamiltonian(U, L, n)
+    blocks = list(lattice._real_blocks(op))
+    Q = lattice.momentum_blocks(L, n)
+    assert len(blocks) == len(Q) == L
+    for B, Qm in zip(blocks, Q):
+        assert B.dtype == np.float64 and B.shape == (Qm.shape[1],) * 2
+        gram = (Qm.conj().T @ Qm).toarray()
+        assert np.max(np.abs(gram - np.eye(Qm.shape[1])), initial=0.0) < 1e-14
+        assert np.max(np.abs((Qm.conj().T @ op.matrix @ Qm).toarray() - B), initial=0.0) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.sampled_from([2, 4, 6, 8]), data=st.data(), U=st.floats(-6.0, 6.0))
+def test_staggered_sign_maps_real_blocks_bit_for_bit(L, data, U):
+    # G = (-1)^(sum_j j Sz_j) gives G H(U) G = -H(-U) and G Q_m = Q_m' diag(kappa)
+    # with m' = m + n L / 2 and kappa in {+-1, +-1j}, so block m' at -U is
+    # -kappa B kappa^* of block m at U, which real arithmetic must keep exact
+    n = data.draw(st.integers(-L, L), label="n")
+    g = (-1.0) ** ((1 - sector_basis(L, n).digits()) @ np.arange(L))
+    plus = list(lattice._real_blocks(build_hamiltonian(U, L, n)))
+    minus = list(lattice._real_blocks(build_hamiltonian(-U, L, n)))
+    Q = lattice.momentum_blocks(L, n)
+    for m in range(L):
+        mp = (m + n * L // 2) % L
+        S = (Q[mp].conj().T @ (g[:, None] * Q[m].toarray()))
+        kappa = np.round(np.diag(S))
+        assert np.max(np.abs(S - np.diag(kappa)), initial=0.0) < 1e-12
+        assert np.all(np.isin(kappa, [1, -1, 1j, -1j]))
+        sign = (kappa[:, None] * kappa.conj()[None, :]).real
+        assert np.array_equal(minus[mp], -sign * plus[m])
 
 
 def test_vacuum_sector():
@@ -167,8 +200,12 @@ def test_translation_invariance():
 
 
 def test_conjugate_pair_closure():
-    rep = diagonalize(build_hamiltonian(1.0, 6, 0), mode="full")
-    assert rep.conjugation_defect < 1e-9
+    # real arithmetic returns every complex level with its exact conjugate
+    for L, mode in ((6, "full"), (8, "lowest")):  # block and ARPACK paths
+        vals = diagonalize(build_hamiltonian(1.0, L, 0), mode=mode, k=6).eigenvalues
+        comp = vals[vals.imag != 0]
+        assert len(comp) >= 2
+        assert set(comp.conj().tolist()) == set(comp.tolist())
 
 
 def _hausdorff(a, b):
@@ -268,6 +305,13 @@ def test_arpack_rejects_operator_without_pt_symmetry():
     shifted = lattice.LatticeOperator(op.sector, op.matrix + 0.1j * sp.identity(op.dim, format="csr"))
     with pytest.raises(ValueError, match="P H P = conj"):
         diagonalize(shifted, mode="lowest", k=6)
+
+
+def test_full_mode_rejects_operator_without_pt_symmetry():
+    op = build_hamiltonian(0.5, 4, 0)
+    shifted = lattice.LatticeOperator(op.sector, op.matrix + 0.1j * sp.identity(op.dim, format="csr"))
+    with pytest.raises(ValueError, match="P H P = conj"):
+        diagonalize(shifted, mode="full")
 
 
 def test_transfer_matrix_is_shift_at_regular_point():
