@@ -24,6 +24,8 @@ the Bethe equations.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .bethe import BetheRootSet, curve_points_for_roots, eigenvalue_lambda
@@ -76,28 +78,20 @@ def build_phi(points: list[CurvePoint], mu: CurvePoint, L: int) -> np.ndarray:
     """State vector phi_m for the given rapidity points (m = len(points) <= 3).
 
     phi of a point tuple needs phi of its tail and of the tail without each
-    of its points.  Those sub-states are built once each, grouped by leading
-    point from the last point to the first, so every point's monodromy
-    factors are built once and dropped before the next point's.
+    of its points; for m <= 3 those are phi of every subset of points[1:].
+    Each is built once, grouped by leading point from the last point to the
+    first, so every point's monodromy factors are built once and dropped
+    before the next point's.
     """
     m = len(points)
     if m > 3:
         raise ValueError("eigenvector recursion implemented for m <= 3")
     _check_distinct(points)
-    needed = set()
-
-    def collect(sub):
-        if sub not in needed:
-            needed.add(sub)
-            rest = sub[1:]
-            for tail in [rest] + [rest[:j] + rest[j + 1:] for j in range(len(rest))]:
-                collect(tail)
-
-    collect(tuple(range(m)))
+    subs = [c for size in range(1, m) for c in combinations(range(1, m), size)] + [tuple(range(m))]
     phis = {(): vacuum_state(L)}
     for k in reversed(range(m)):
         halves = monodromy_halves(points[k], mu, L)
-        for sub in sorted(s for s in needed if s and s[0] == k):
+        for sub in (s for s in subs if s[0] == k):
             rest = sub[1:]
             drops = [phis[rest[:j] + rest[j + 1:]] for j in range(len(rest))]
             phis[sub] = _phi_step(points[k], halves, [points[i] for i in rest], phis[rest], drops,

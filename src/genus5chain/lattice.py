@@ -345,11 +345,6 @@ def _real_blocks(op: LatticeOperator, sparse: bool = False):
         yield B
 
 
-def _block_eigenvalues(op: LatticeOperator) -> np.ndarray:
-    """Every eigenvalue of a sector operator, by dense LAPACK per real momentum block."""
-    return np.concatenate([eig(B, right=False) for B in _real_blocks(op) if len(B)])
-
-
 def diagonalize(
     op: LatticeOperator,
     mode: str = "full",
@@ -367,24 +362,24 @@ def diagonalize(
     sum of the blocks above, and from the block spectrum again
     ("dense-fallback") when ARPACK fails on up to DENSE_LIMIT states.
     """
-    if mode == "full":
-        if op.dim > DENSE_LIMIT:
-            raise ValueError(f"full diagonalization capped at dim {DENSE_LIMIT}, got {op.dim}")
-        return _make_report(op.sector, _block_eigenvalues(op), "dense", real_tol)
-    if mode != "lowest":
+    if mode == "full" and op.dim > DENSE_LIMIT:
+        raise ValueError(f"full diagonalization capped at dim {DENSE_LIMIT}, got {op.dim}")
+    if mode not in ("full", "lowest"):
         raise ValueError(f"unknown mode {mode!r}")
-    if k < 1:
+    if mode == "lowest" and k < 1:
         raise ValueError(f"lowest mode needs k >= 1, got {k}")
     method = "dense"
-    if op.dim > max(_DENSE_EIG_CUTOFF, 3 * k + 2):
+    if mode == "lowest" and op.dim > max(_DENSE_EIG_CUTOFF, 3 * k + 2):
         try:
             return _lowest_arpack(op, k, real_tol)
         except ConvergenceFailure:
             if op.dim > DENSE_LIMIT:
                 raise
             method = "dense-fallback"
-    vals = _block_eigenvalues(op)
-    return _make_report(op.sector, vals[np.argsort(vals.real)][:k], method, real_tol)
+    vals = np.concatenate([eig(B, right=False) for B in _real_blocks(op) if len(B)])
+    if mode == "lowest":
+        vals = vals[np.argsort(vals.real)][:k]
+    return _make_report(op.sector, vals, method, real_tol)
 
 
 def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumReport:
