@@ -291,7 +291,8 @@ class SpectrumReport:
 
 
 def _make_report(basis: SectorBasis, vals: np.ndarray, method: str, real_tol: float) -> SpectrumReport:
-    vals = vals[np.lexsort((vals.imag, vals.real))]
+    order = np.lexsort((vals.imag, vals.real))
+    vals = vals[order]
     is_real = np.abs(vals.imag) <= real_tol * np.maximum(1.0, np.abs(vals.real))
     return SpectrumReport(basis.L, basis.n, vals, is_real, method, real_tol)
 
