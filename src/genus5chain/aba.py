@@ -122,8 +122,9 @@ def _phi_step(lam1: CurvePoint, halves1: tuple, rest: list, phi_rest: np.ndarray
     return out - _apply_halves(1, 3, halves1, correction)
 
 
-def state_sector(phi: np.ndarray, L: int, tol: float = 1e-10) -> int:
-    """Magnetization sector carrying the state's weight; fails if mixed."""
+def state_sector(phi: np.ndarray, L: int) -> int:
+    """Magnetization sector carrying the state's weight; fails if more than
+    a 1e-10 share of the norm lies outside it."""
     total = float(np.linalg.norm(phi))
     if total < 1e-13:
         raise ZeroVector("state vector vanished")
@@ -131,7 +132,7 @@ def state_sector(phi: np.ndarray, L: int, tol: float = 1e-10) -> int:
     weight = np.bincount(_code_spins(codes, L) + L, weights=np.abs(phi[codes]) ** 2,
                          minlength=2 * L + 1)
     best = int(np.argmax(weight))
-    if np.sqrt(weight[best]) < (1 - tol) * total:
+    if np.sqrt(weight[best]) < (1 - 1e-10) * total:
         raise ValueError("state is not supported on a single sector")
     return best - L
 

@@ -33,6 +33,10 @@ from .errors import (
 _E3 = np.exp(1j * np.pi / 3)
 
 ACCEPT_RESIDUAL = 1e-10
+# a scattering or eigenvalue denominator below this is a pole
+_POLE_TOL = 1e-13
+# |Im k| below this counts as a real root in the two-string classification
+_STRING_TOL = 1e-6
 
 
 @dataclass
@@ -50,9 +54,6 @@ class BetheRootSet:
     def z_values(self) -> np.ndarray:
         return np.exp(1j * self.roots)
 
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return bool(np.all(np.abs(self.roots.imag) < tol))
-
     def to_json_dict(self) -> dict:
         return {
             "L": self.L,
@@ -63,12 +64,6 @@ class BetheRootSet:
             "Q": None if self.Q is None else [float(q) for q in self.Q],
             "residual": float(self.residual),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BetheRootSet":
-        roots = np.array([r["re"] + 1j * r["im"] for r in d["roots"]], dtype=complex)
-        return cls(d["L"], d["n"], d["U"], roots, d.get("Q"), d.get("residual", np.inf),
-                   d.get("eps_sign", "plus"))
 
 
 def ground_state_quantum_numbers(L: int, n: int) -> list[float]:
@@ -94,21 +89,21 @@ def _momentum_pairs(k: np.ndarray, U: float):
     return _pair_arrays(np.sin(k - np.pi / 6), _E3, 0.5j * U)
 
 
-def bethe_defect(rs: BetheRootSet, pole_tol: float = 1e-13) -> np.ndarray:
+def bethe_defect(rs: BetheRootSet) -> np.ndarray:
     """Residual of each momentum-form equation; zero on-shell."""
     k = np.asarray(rs.roots, dtype=complex)
     num, den = _momentum_pairs(k, rs.U)
-    if den.size and np.min(np.abs(den)) < pole_tol:
+    if den.size and np.min(np.abs(den)) < _POLE_TOL:
         raise PoleHit("scattering denominator vanishes for a root pair")
     return np.exp(1j * k * rs.L) - np.prod(num / den, axis=1)
 
 
-def bethe_defect_z(rs: BetheRootSet, pole_tol: float = 1e-13) -> np.ndarray:
+def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
     """Same system written in Z_j = exp(i k_j); agrees with the k-form."""
     Z = rs.z_values
     params = CurveParams(rs.U, rs.eps_sign)
     num, den = _pair_arrays(Z - params.eps / Z, params.eps, -rs.U * params.sqrt_eps)
-    if den.size and np.min(np.abs(den)) < pole_tol:
+    if den.size and np.min(np.abs(den)) < _POLE_TOL:
         raise PoleHit("Z-form denominator vanishes")
     return Z**rs.L - np.prod(num / den, axis=1)
 
@@ -138,16 +133,9 @@ def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarr
     return g, J
 
 
-def solve_log_form(
-    L: int,
-    n: int,
-    U: float,
-    Q: list | None = None,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> BetheRootSet:
-    """Real momenta from the logarithmic equations by damped Newton.
+def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRootSet:
+    """Real momenta from the logarithmic equations by damped Newton, started
+    from k_j = 2 pi Q_j / L and stopped once a step falls below 1e-13.
 
     Reliable for U >= 2*sqrt(3); below that range real roots destabilize
     and the solve raises NonRealDrift when two momenta collide.
@@ -160,9 +148,9 @@ def solve_log_form(
         raise ValueError(f"expected {M} branch numbers, got {len(Qa)}")
     if M == 0:
         return BetheRootSet(L, n, U, np.zeros(0, dtype=complex), [], 0.0)
-    k = (2 * np.pi / L) * Qa if x0 is None else np.array(x0, dtype=float)
+    k = (2 * np.pi / L) * Qa
     last_step = np.inf
-    for _ in range(max_iter):
+    for _ in range(200):
         g, J = _log_form_residual_and_jacobian(k, L, U, Qa)
         try:
             step = np.linalg.solve(J, g)
@@ -184,7 +172,7 @@ def solve_log_form(
                     f"momenta collided at U={U}, L={L}, n={n}: real roots unstable"
                 )
         last_step = scale * np.max(np.abs(step))
-        if last_step < tol:
+        if last_step < 1e-13:
             break
     else:
         raise NoConvergence(f"log form did not converge (last step {last_step:.2e})", last=k)
@@ -257,23 +245,16 @@ def _cleared_jacobian(k: np.ndarray, L: int, U: float) -> np.ndarray:
     return J
 
 
-def solve_complex(
-    L: int,
-    n: int,
-    U: float,
-    init: np.ndarray,
-    tol: float = ACCEPT_RESIDUAL,
-    max_iter: int = 150,
-    classify_tol: float = 1e-6,
-) -> BetheRootSet:
+def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
     """Newton solve of the momentum-form system in complex variables.
 
-    The iteration runs on the pole-cleared residual, so string patterns
-    that pinch a scattering pole remain reachable; the reported residual
-    is the plain momentum-form defect.  Momenta are kept wrapped to
-    Re k in (-pi, pi]; iterates that collide two roots (distance below
-    1e-6 on the cylinder) are rejected, since coincident momenta solve
-    the equations only spuriously.
+    The iteration runs on the pole-cleared residual, at most 150 steps, so
+    string patterns that pinch a scattering pole remain reachable; the
+    reported residual is the plain momentum-form defect, accepted up to
+    ACCEPT_RESIDUAL.  Momenta are kept wrapped to Re k in (-pi, pi];
+    iterates that collide two roots (distance below 1e-6 on the cylinder)
+    are rejected, since coincident momenta solve the equations only
+    spuriously.
     """
     k = _wrap(np.asarray(init, dtype=complex))
     if len(k) != L - n:
@@ -283,7 +264,7 @@ def solve_complex(
         with np.errstate(over="ignore", invalid="ignore"):
             return _cleared_defect(kk, L, U)
 
-    for _ in range(max_iter):
+    for _ in range(150):
         F, row_scale = cleared(k)
         r = float(np.max(np.abs(F) / row_scale)) if len(F) else 0.0
         if not np.all(np.isfinite(F)):
@@ -301,14 +282,14 @@ def solve_complex(
                 # formation): the ratio form is unevaluable, keep the
                 # relative cleared residual instead
                 rs.residual = r
-            if rs.residual > tol:
+            if rs.residual > ACCEPT_RESIDUAL:
                 raise NoConvergence(
                     "cleared form converged but the pole-pinched defect stays "
                     f"{rs.residual:.2e}",
                     last=k,
                     residual=rs.residual,
                 )
-            rs.classification = classify_roots(rs, classify_tol)
+            rs.classification = classify_roots(rs)
             return rs
         J = _cleared_jacobian(k, L, U)
         try:
@@ -326,7 +307,7 @@ def solve_complex(
         if not improved:
             raise NoConvergence(f"line search stalled at defect {r:.2e}", last=k, residual=r)
         k = trial
-    raise NoConvergence("complex Newton exceeded max_iter", last=k)
+    raise NoConvergence("complex Newton exceeded 150 iterations", last=k)
 
 
 def track_state(
@@ -334,21 +315,19 @@ def track_state(
     n: int,
     u_start: float,
     u_target: float,
-    start: BetheRootSet | None = None,
     du: float = 0.05,
     kick: float = 1e-9,
 ) -> BetheRootSet:
     """Continue a root set in the coupling, growing strings as needed.
 
     Starts from the real log-form solution at u_start (which must lie in
-    the stable range unless `start` is given) and walks toward u_target
+    the stable range) and walks toward u_target
     with adaptive steps.  When plain Newton fails, the two closest real
     roots are fused into a trial conjugate pair; among converging trials
     the one of lowest real energy is kept, matching how string patterns
     descend from the real states above the critical coupling.
     """
-    rs = solve_log_form(L, n, u_start) if start is None else start
-    k = np.asarray(rs.roots, dtype=complex)
+    k = solve_log_form(L, n, u_start).roots
     u = u_start
     step = du
     direction = 1.0 if u_target >= u_start else -1.0
@@ -440,7 +419,7 @@ def finite_size_gap(L: int, U: float) -> float:
     return float(e1 - e0)
 
 
-def eigenvalue_lambda(lam: CurvePoint, rs: BetheRootSet, pole_tol: float = 1e-13) -> complex:
+def eigenvalue_lambda(lam: CurvePoint, rs: BetheRootSet) -> complex:
     """Transfer-matrix eigenvalue at spectator point lam, inhomogeneity at
     the regular point.
 
@@ -465,7 +444,7 @@ def eigenvalue_lambda(lam: CurvePoint, rs: BetheRootSet, pole_tol: float = 1e-13
     ti = Zi - eps / Zi
     s_den = eps * t - ti / eps + rs.U * seps
     for name, arr in (("1 - Z_i/Z", d1), ("W Z_i - 1", d3), ("scattering", s_den)):
-        if len(arr) and np.min(np.abs(arr)) < pole_tol:
+        if len(arr) and np.min(np.abs(arr)) < _POLE_TOL:
             raise PoleHit(f"eigenvalue denominator {name} vanishes")
     base = (y / (eps * x)) * (eps + Zi / W) / d1
     s_ratio = (t / eps - eps * ti - rs.U * seps) / s_den
@@ -486,11 +465,11 @@ class RootClassification:
         return len(self.strings)
 
 
-def classify_roots(rs: BetheRootSet, tol: float = 1e-6) -> RootClassification:
+def classify_roots(rs: BetheRootSet) -> RootClassification:
     """Split roots into real ones and conjugate two-strings."""
     reals, complexes = [], []
     for k in rs.roots:
-        (reals if abs(k.imag) < tol else complexes).append(complex(k))
+        (reals if abs(k.imag) < _STRING_TOL else complexes).append(complex(k))
     strings, unpaired = [], []
     used = [False] * len(complexes)
     for i, k in enumerate(complexes):
@@ -503,7 +482,7 @@ def classify_roots(rs: BetheRootSet, tol: float = 1e-6) -> RootClassification:
             d = abs(np.conj(k) - complexes[j])
             if d < best_d:
                 best, best_d = j, d
-        if best is not None and best_d < 10 * tol + 1e-3 * abs(k.imag):
+        if best is not None and best_d < 10 * _STRING_TOL + 1e-3 * abs(k.imag):
             used[i] = used[best] = True
             strings.append((k, complexes[best]))
         else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,28 +27,6 @@ from .errors import (
 from .rmatrix import ybe_residual
 
 _PRECONDITION_ERRORS = (BracketInvalid, InsufficientData, MapSingular, WrongCoupling, ValueError)
-
-
-@dataclass
-class RunConfig:
-    """Complete description of one command invocation.
-
-    The embedded configs keep `out` and `fmt` at their defaults: the
-    destination is not part of the numerical configuration, and the
-    output format is fixed per command.
-    """
-
-    command: str
-    params: dict
-    out: str | None = None
-    fmt: str = "json"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
 
 def _fmt(x) -> str:
@@ -180,8 +157,6 @@ def cmd_gap(args):
 
 
 def cmd_density_profile(args):
-    if args.U < U_CRITICAL - 1e-12:
-        raise ValueError(f"density profile defined for U >= 2*sqrt(3) ~ {U_CRITICAL:.6f}")
     grid = thermo.solve_sigma(args.U, N=args.N, k0=args.k0)
     return ["k", "sigma"], [[float(k), float(v)] for k, v in zip(grid.nodes, grid.values)]
 
@@ -347,7 +322,9 @@ def main(argv=None) -> int:
         text = "\n".join(lines) + "\n"
     else:
         params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-        payload = {**result, "config": RunConfig(args.command, params).to_json()}
+        # "fmt" and "out" never vary; they stay so that embedded configs keep their bytes
+        config = {"command": args.command, "fmt": "json", "out": None, "params": params}
+        payload = {**result, "config": json.dumps(config, sort_keys=True)}
         text = json.dumps(_json_ready(payload), sort_keys=True, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

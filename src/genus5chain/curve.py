@@ -30,6 +30,8 @@ U_CRITICAL = 2.0 * SQRT3
 
 # numerical zero for map/denominator checks
 _ZERO_TOL = 1e-12
+# curve residual |C| that fibre and Z-prescribed points are polished to
+_POLISH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ def _curve_dy(x: complex, y: complex, params: CurveParams) -> complex:
     return sum(k * c[k] * y ** (k - 1) for k in range(1, 7))
 
 
-def solve_points(x: complex, params: CurveParams, polish_tol: float = 1e-12) -> list[CurvePoint]:
-    """All six fibre points y over a fixed x, polished to |C| <= polish_tol.
+def solve_points(x: complex, params: CurveParams) -> list[CurvePoint]:
+    """All six fibre points y over a fixed x, polished to |C| <= 1e-12.
 
     Roots come from the companion-matrix eigenvalues of the degree-six
     coefficient vector, then a Newton polish in y; returned sorted by
@@ -122,7 +124,7 @@ def solve_points(x: complex, params: CurveParams, polish_tol: float = 1e-12) -> 
         y = complex(y)
         for _ in range(100):
             F = eval_curve(x, y, params)
-            if abs(F) <= 0.1 * polish_tol:
+            if abs(F) <= 0.1 * _POLISH_TOL:
                 break
             dF = _curve_dy(x, y, params)
             if abs(dF) < 1e-300:
@@ -188,23 +190,18 @@ def branch_points_z(params: CurveParams) -> np.ndarray:
     return np.roots([a4, a3, a2, a1, a0])
 
 
-def sample_points(
-    params: CurveParams,
-    n: int,
-    rng: np.random.Generator,
-    min_coord: float = 0.05,
-    min_denom: float = 1e-6,
-) -> list[CurvePoint]:
-    """Draw n generic on-curve points, avoiding map and weight singularities."""
+def sample_points(params: CurveParams, n: int, rng: np.random.Generator) -> list[CurvePoint]:
+    """Draw n generic on-curve points, avoiding map and weight singularities:
+    |x| and |y| stay at least 0.05 and |x^2 + eps y^2| at least 1e-6."""
     eps = params.eps
     out: list[CurvePoint] = []
     while len(out) < n:
         x = rng.normal(loc=0.6, scale=0.5) + 1j * rng.normal(scale=0.35)
         pts = solve_points(x, params)
         p = pts[int(rng.integers(0, len(pts)))]
-        if abs(p.x) < min_coord or abs(p.y) < min_coord:
+        if abs(p.x) < 0.05 or abs(p.y) < 0.05:
             continue
-        if abs(p.x * p.x + eps * p.y * p.y) < min_denom:
+        if abs(p.x * p.x + eps * p.y * p.y) < 1e-6:
             continue
         out.append(p)
     return out
@@ -240,7 +237,7 @@ class _ZWSystem:
         )
 
 
-def points_with_Z(Z: complex, params: CurveParams, polish_tol: float = 1e-12) -> list[CurvePoint]:
+def points_with_Z(Z: complex, params: CurveParams) -> list[CurvePoint]:
     """Curve points whose zw_map has the prescribed Z coordinate.
 
     Candidates are built algebraically: W from the cubic (a quadratic in W),
@@ -270,7 +267,7 @@ def points_with_Z(Z: complex, params: CurveParams, polish_tol: float = 1e-12) ->
     for x, y in cands:
         for _ in range(60):
             F = system.value(x, y)
-            if max(abs(F[0]), abs(F[1])) < polish_tol:
+            if max(abs(F[0]), abs(F[1])) < _POLISH_TOL:
                 break
             try:
                 dx, dy = np.linalg.solve(system.jacobian(x, y), F)
@@ -278,7 +275,7 @@ def points_with_Z(Z: complex, params: CurveParams, polish_tol: float = 1e-12) ->
                 break
             x, y = x - dx, y - dy
         F = system.value(x, y)
-        if max(abs(F[0]), abs(F[1])) <= polish_tol and abs(x) > _ZERO_TOL and abs(y) > _ZERO_TOL:
+        if max(abs(F[0]), abs(F[1])) <= _POLISH_TOL and abs(x) > _ZERO_TOL and abs(y) > _ZERO_TOL:
             polished.append(CurvePoint(params, complex(x), complex(y)))
     polished.sort(key=lambda p: (p.residual(), p.x.real, p.x.imag, p.y.real, p.y.imag))
     # drop near-duplicates

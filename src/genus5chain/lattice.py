@@ -434,13 +434,14 @@ def ground_state_energy(U: float, L: int, k: int = 6) -> float:
     return float(_lowest_levels(U, L, k)[0])
 
 
-def lowest_two_energies(U: float, L: int, k: int = 8, level_tol: float = 1e-9):
-    """(E0, E1): ground energy and the next distinct level across sectors."""
-    vals = _lowest_levels(U, L, k)
+def lowest_two_energies(U: float, L: int):
+    """(E0, E1): ground energy and the next level across sectors that lies
+    more than 1e-9 (relative) above it, from the 8 lowest of each sector."""
+    vals = _lowest_levels(U, L, 8)
     e0 = vals[0]
-    above = vals[vals > e0 + level_tol * max(1.0, abs(e0))]
+    above = vals[vals > e0 + 1e-9 * max(1.0, abs(e0))]
     if len(above) == 0:
-        raise ConvergenceFailure("no level above the ground state found; increase k")
+        raise ConvergenceFailure("no level above the ground state among the 8 lowest per sector")
     return float(e0), float(above[0])
 
 
@@ -458,9 +459,8 @@ def reality_threshold(
     L: int,
     tol: float = 1e-8,
     bracket: tuple[float, float] = (2.5, 3.45),
-    u_tol: float = 1e-6,
 ) -> float:
-    """Smallest U with an entirely real spectrum, located by bisection.
+    """Smallest U with an entirely real spectrum, located by bisection to 1e-6.
 
     Needs the full spectrum of every sector n >= 0 per probe.  Solved per
     real momentum block, a whole bisection took 0.75 s at L = 7, 2.2 s at
@@ -472,7 +472,7 @@ def reality_threshold(
         raise BracketInvalid(f"empty bracket {bracket}")
     if spectrum_is_real(lo, L, tol) or not spectrum_is_real(hi, L, tol):
         raise BracketInvalid(f"predicate does not change sign on {bracket} for L={L}")
-    while hi - lo > u_tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if spectrum_is_real(mid, L, tol):
             hi = mid
@@ -517,14 +517,14 @@ def symmetry_check_neg_u(L: int, U: float) -> SymmetryReport:
 
 
 @lru_cache(maxsize=512)
-def sector_1_lowest(U: float, L: int, k: int = 6) -> float:
+def sector_1_lowest(U: float, L: int) -> float:
     """Lowest energy in the n = 1 sector (iterative for larger sizes)."""
-    rep = diagonalize(build_hamiltonian(U, L, 1), mode="lowest", k=k)
+    rep = diagonalize(build_hamiltonian(U, L, 1), mode="lowest", k=6)
     return float(rep.eigenvalues.real.min())
 
 
-def f0_per_site(U: float, L: int, k: int = 8) -> float:
+def f0_per_site(U: float, L: int) -> float:
     """Per-site defect of the ground-state reflection relation."""
-    e0p = ground_state_energy(U, L, k=k)
-    e0m = ground_state_energy(-U, L, k=k)
+    e0p = ground_state_energy(U, L, k=8)
+    e0m = ground_state_energy(-U, L, k=8)
     return (e0p - e0m - U * L / 2.0) / L

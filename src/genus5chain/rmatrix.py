@@ -25,9 +25,6 @@ import numpy as np
 from .curve import CurvePoint
 from .errors import PhaseShiftSingular, WeightSingular
 
-REGULAR_X = 1.0
-REGULAR_Y = 0.0
-
 _DENOM_TOL = 1e-13
 
 
@@ -47,12 +44,6 @@ class RWeights:
     @property
     def eps(self) -> complex:
         return self.p1.params.eps
-
-
-@dataclass(frozen=True)
-class RMatrix:
-    entries: np.ndarray  # (9, 9) complex
-    weights: RWeights
 
 
 def weights(p1: CurvePoint, p2: CurvePoint) -> RWeights:
@@ -88,7 +79,7 @@ def weights(p1: CurvePoint, p2: CurvePoint) -> RWeights:
     return RWeights(a, b, b_bar, d, f, g, h, h_bar, p1, p2)
 
 
-def assemble_r(w: RWeights) -> RMatrix:
+def assemble_r(w: RWeights) -> np.ndarray:
     """9x9 matrix on the ordered pair basis (s1, s2), s = 1..3 per space.
 
     Nineteen entries are populated; everything else is structurally zero,
@@ -116,11 +107,11 @@ def assemble_r(w: RWeights) -> RMatrix:
     R[7, 5] = 1.0
     R[7, 7] = w.b
     R[8, 8] = w.a
-    return RMatrix(R, w)
+    return R
 
 
 def r_matrix(p1: CurvePoint, p2: CurvePoint) -> np.ndarray:
-    return assemble_r(weights(p1, p2)).entries
+    return assemble_r(weights(p1, p2))
 
 
 def permutation_matrix() -> np.ndarray:

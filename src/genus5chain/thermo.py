@@ -111,15 +111,9 @@ def _anderson_step(x_hist, g_hist):
     return g
 
 
-def solve_sigma(
-    U: float,
-    N: int = 2048,
-    k0: float = -np.pi,
-    tol: float = 1e-13,
-    max_iter: int = 400,
-    anderson_window: int = 5,
-) -> DensityGrid:
-    """Root density by fixed-point iteration with Anderson mixing.
+def solve_sigma(U: float, N: int = 2048, k0: float = -np.pi) -> DensityGrid:
+    """Root density by fixed-point iteration with Anderson mixing over the
+    last five iterates, until an update moves it by less than 1e-13.
 
     Valid for U >= 2*sqrt(3).  The normalization of the result is checked
     by the caller (it is not imposed); iteration starts from the uniform
@@ -134,17 +128,17 @@ def solve_sigma(
     drive = 2.0 * np.cos(nodes - np.pi / 6)
     sigma = np.full(N, 1.0 / (2 * np.pi))
     x_hist, g_hist = [], []
-    for _ in range(max_iter):
+    for _ in range(400):
         g = (1.0 + drive * (K @ np.bincount(pair, w * sigma))[pair]) / (2 * np.pi)
         delta = float(np.max(np.abs(g - sigma)))
-        if delta < tol:
+        if delta < 1e-13:
             return DensityGrid(k0, N, U, nodes, w, g, "sigma")
         x_hist.append(sigma)
         g_hist.append(g)
-        if len(x_hist) > anderson_window:
+        if len(x_hist) > 5:
             x_hist.pop(0)
             g_hist.pop(0)
-        sigma = _anderson_step(x_hist, g_hist) if anderson_window > 1 else g
+        sigma = _anderson_step(x_hist, g_hist)
     raise NoConvergence(f"sigma iteration stalled at delta={delta:.2e}", last=sigma,
                         residual=delta)
 
@@ -156,17 +150,11 @@ def bulk_energy(grid: DensityGrid) -> float:
     return float(-2.0 * np.sum(np.cos(grid.nodes + np.pi / 6) * grid.values * grid.weights))
 
 
-def solve_rho(
-    U: float,
-    N: int = 1024,
-    k0: float = -np.pi,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-    collapse_tol: float = 1e-12,
-) -> tuple[DensityGrid, float]:
+def solve_rho(U: float, N: int = 1024, k0: float = -np.pi) -> tuple[DensityGrid, float]:
     """Back-flow density and a spectral-radius estimate of its operator.
 
-    The homogeneous equation is iterated from the unit density; the
+    The homogeneous equation is iterated from the unit density until rho
+    falls below 1e-12 or an update moves it by less than 1e-13; the
     spectral radius is estimated separately by power iteration from a
     seeded random vector (the unit start is annihilated in one step, so it
     cannot probe the radius).
@@ -180,11 +168,11 @@ def solve_rho(
     K *= np.cos(nodes - np.pi / 6) * w / (2 * np.pi)
     rho = np.ones(N)
     delta = np.inf
-    for _ in range(max_iter):
+    for _ in range(200):
         new = K @ rho
         delta = float(np.max(np.abs(new - rho)))
         rho = new
-        if np.max(np.abs(rho)) < collapse_tol or delta < tol:
+        if np.max(np.abs(rho)) < 1e-12 or delta < 1e-13:
             break
     else:
         raise NoConvergence(f"rho iteration stalled at delta={delta:.2e}", last=rho)
@@ -209,9 +197,6 @@ class GapEstimate:
     rho_sup: float
     spectral_radius: float
     U: float
-
-    def __float__(self):
-        return self.value
 
 
 def gap(U: float, N: int = 1024, k0: float = -np.pi) -> GapEstimate:

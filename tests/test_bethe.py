@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,11 +306,11 @@ def test_eigenvalue_formula_against_transfer_matrix(rng):
 
 def test_serialization_roundtrip():
     rs = solve_log_form(6, 1, 5.0)
-    d = rs.to_json_dict()
-    back = BetheRootSet.from_json_dict(d)
-    assert back.L == rs.L and back.n == rs.n and back.U == rs.U
-    assert np.allclose(back.roots, rs.roots)
-    assert back.Q == [float(q) for q in rs.Q]
+    d = json.loads(json.dumps(rs.to_json_dict()))
+    assert (d["L"], d["n"], d["U"], d["eps_sign"]) == (6, 1, 5.0, "plus")
+    assert np.array_equal([r["re"] + 1j * r["im"] for r in d["roots"]], rs.roots)
+    assert d["Q"] == [float(q) for q in rs.Q]
+    assert d["residual"] == rs.residual
 
 
 @settings(max_examples=60, deadline=None)

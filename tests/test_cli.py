@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from genus5chain import lattice
-from genus5chain.cli import RunConfig, main
+from genus5chain.cli import main
 from genus5chain.tables import extrapolate_gap, fit_threshold
 
 
@@ -14,10 +14,16 @@ def run(argv, capsys):
     return code, out
 
 
-def test_runconfig_roundtrip():
-    cfg = RunConfig("thermo", {"U": 5.0, "N": 2048, "k0": -3.141592653589793}, "x.json", "json")
-    back = RunConfig.from_json(cfg.to_json())
-    assert back == cfg
+@pytest.mark.parametrize("to_file", [False, True])
+def test_embedded_config_bytes(to_file, tmp_path, capsys):
+    argv = ["ybe-check", "--samples", "2"]
+    path = tmp_path / "out.json"
+    assert main(argv + ["--out", str(path)] if to_file else argv) == 0
+    text = path.read_text() if to_file else capsys.readouterr().out
+    assert json.loads(text)["config"] == (
+        '{"command": "ybe-check", "fmt": "json", "out": null, '
+        '"params": {"U": 5.0, "eps_sign": "plus", "samples": 2, "seed": 7}}'
+    )
 
 
 def test_ybe_check_command(capsys):

@@ -53,7 +53,7 @@ def test_h_identities_are_bitwise(par, rng):
 
 def test_assemble_zero_pattern_and_magnetization(par, rng):
     p1, p2 = sample_points(par, 2, rng)
-    R = assemble_r(weights(p1, p2)).entries
+    R = assemble_r(weights(p1, p2))
     allowed = nonzero_positions()
     for r in range(9):
         for c in range(9):
