@@ -170,7 +170,7 @@ def exchange_symmetry_check(lam1: CurvePoint, lam2: CurvePoint, mu: CurvePoint, 
 
 def on_shell_eigenvector(rs: BetheRootSet, mu: CurvePoint | None = None) -> np.ndarray:
     """phi_m built from curve-point representatives of a solved root set."""
-    params = CurveParams(rs.U, rs.eps_sign)
+    params = CurveParams(rs.U)
     if mu is None:
         mu = CurvePoint(params, 1.0, 0.0)
     return build_phi(curve_points_for_roots(rs), mu, rs.L)

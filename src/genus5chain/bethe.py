@@ -47,8 +47,6 @@ class BetheRootSet:
     roots: np.ndarray  # complex momenta k_j, length L - n
     Q: list | None = None
     residual: float = np.inf
-    eps_sign: str = "plus"
-    classification: object = None
 
     @property
     def z_values(self) -> np.ndarray:
@@ -59,7 +57,7 @@ class BetheRootSet:
             "L": self.L,
             "n": self.n,
             "U": self.U,
-            "eps_sign": self.eps_sign,
+            "eps_sign": "plus",  # the momentum form fixes eps = e^{i pi/3}
             "roots": [{"re": float(k.real), "im": float(k.imag)} for k in self.roots],
             "Q": None if self.Q is None else [float(q) for q in self.Q],
             "residual": float(self.residual),
@@ -101,7 +99,7 @@ def bethe_defect(rs: BetheRootSet) -> np.ndarray:
 def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
     """Same system written in Z_j = exp(i k_j); agrees with the k-form."""
     Z = rs.z_values
-    params = CurveParams(rs.U, rs.eps_sign)
+    params = CurveParams(rs.U)
     num, den = _pair_arrays(Z - params.eps / Z, params.eps, -rs.U * params.sqrt_eps)
     if den.size and np.min(np.abs(den)) < _POLE_TOL:
         raise PoleHit("Z-form denominator vanishes")
@@ -113,7 +111,6 @@ def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
 
 
 def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarray):
-    M = len(k)
     s = np.sin(k - np.pi / 6)
     c = np.cos(k - np.pi / 6)
     Nm = s[:, None] - s[None, :]
@@ -137,6 +134,10 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     """Real momenta from the logarithmic equations by damped Newton, started
     from k_j = 2 pi Q_j / L and stopped once a step falls below 1e-13.
 
+    Each point is evaluated once: an accepted line-search trial brings its
+    residual and Jacobian along, and a trial that rounds back to k ends the
+    search, since every shorter step rounds back to k too.
+
     Reliable for U >= 2*sqrt(3); below that range real roots destabilize
     and the solve raises NonRealDrift when two momenta collide.
     """
@@ -149,9 +150,9 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     if M == 0:
         return BetheRootSet(L, n, U, np.zeros(0, dtype=complex), [], 0.0)
     k = (2 * np.pi / L) * Qa
+    g, J = _log_form_residual_and_jacobian(k, L, U, Qa)
     last_step = np.inf
     for _ in range(200):
-        g, J = _log_form_residual_and_jacobian(k, L, U, Qa)
         try:
             step = np.linalg.solve(J, g)
         except np.linalg.LinAlgError as exc:
@@ -160,11 +161,16 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
         gnorm = np.max(np.abs(g))
         for _ in range(40):
             trial = k - scale * step
-            gt, _ = _log_form_residual_and_jacobian(trial, L, U, Qa)
+            if np.array_equal(trial, k):
+                break
+            gt, Jt = _log_form_residual_and_jacobian(trial, L, U, Qa)
             if np.max(np.abs(gt)) < gnorm:
+                k, g, J = trial, gt, Jt
                 break
             scale /= 2
-        k = k - scale * step
+        else:
+            k = k - scale * step
+            g, J = _log_form_residual_and_jacobian(k, L, U, Qa)
         if M > 1:
             dk = np.abs(k[:, None] - k[None, :]) + np.eye(M)
             if np.min(dk) < 1e-9:
@@ -177,7 +183,7 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     else:
         raise NoConvergence(f"log form did not converge (last step {last_step:.2e})", last=k)
     rs = BetheRootSet(L, n, U, k.astype(complex), list(Qa))
-    rs.residual = float(np.max(np.abs(bethe_defect(rs)))) if M else 0.0
+    rs.residual = float(np.max(np.abs(bethe_defect(rs))))
     if rs.residual > ACCEPT_RESIDUAL:
         raise NoConvergence(f"converged iterate has defect {rs.residual:.2e}", last=k,
                             residual=rs.residual)
@@ -289,7 +295,6 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
                     last=k,
                     residual=rs.residual,
                 )
-            rs.classification = classify_roots(rs)
             return rs
         J = _cleared_jacobian(k, L, U)
         try:
@@ -359,7 +364,6 @@ def track_state(
             raise NoConvergence(f"continuation stuck at U={u:.6f}", last=k)
     rs = BetheRootSet(L, n, u_target, k)
     rs.residual = float(np.max(np.abs(bethe_defect(rs)))) if len(k) else 0.0
-    rs.classification = classify_roots(rs)
     return rs
 
 
@@ -498,7 +502,7 @@ def string_bound_check(U: float) -> bool:
 
 def curve_points_for_roots(rs: BetheRootSet) -> list[CurvePoint]:
     """Deterministic curve-point representatives with Z(p) = exp(i k_j)."""
-    params = CurveParams(rs.U, rs.eps_sign)
+    params = CurveParams(rs.U)
     out = []
     for Z in rs.z_values:
         cands = curve_mod.points_with_Z(Z, params)

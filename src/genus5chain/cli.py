@@ -152,7 +152,7 @@ def cmd_gap(args):
         "gap": est.value,
         "closed_form": args.U / 2.0 - SQRT3,
         "rho_sup": est.rho_sup,
-        "spectral_radius": est.spectral_radius,
+        "nilpotency_defect": est.nilpotency_defect,
     }
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePolynomial, MapSingular, WrongCoupling
+from .errors import MapSingular, WrongCoupling
 
 SQRT3 = np.sqrt(3.0)
 U_CRITICAL = 2.0 * SQRT3
@@ -115,10 +115,7 @@ def solve_points(x: complex, params: CurveParams) -> list[CurvePoint]:
     coefficient vector, then a Newton polish in y; returned sorted by
     (Re y, Im y) so runs are reproducible.
     """
-    coeffs = y_polynomial_coeffs(x, params)
-    if np.max(np.abs(coeffs)) < 1e-300:
-        raise DegeneratePolynomial(f"curve polynomial vanishes identically at x={x}")
-    roots = np.roots(coeffs[::-1])
+    roots = np.roots(y_polynomial_coeffs(x, params)[::-1])
     out = []
     for y in roots:
         y = complex(y)

@@ -5,10 +5,6 @@ class Genus5Error(Exception):
     """Base class for all package errors."""
 
 
-class DegeneratePolynomial(Genus5Error):
-    """All coefficients of the fibre polynomial vanish."""
-
-
 class MapSingular(Genus5Error):
     """Point maps to infinity under the (Z, W) coordinates (x = 0 or y = 0)."""
 

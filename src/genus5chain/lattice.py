@@ -280,7 +280,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray  # sorted by (Re, Im)
     is_real: np.ndarray
     method: str
-    real_tol: float
 
     @property
     def lowest_real(self) -> float:
@@ -294,7 +293,7 @@ def _make_report(basis: SectorBasis, vals: np.ndarray, method: str, real_tol: fl
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     is_real = np.abs(vals.imag) <= real_tol * np.maximum(1.0, np.abs(vals.real))
-    return SpectrumReport(basis.L, basis.n, vals, is_real, method, real_tol)
+    return SpectrumReport(basis.L, basis.n, vals, is_real, method)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ which reduces to U/2 - sqrt(3) once rho vanishes.
 
 D sees k only through s, which is invariant under k -> 4 pi/3 - k, so the sigma
 solve folds reflected node pairs onto an (N/2) x (N/2) kernel.  The rho solve
-keeps all N nodes: a fold would build in the collapse and radius it measures.
+keeps all N nodes: a fold would build in the collapse and the nilpotency it checks.
 """
 
 from __future__ import annotations
@@ -150,14 +150,22 @@ def bulk_energy(grid: DensityGrid) -> float:
     return float(-2.0 * np.sum(np.cos(grid.nodes + np.pi / 6) * grid.values * grid.weights))
 
 
+def _nilpotency_defect(K: np.ndarray) -> float:
+    """||K(Kv)||_2 / (||K||_inf ||Kv||_2) for a seeded random v: zero when K
+    squares to zero, of order one when K is not nilpotent."""
+    Kv = K @ np.random.default_rng(52).standard_normal(len(K))
+    scale = np.linalg.norm(K, np.inf) * np.linalg.norm(Kv)
+    return float(np.linalg.norm(K @ Kv) / scale) if scale else 0.0
+
+
 def solve_rho(U: float, N: int = 1024, k0: float = -np.pi) -> tuple[DensityGrid, float]:
-    """Back-flow density and a spectral-radius estimate of its operator.
+    """Back-flow density and the nilpotency defect of its operator.
 
     The homogeneous equation is iterated from the unit density until rho
-    falls below 1e-12 or an update moves it by less than 1e-13; the
-    spectral radius is estimated separately by power iteration from a
-    seeded random vector (the unit start is annihilated in one step, so it
-    cannot probe the radius).
+    falls below 1e-12 or an update moves it by less than 1e-13.  The unit
+    start is annihilated in one step, so it cannot show that the operator
+    squares to zero; the defect checks that on a seeded random vector with
+    two matrix-vector products.
     """
     if U <= U_CRITICAL:
         raise ValueError(f"back-flow equation requires U > 2*sqrt(3), got U={U}")
@@ -176,26 +184,14 @@ def solve_rho(U: float, N: int = 1024, k0: float = -np.pi) -> tuple[DensityGrid,
             break
     else:
         raise NoConvergence(f"rho iteration stalled at delta={delta:.2e}", last=rho)
-    rng = np.random.default_rng(52)
-    v = rng.standard_normal(N)
-    v /= np.linalg.norm(v)
-    radius = 0.0
-    for _ in range(40):
-        nv = K @ v
-        norm = np.linalg.norm(nv)
-        radius = norm
-        if norm < 1e-300:
-            radius = 0.0
-            break
-        v = nv / norm
-    return DensityGrid(k0, N, U, nodes, w, rho, "rho"), float(radius)
+    return DensityGrid(k0, N, U, nodes, w, rho, "rho"), _nilpotency_defect(K)
 
 
 @dataclass
 class GapEstimate:
     value: float
     rho_sup: float
-    spectral_radius: float
+    nilpotency_defect: float
     U: float
 
 
@@ -203,19 +199,20 @@ def gap(U: float, N: int = 1024, k0: float = -np.pi) -> GapEstimate:
     """Lowest excitation energy Delta(U) = U/2 - sqrt(3) + back-flow term.
 
     The back-flow integral is evaluated from the solved rho; with the
-    collapse rho -> 0 the value reduces to U/2 - sqrt(3).  At the critical
-    coupling itself the homogeneous solve is skipped and the boundary
-    value 0 is returned.
+    collapse rho -> 0 the value reduces to U/2 - sqrt(3).  The nilpotency
+    defect of the back-flow operator checks that the collapse is exact.  At
+    the critical coupling itself the homogeneous solve is skipped and the
+    boundary value 0 is returned.
     """
     if U < U_CRITICAL - 1e-12:
         raise ValueError(f"gap formula requires U >= 2*sqrt(3), got U={U}")
     if abs(U - U_CRITICAL) < 1e-12:
         return GapEstimate(0.0, 0.0, 0.0, U)
-    grid, radius = solve_rho(U, N=N, k0=k0)
+    grid, defect = solve_rho(U, N=N, k0=k0)
     backflow = 2.0 * np.sum(np.sin(grid.nodes + np.pi / 6) * grid.values * grid.weights)
     return GapEstimate(
         float(U / 2.0 - SQRT3 + backflow),
         float(np.max(np.abs(grid.values))),
-        radius,
+        defect,
         U,
     )

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genus5chain import bethe, lattice, refdata
@@ -22,7 +22,13 @@ from genus5chain.bethe import (
     track_state,
 )
 from genus5chain.curve import CurveParams, CurvePoint, sample_points
-from genus5chain.errors import NoConvergence, NonRealDrift, PoleHit
+from genus5chain.errors import (
+    Genus5Error,
+    JacobianSingular,
+    NoConvergence,
+    NonRealDrift,
+    PoleHit,
+)
 
 _E3 = np.exp(1j * np.pi / 3)
 
@@ -92,6 +98,41 @@ def _ref_cleared_jacobian(k, L, U):
     return J
 
 
+def _ref_solve_log_form(L, n, U):
+    """The log-form Newton loop that evaluates every line-search trial with its
+    Jacobian, discards it, and evaluates the accepted point again."""
+    Qa = np.asarray(ground_state_quantum_numbers(L, n), dtype=float)
+    M = L - n
+    k = (2 * np.pi / L) * Qa
+    last_step = np.inf
+    for _ in range(200):
+        g, J = bethe._log_form_residual_and_jacobian(k, L, U, Qa)
+        try:
+            step = np.linalg.solve(J, g)
+        except np.linalg.LinAlgError as exc:
+            raise JacobianSingular("log-form Jacobian singular") from exc
+        scale = 1.0
+        gnorm = np.max(np.abs(g))
+        for _ in range(40):
+            gt, _ = bethe._log_form_residual_and_jacobian(k - scale * step, L, U, Qa)
+            if np.max(np.abs(gt)) < gnorm:
+                break
+            scale /= 2
+        k = k - scale * step
+        if M > 1 and np.min(np.abs(k[:, None] - k[None, :]) + np.eye(M)) < 1e-9:
+            raise NonRealDrift("momenta collided")
+        last_step = scale * np.max(np.abs(step))
+        if last_step < 1e-13:
+            break
+    else:
+        raise NoConvergence("log form did not converge", last=k)
+    rs = BetheRootSet(L, n, U, k.astype(complex), list(Qa))
+    rs.residual = float(np.max(np.abs(bethe_defect(rs))))
+    if rs.residual > bethe.ACCEPT_RESIDUAL:
+        raise NoConvergence("converged iterate has defect", last=k, residual=rs.residual)
+    return rs
+
+
 @st.composite
 def _root_sets(draw):
     """Real momenta mixed with conjugate pairs k +- i delta, the shape of
@@ -149,6 +190,45 @@ def test_log_form_gap_values():
 def test_log_form_below_range_raises():
     with pytest.raises((NonRealDrift, NoConvergence)):
         solve_log_form(14, 0, 2.8)
+
+
+def _log_form_outcome(solve, L, n, U):
+    try:
+        rs = solve(L, n, U)
+    except Genus5Error as exc:
+        return type(exc), None, None
+    return None, rs.roots, rs.residual
+
+
+@st.composite
+def _log_form_cases(draw):
+    L = draw(st.integers(1, 64), label="L")
+    n = draw(st.integers(0, L - 1), label="n")
+    return L, n, draw(st.floats(U_CRITICAL, 8.0), label="U")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_log_form_cases())
+@example(case=(128, 0, 5.0))
+@example(case=(64, 0, U_CRITICAL))
+def test_log_form_matches_reference_loop(case):
+    new = _log_form_outcome(solve_log_form, *case)
+    ref = _log_form_outcome(_ref_solve_log_form, *case)
+    assert new[0] == ref[0]
+    if ref[0] is None:
+        assert np.array_equal(new[1], ref[1])
+        assert new[2] == ref[2]
+
+
+def test_log_form_evaluates_each_point_once(monkeypatch):
+    calls = []
+    inner = bethe._log_form_residual_and_jacobian
+    monkeypatch.setattr(bethe, "_log_form_residual_and_jacobian",
+                        lambda *a: calls.append(1) or inner(*a))
+    solve_log_form(128, 0, 5.0)
+    # 12 when each point is evaluated once; 51 when accepted trials are
+    # evaluated again and all 40 halvings run out at the rounding floor
+    assert len(calls) <= 15
 
 
 def test_energy_trivial_cases():

@@ -148,6 +148,8 @@ def test_thermo_and_gap_commands(capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["gap"] - data["closed_form"]) < 1e-10
+    assert data["nilpotency_defect"] < 1e-14
+    assert "spectral_radius" not in data
 
 
 def test_thermo_singular_grid_is_numerical_failure(capsys):

@@ -118,9 +118,9 @@ def test_bulk_energy_of_uniform_density():
 
 def test_rho_collapses():
     for U in (4.0, 5.0, 10.0):
-        grid, radius = solve_rho(U)
+        grid, defect = solve_rho(U)
         assert np.max(np.abs(grid.values)) < 1e-8
-        assert radius < 1e-8
+        assert defect < 1e-8
 
 
 def test_rho_zero_is_fixed_point():
@@ -135,10 +135,20 @@ def test_gap_values():
     assert gap(U_CRITICAL).value == 0.0
 
 
-def test_gap_reports_spectral_radius():
-    est = gap(5.0)
-    assert est.spectral_radius < 1e-8
-    assert est.rho_sup < 1e-8
+def test_gap_reports_nilpotency_defect():
+    for U in (3.47, 3.6, 4.0, 5.0, 8.0):
+        est = gap(U)
+        assert est.nilpotency_defect < 1e-14
+        assert est.rho_sup < 1e-8
+
+
+def test_nilpotency_defect_separates_nilpotent_operators():
+    c, s = np.cos(0.7), np.sin(0.7)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    assert thermo._nilpotency_defect(rotation) > 0.1
+    square_zero = np.zeros((4, 4))
+    square_zero[:2, 2:] = [[2.0, -1.0], [0.5, 3.0]]
+    assert thermo._nilpotency_defect(square_zero) == 0.0
 
 
 def test_finite_size_energies_approach_bulk():
