@@ -49,15 +49,21 @@ DENSE_LIMIT = 20000
 _DENSE_EIG_CUTOFF = 900  # dims above this use ARPACK in "lowest" mode
 
 
+# the U-independent hopping part of the bond and its on-site U/2 term
+_HOP = (
+    (-_E_PLUS / 2) * np.kron(SP, SM)
+    + (-_E_MINUS / 2) * np.kron(SM, SP)
+    + (1j / 2) * np.kron(_SZSP, SM)
+    + (-1j / 2) * np.kron(SM, _SZSP)
+)
+_ONSITE = np.kron(_ID3, SZ @ SZ)
+# per bond column c, the rows r of the entries that some U makes nonzero
+_BOND_ROWS = [np.nonzero((np.abs(_HOP[:, c]) > 1e-15) | (_ONSITE[:, c] != 0))[0] for c in range(9)]
+
+
 def bond_hamiltonian(U: float) -> np.ndarray:
     """Two-site operator; the on-site U-term is attached to the right site."""
-    return (
-        (-_E_PLUS / 2) * np.kron(SP, SM)
-        + (-_E_MINUS / 2) * np.kron(SM, SP)
-        + (1j / 2) * np.kron(_SZSP, SM)
-        + (-1j / 2) * np.kron(SM, _SZSP)
-        + (U / 2) * np.kron(_ID3, SZ @ SZ)
-    )
+    return _HOP + (U / 2) * _ONSITE
 
 
 @dataclass(frozen=True)
@@ -118,35 +124,42 @@ class LatticeOperator:
         return self.sector.dim
 
 
-def _apply_bond_terms(basis: SectorBasis, bond: np.ndarray) -> sp.csr_matrix:
-    """Sum of `bond` over the L periodic bonds, one vectorized pass per bond."""
+def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and flat bond index 9 r + c of every term of the L periodic
+    bonds that some U makes nonzero, bond by bond, then by bond column c and
+    row r; one vectorized pass per bond."""
     L, codes = basis.L, basis.codes
     labels = basis.digits()
-    nz = {c: np.nonzero(np.abs(bond[:, c]) > 1e-15)[0] for c in range(9)}
-    rows, cols, vals = [], [], []
+    rows, cols, entry = [], [], []
     for j in range(L):
         jp = (j + 1) % L
         pair = 3 * labels[:, j] + labels[:, jp]
         for c in range(9):
             src = np.nonzero(pair == c)[0]
-            for r in nz[c]:
+            for r in _BOND_ROWS[c]:
                 shift = (r // 3 - c // 3) * 3 ** (L - 1 - j) + (r % 3 - c % 3) * 3 ** (L - 1 - jp)
                 rows.append(np.searchsorted(codes, codes[src] + shift))
                 cols.append(src)
-                vals.append(np.full(len(src), bond[r, c]))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-        dtype=complex,
-    )
+                entry.append(np.full(len(src), 9 * r + c))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(entry)
 
 
 def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
-    """H(U) restricted to the magnetization-n sector, periodic boundaries."""
+    """H(U) restricted to the magnetization-n sector, periodic boundaries.
+
+    The bond terms come from the sector's kept tables (`_kept_tables`) or,
+    for a sector without them, are laid out anew.
+    """
     if L < 2:
         raise ValueError("need at least two sites")
     basis = sector_basis(L, n)
-    return LatticeOperator(basis, _apply_bond_terms(basis, bond_hamiltonian(U)))
+    t = _kept_tables(basis)
+    rows, cols, entry = (t.rows, t.cols, t.entry) if t else _bond_pattern(basis)
+    vals = bond_hamiltonian(U).ravel()[entry]
+    keep = np.abs(vals) > 1e-15
+    H = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(basis.dim, basis.dim),
+                      dtype=complex)
+    return LatticeOperator(basis, H)
 
 
 def _shift_targets(basis: SectorBasis) -> np.ndarray:
@@ -212,10 +225,79 @@ def _orbits(L: int, n: int) -> SimpleNamespace:
     x, y = z[-m % (2 * L)] * s, z[m * (1 - 2 * t) % (2 * L)] * s
     own = np.where(mirror == idx, z[-m * t % (2 * L)], np.where(idx < mirror, x, -1j * y))
     other = np.where(mirror == idx, 0, np.where(idx < mirror, 1j * x, y))
-    for a in (states, period, mirror, rep, shift, column, own, other):
+    for a in (step, states, period, mirror, rep, shift, column, own, other):
         a.setflags(write=False)
-    return SimpleNamespace(states=states, period=period, mirror=mirror, rep=rep, shift=shift,
-                           column=column, own=own, other=other)
+    return SimpleNamespace(step=step, states=states, period=period, mirror=mirror, rep=rep,
+                           shift=shift, column=column, own=own, other=other)
+
+
+def _pattern_tables(L: int, n: int, indptr: np.ndarray, indices: np.ndarray) -> SimpleNamespace:
+    """What `_real_blocks` needs of a sector operator's canonical CSR pattern.
+
+    `shifted[k]` is the storage index of the translate (rows and columns
+    mapped by the shift) of stored entry k, or nnz where it is not stored;
+    `orphans` are the entries that no translate lands on.  Entries `pos`
+    lie in the columns r at the orbit representatives, rows T^l r', each
+    with its factor `fac` = sqrt(p_r / p_r').  `momenta` yields, per m, the
+    block order `d`, the entries `on` (of `pos`) it takes, their phases
+    conj(w^(m l)), the W_m gathers `w_out` (rows, conjugated) and `w_in`
+    (columns), and `flat` = i d + j, where each term lands in the block.
+    """
+    orb = _orbits(L, n)
+    dim, nnz = len(indptr) - 1, len(indices)
+    row = np.repeat(np.arange(dim), np.diff(indptr))
+    key = np.append(row * dim + indices, dim * dim)  # row-major, so sorted; one sentinel
+    target = orb.step[row] * dim + orb.step[indices]
+    hit = np.searchsorted(key, target)
+    found = key[hit] == target
+    shifted = np.where(found, hit, nnz)
+    orphans = np.ones(nnz, dtype=bool)
+    orphans[hit[found]] = False
+    slot = np.full(dim, -1)
+    slot[orb.states] = np.arange(len(orb.states))
+    pos = np.nonzero(slot[indices] >= 0)[0]
+    r, rp, l = slot[indices[pos]], orb.rep[row[pos]], orb.shift[row[pos]]  # H[T^l r', r]
+    return SimpleNamespace(indptr=indptr, indices=indices, shifted=shifted,
+                           orphans=np.nonzero(orphans)[0], pos=pos,
+                           fac=np.sqrt(orb.period[r] / orb.period[rp]),
+                           momenta=_momentum_tables(orb, L, r, rp, l))
+
+
+def _momentum_tables(orb: SimpleNamespace, L: int, r: np.ndarray, rp: np.ndarray, l: np.ndarray):
+    z = _half_turn_roots(L)
+    for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
+        d = np.count_nonzero(col >= 0)
+        on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
+        rpm, rm = rp[on], r[on]
+        # term (r', r) of H_m enters B[a', a] for a' in {r', r'~} and a in {r, r~}
+        i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
+        j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
+        yield SimpleNamespace(d=d, on=on, phase=z[-2 * m * l[on] % (2 * L)],
+                              w_out=(own[rpm].conj(), other[rpm].conj()),
+                              w_in=(own[rm], other[rm]), flat=i * d + j)
+
+
+@lru_cache(maxsize=None)
+def _sector_tables(L: int, n: int) -> SimpleNamespace:
+    """The bond-term pattern of a sector (`_bond_pattern`: `rows`, `cols`,
+    `entry`) and the `_pattern_tables` of H's pattern at every U that keeps
+    all those terms, with `momenta` kept as a tuple; see `_kept_tables`."""
+    basis = sector_basis(L, n)
+    rows, cols, entry = _bond_pattern(basis)
+    pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(basis.dim, basis.dim))
+    t = _pattern_tables(L, n, pattern.indptr, pattern.indices)
+    t.momenta = tuple(t.momenta)
+    t.rows, t.cols, t.entry = rows, cols, entry
+    return t
+
+
+def _kept_tables(basis: SectorBasis) -> SimpleNamespace | None:
+    """The sector's `_sector_tables`, built once, so that H(U) and its real
+    momentum blocks are refilled, not laid out again, at each new U; None
+    above _DENSE_EIG_CUTOFF states.  Those sectors are solved by ARPACK,
+    mostly once per U, and keeping their tables too raised the `ed_lowest`
+    benchmark's peak RSS from 88 to 141 MB."""
+    return _sector_tables(basis.L, basis.n) if basis.dim <= _DENSE_EIG_CUTOFF else None
 
 
 def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
@@ -311,35 +393,36 @@ def _real_blocks(op: LatticeOperator, sparse: bool = False):
     Block m comes from H's columns at the orbit representatives alone,
     H_m[r', r] = sqrt(p_r / p_r') sum over s = T^l r' of H[s, r] conj(w^(m l)),
     made real by W_m (`_orbits`), and is summed by one bincount (dense
-    arrays) or one COO sum (CSR when `sparse`).  Raises a ValueError unless H
-    commutes with the shift and P H P = conj(H).
+    arrays) or one COO sum (CSR when `sparse`).  The index tables are the
+    sector's kept ones (`_kept_tables`) when H has their pattern, else
+    they are derived from H's own pattern as the blocks are made.  Raises a
+    ValueError unless H commutes with the shift and P H P = conj(H).
     """
-    basis, H, L = op.sector, op.matrix, op.sector.L
-    S = shift_operator(L, basis.n)
-    tol = 1e-12 * max(1.0, abs(H).max())
-    if abs(H @ S - S @ H).max() > tol:
+    basis, H = op.sector, op.matrix
+    if not H.has_canonical_format:
+        H = H.copy()
+        H.sum_duplicates()
+    t = _kept_tables(basis)
+    if t is None or not (np.array_equal(t.indptr, H.indptr) and np.array_equal(t.indices, H.indices)):
+        t = _pattern_tables(basis.L, basis.n, H.indptr, H.indices)
+    # max |H S - S H| over the entries and their translates (S the shift)
+    tol = 1e-12 * max(1.0, np.abs(H.data).max(initial=0.0))
+    data = np.append(H.data, 0)
+    defect = max(np.abs(data[t.shifted] - H.data).max(initial=0.0),
+                 np.abs(H.data[t.orphans]).max(initial=0.0))
+    if defect > tol:
         raise ValueError("momentum blocks need an operator that commutes with the shift")
-    orb = _orbits(L, basis.n)
-    cols = H[:, orb.states].tocoo()
-    r, rp, l = cols.col, orb.rep[cols.row], orb.shift[cols.row]  # H[T^l r', r]
-    h, z = cols.data * np.sqrt(orb.period[r] / orb.period[rp]), _half_turn_roots(L)
-    for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
-        d = np.count_nonzero(col >= 0)
-        on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
-        v = h[on] * z[-2 * m * l[on] % (2 * L)]
-        rpm, rm = rp[on], r[on]
-        # term (r', r) of H_m enters B[a', a] for a' in {r', r'~} and a in {r, r~}
-        uv = (_cmul(own[rpm].conj(), v), _cmul(other[rpm].conj(), v))
-        b = np.concatenate([_cmul(u, x) for u in uv for x in (own[rm], other[rm])])
-        i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
-        j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
+    h = H.data[t.pos] * t.fac
+    for mt in t.momenta:
+        d, v = mt.d, h[mt.on] * mt.phase
+        uv = [_cmul(w, v) for w in mt.w_out]
+        b = np.concatenate([_cmul(u, x) for u in uv for x in mt.w_in])
         if sparse:
-            B = sp.csr_matrix((b, (i, j)), shape=(d, d))
+            B = sp.csr_matrix((b, np.divmod(mt.flat, d)), shape=(d, d))
             imag, B = B.data.imag, B.real
         else:
-            flat = i * d + j
-            imag = np.bincount(flat, b.imag, d * d)
-            B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
+            imag = np.bincount(mt.flat, b.imag, d * d)
+            B = np.bincount(mt.flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
         if len(imag) and abs(imag).max() > tol:
             raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
         yield B
@@ -462,9 +545,12 @@ def reality_threshold(
     """Smallest U with an entirely real spectrum, located by bisection to 1e-6.
 
     Needs the full spectrum of every sector n >= 0 per probe.  Solved per
-    real momentum block, a whole bisection took 0.75 s at L = 7, 2.2 s at
-    L = 8 and 15 s at L = 9 on one core of a 2-core machine, so it is
-    practical for L <= 9.  The result is rounded to five decimal places.
+    real momentum block, with the tables of every sector of at most
+    _DENSE_EIG_CUTOFF states kept across probes (`_kept_tables`), a whole
+    bisection took 0.49 s at L = 7, 2.2-2.4 s at L = 8 and 17-18 s at L = 9
+    on one core of a 2-core machine (0.86-0.94, 2.4-2.6 and 18.5 s with the
+    tables laid out anew at every probe), so it is practical for L <= 9.
+    The result is rounded to five decimal places.
     """
     lo, hi = bracket
     if not (lo < hi):

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -146,6 +147,123 @@ def test_staggered_sign_maps_real_blocks_bit_for_bit(L, data, U):
         assert np.all(np.isin(kappa, [1, -1, 1j, -1j]))
         sign = (kappa[:, None] * kappa.conj()[None, :]).real
         assert np.array_equal(minus[mp], -sign * plus[m])
+
+
+def _reference_real_blocks(op, sparse=False):
+    """The real momentum blocks laid out anew from H on every call: the shift
+    check by sparse products, H's columns at the representatives by slicing."""
+    basis, H, L = op.sector, op.matrix, op.sector.L
+    S = shift_operator(L, basis.n)
+    tol = 1e-12 * max(1.0, abs(H).max())
+    if abs(H @ S - S @ H).max() > tol:
+        raise ValueError("momentum blocks need an operator that commutes with the shift")
+    orb = lattice._orbits(L, basis.n)
+    cols = H[:, orb.states].tocoo()
+    r, rp, l = cols.col, orb.rep[cols.row], orb.shift[cols.row]
+    h, z = cols.data * np.sqrt(orb.period[r] / orb.period[rp]), lattice._half_turn_roots(L)
+    for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
+        d = np.count_nonzero(col >= 0)
+        on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
+        v = h[on] * z[-2 * m * l[on] % (2 * L)]
+        rpm, rm = rp[on], r[on]
+        uv = (lattice._cmul(own[rpm].conj(), v), lattice._cmul(other[rpm].conj(), v))
+        b = np.concatenate([lattice._cmul(u, x) for u in uv for x in (own[rm], other[rm])])
+        i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
+        j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
+        if sparse:
+            B = sp.csr_matrix((b, (i, j)), shape=(d, d))
+            imag, B = B.data.imag, B.real
+        else:
+            flat = i * d + j
+            imag = np.bincount(flat, b.imag, d * d)
+            B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
+        if len(imag) and abs(imag).max() > tol:
+            raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
+        yield B
+
+
+def _bits(M):
+    """Dtype, shape and bytes of a dense array or of a CSR matrix's arrays."""
+    arrays = (M.indptr, M.indices, M.data) if sp.issparse(M) else (M,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_kept_tables_refill_bit_for_bit(sparse):
+    # U = 0 drops the diagonal, so its pattern is not the kept one and is streamed
+    L, n, couplings = 7, 1, (1.0, 0.0, -2.3)  # dim 357: tables kept
+    lattice._sector_tables.cache_clear()
+    warm = [build_hamiltonian(U, L, n) for U in couplings]
+    warm = [(op.matrix, list(lattice._real_blocks(op, sparse))) for op in warm]
+    assert lattice._sector_tables.cache_info().currsize == 1
+    for U, (H, blocks) in zip(couplings, warm):
+        lattice._sector_tables.cache_clear()
+        op = build_hamiltonian(U, L, n)
+        assert _bits(H) == _bits(op.matrix)
+        cold = list(lattice._real_blocks(op, sparse))
+        ref = list(_reference_real_blocks(op, sparse))
+        assert [_bits(B) for B in blocks] == [_bits(B) for B in cold] == [_bits(B) for B in ref]
+
+
+def test_foreign_pattern_streams_its_own_tables(monkeypatch):
+    op = build_hamiltonian(2.0, 6, 0)  # dim 141: tables kept
+    list(lattice._real_blocks(op))
+    streamed = []
+    pattern_tables = lattice._pattern_tables
+
+    def spy(L, n, indptr, indices):
+        streamed.append(indptr)
+        return pattern_tables(L, n, indptr, indices)
+
+    monkeypatch.setattr(lattice, "_pattern_tables", spy)
+    list(lattice._real_blocks(build_hamiltonian(-1.5, 6, 0)))
+    assert streamed == []
+    eye = sp.identity(op.dim, dtype=complex, format="csr")
+    shifted = op.matrix + 0.1j * eye
+    stray = eye.tolil()
+    stray[0, 5] = 1.0
+    zero = sp.csr_matrix(stray)
+    zero.data[zero.indices == 5] = 0.0  # stored zero: its translate is not stored
+    # two stored translates, 1.5e-12 then 0.9e-12, between unstored ends:
+    # only the step from the unstored entry before them exceeds 1e-12
+    step = lattice._orbits(6, 0).step
+    chain = eye.tolil()
+    chain[0, 5], chain[step[0], step[5]] = 1.5e-12, 0.9e-12
+    for M in (eye, shifted, zero, sp.csr_matrix(stray), sp.csr_matrix(chain)):
+        foreign = lattice.LatticeOperator(op.sector, M)
+        for sparse in (False, True):
+            streamed.clear()
+            try:
+                ref = [_bits(B) for B in _reference_real_blocks(foreign, sparse)]
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    list(lattice._real_blocks(foreign, sparse))
+            else:
+                assert [_bits(B) for B in lattice._real_blocks(foreign, sparse)] == ref
+            assert len(streamed) == 1 and streamed[0] is M.indptr
+    # duplicate entries are summed before the pattern is read
+    halves = sp.csr_matrix((np.full(2 * op.dim, 0.5 + 0j), np.repeat(np.arange(op.dim), 2),
+                            np.arange(0, 2 * op.dim + 1, 2)), shape=eye.shape)
+    assert not halves.has_canonical_format
+    blocks = [lattice._real_blocks(lattice.LatticeOperator(op.sector, M)) for M in (halves, eye)]
+    assert [_bits(B) for B in blocks[0]] == [_bits(B) for B in blocks[1]]
+
+
+def test_tables_kept_for_dense_sectors_only():
+    # the benchmark empties every lru_cache it finds among module attributes
+    assert hasattr(vars(lattice)["_sector_tables"], "cache_clear")
+    L = 9
+    lattice._sector_tables.cache_clear()
+    for n in range(L + 1):
+        diagonalize(build_hamiltonian(1.0, L, n), mode="lowest", k=6)
+    small = [n for n in range(L + 1) if sector_dimension(L, n) <= lattice._DENSE_EIG_CUTOFF]
+    assert 0 < len(small) < L + 1
+    info = lattice._sector_tables.cache_info()
+    assert info.currsize == len(small)
+    for n in small:
+        lattice._sector_tables(L, n)
+    after = lattice._sector_tables.cache_info()
+    assert after.currsize == len(small) and after.hits == info.hits + len(small)
 
 
 def test_vacuum_sector():
