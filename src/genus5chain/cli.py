@@ -68,16 +68,21 @@ def cmd_ybe_check(args):
 
 
 def cmd_ed(args):
+    """Spectra of the requested sectors; sector -n prints sector n's solve,
+    as in `lattice.lowest_per_sector` (an out-of-range n is refused as given)."""
     sectors = range(-args.L, args.L + 1) if args.n is None else [args.n]
-    spectra = {}
+    solved, spectra = {}, {}
     for n in sectors:
-        op = lattice.build_hamiltonian(args.U, args.L, n)
-        rep = lattice.diagonalize(op, mode=args.mode, k=args.k)
-        spectra[str(n)] = {
-            "eigenvalues": list(rep.eigenvalues),
-            "is_real": [bool(b) for b in rep.is_real],
-            "method": rep.method,
-        }
+        m = abs(n) if abs(n) <= args.L else n
+        if m not in solved:
+            rep = lattice.diagonalize(lattice.build_hamiltonian(args.U, args.L, m),
+                                      mode=args.mode, k=args.k)
+            solved[m] = {
+                "eigenvalues": list(rep.eigenvalues),
+                "is_real": [bool(b) for b in rep.is_real],
+                "method": rep.method,
+            }
+        spectra[str(n)] = solved[m]
     return {"L": args.L, "U": args.U, "sectors": spectra}
 
 

@@ -22,7 +22,7 @@ spectrum is real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,14 +114,46 @@ def sector_dimension(L: int, n: int) -> int:
     return sector_basis(L, n).dim
 
 
-@dataclass(frozen=True)
 class LatticeOperator:
-    sector: SectorBasis
-    matrix: sp.csr_matrix
+    """An operator on one magnetization sector, held as a CSR `matrix`."""
+
+    def __init__(self, sector: SectorBasis, matrix: sp.csr_matrix):
+        self.sector, self.matrix = sector, matrix
 
     @property
     def dim(self) -> int:
         return self.sector.dim
+
+    def real_blocks(self, sparse: bool = False):
+        """The real momentum blocks Q_mᴴ H Q_m, m = 0 .. L-1 (`_real_blocks`)."""
+        return _real_blocks(self, sparse)
+
+
+class _ChainHamiltonian(LatticeOperator):
+    """H(U) on one sector (`build_hamiltonian`); `matrix` is built on first read.
+
+    `real_blocks` is the one place that decides where H(U)'s blocks come
+    from: for a sector of at most _DENSE_EIG_CUTOFF states, dense block m is
+    the kept B_m(0) plus (U/2) C_m on its diagonal (`_kept_blocks`), so a
+    new U costs one diagonal add; other blocks come from the CSR matrix.
+    """
+
+    def __init__(self, U: float, sector: SectorBasis):
+        self.U, self.sector = U, sector
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        rows, cols, entry = _bond_pattern(self.sector)
+        vals = bond_hamiltonian(self.U).ravel()[entry]
+        keep = np.abs(vals) > 1e-15
+        return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(self.dim, self.dim),
+                             dtype=complex)
+
+    def real_blocks(self, sparse: bool = False):
+        if sparse or self.dim > _DENSE_EIG_CUTOFF:
+            return _real_blocks(self, sparse)
+        kept = _kept_blocks(self.sector.L, self.sector.n)
+        return (B + np.diag((self.U / 2) * c) for B, c in zip(kept.blocks, kept.counts))
 
 
 def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,19 +179,16 @@ def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
     """H(U) restricted to the magnetization-n sector, periodic boundaries.
 
-    The bond terms come from the sector's kept tables (`_kept_tables`) or,
-    for a sector without them, are laid out anew.
+    A sector of at most _DENSE_EIG_CUTOFF states builds its CSR matrix only
+    when `matrix` is read, since its real blocks come from `_kept_blocks`;
+    a larger one is solved from the matrix, which is built here.
     """
     if L < 2:
         raise ValueError("need at least two sites")
-    basis = sector_basis(L, n)
-    t = _kept_tables(basis)
-    rows, cols, entry = (t.rows, t.cols, t.entry) if t else _bond_pattern(basis)
-    vals = bond_hamiltonian(U).ravel()[entry]
-    keep = np.abs(vals) > 1e-15
-    H = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(basis.dim, basis.dim),
-                      dtype=complex)
-    return LatticeOperator(basis, H)
+    op = _ChainHamiltonian(U, sector_basis(L, n))
+    if op.dim > _DENSE_EIG_CUTOFF:
+        op.matrix
+    return op
 
 
 def _shift_targets(basis: SectorBasis) -> np.ndarray:
@@ -231,73 +260,27 @@ def _orbits(L: int, n: int) -> SimpleNamespace:
                            shift=shift, column=column, own=own, other=other)
 
 
-def _pattern_tables(L: int, n: int, indptr: np.ndarray, indices: np.ndarray) -> SimpleNamespace:
-    """What `_real_blocks` needs of a sector operator's canonical CSR pattern.
-
-    `shifted[k]` is the storage index of the translate (rows and columns
-    mapped by the shift) of stored entry k, or nnz where it is not stored;
-    `orphans` are the entries that no translate lands on.  Entries `pos`
-    lie in the columns r at the orbit representatives, rows T^l r', each
-    with its factor `fac` = sqrt(p_r / p_r').  `momenta` yields, per m, the
-    block order `d`, the entries `on` (of `pos`) it takes, their phases
-    conj(w^(m l)), the W_m gathers `w_out` (rows, conjugated) and `w_in`
-    (columns), and `flat` = i d + j, where each term lands in the block.
-    """
-    orb = _orbits(L, n)
-    dim, nnz = len(indptr) - 1, len(indices)
-    row = np.repeat(np.arange(dim), np.diff(indptr))
-    key = np.append(row * dim + indices, dim * dim)  # row-major, so sorted; one sentinel
-    target = orb.step[row] * dim + orb.step[indices]
-    hit = np.searchsorted(key, target)
-    found = key[hit] == target
-    shifted = np.where(found, hit, nnz)
-    orphans = np.ones(nnz, dtype=bool)
-    orphans[hit[found]] = False
-    slot = np.full(dim, -1)
-    slot[orb.states] = np.arange(len(orb.states))
-    pos = np.nonzero(slot[indices] >= 0)[0]
-    r, rp, l = slot[indices[pos]], orb.rep[row[pos]], orb.shift[row[pos]]  # H[T^l r', r]
-    return SimpleNamespace(indptr=indptr, indices=indices, shifted=shifted,
-                           orphans=np.nonzero(orphans)[0], pos=pos,
-                           fac=np.sqrt(orb.period[r] / orb.period[rp]),
-                           momenta=_momentum_tables(orb, L, r, rp, l))
-
-
-def _momentum_tables(orb: SimpleNamespace, L: int, r: np.ndarray, rp: np.ndarray, l: np.ndarray):
-    z = _half_turn_roots(L)
-    for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
-        d = np.count_nonzero(col >= 0)
-        on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
-        rpm, rm = rp[on], r[on]
-        # term (r', r) of H_m enters B[a', a] for a' in {r', r'~} and a in {r, r~}
-        i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
-        j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
-        yield SimpleNamespace(d=d, on=on, phase=z[-2 * m * l[on] % (2 * L)],
-                              w_out=(own[rpm].conj(), other[rpm].conj()),
-                              w_in=(own[rm], other[rm]), flat=i * d + j)
-
-
 @lru_cache(maxsize=None)
-def _sector_tables(L: int, n: int) -> SimpleNamespace:
-    """The bond-term pattern of a sector (`_bond_pattern`: `rows`, `cols`,
-    `entry`) and the `_pattern_tables` of H's pattern at every U that keeps
-    all those terms, with `momenta` kept as a tuple; see `_kept_tables`."""
-    basis = sector_basis(L, n)
-    rows, cols, entry = _bond_pattern(basis)
-    pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(basis.dim, basis.dim))
-    t = _pattern_tables(L, n, pattern.indptr, pattern.indices)
-    t.momenta = tuple(t.momenta)
-    t.rows, t.cols, t.entry = rows, cols, entry
-    return t
+def _kept_blocks(L: int, n: int) -> SimpleNamespace:
+    """The real momentum blocks B_m(0) of H(0) on a sector, and the diagonals
+    C_m of its on-site term, m = 0 .. L-1; read-only.
 
-
-def _kept_tables(basis: SectorBasis) -> SimpleNamespace | None:
-    """The sector's `_sector_tables`, built once, so that H(U) and its real
-    momentum blocks are refilled, not laid out again, at each new U; None
-    above _DENSE_EIG_CUTOFF states.  Those sectors are solved by ARPACK,
-    mostly once per U, and keeping their tables too raised the `ed_lowest`
-    benchmark's peak RSS from 88 to 141 MB."""
-    return _sector_tables(basis.L, basis.n) if basis.dim <= _DENSE_EIG_CUTOFF else None
+    sum_j (Sz_j)^2 counts a state's spins +-1: it is diagonal on the codes
+    and commutes with the shift and the site reflection, so in the real
+    block basis it is diag(C_m), the counts at the orbit representatives
+    that momentum m admits, in column order, and H(U)'s block m is
+    B_m(0) + (U/2) diag(C_m).  Kept only for sectors of at most
+    _DENSE_EIG_CUTOFF states: larger ones are mostly solved once per U, and
+    keeping every sector's blocks raised the peak RSS of
+    `genus5 ed --L 10 --U 1` from 129 to 319 MB.
+    """
+    basis, orb = sector_basis(L, n), _orbits(L, n)
+    blocks = tuple(_real_blocks(_ChainHamiltonian(0.0, basis)))
+    spins = np.count_nonzero(basis.digits()[orb.states] != 1, axis=1).astype(float)
+    counts = tuple(spins[col >= 0] for col in orb.column)
+    for a in blocks + counts:
+        a.setflags(write=False)
+    return SimpleNamespace(blocks=blocks, counts=counts)
 
 
 def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
@@ -374,8 +357,11 @@ class SpectrumReport:
 def _make_report(basis: SectorBasis, vals: np.ndarray, method: str, real_tol: float) -> SpectrumReport:
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    is_real = np.abs(vals.imag) <= real_tol * np.maximum(1.0, np.abs(vals.real))
-    return SpectrumReport(basis.L, basis.n, vals, is_real, method)
+    return SpectrumReport(basis.L, basis.n, vals, _is_real(vals, real_tol), method)
+
+
+def _is_real(vals: np.ndarray, real_tol: float) -> np.ndarray:
+    return np.abs(vals.imag) <= real_tol * np.maximum(1.0, np.abs(vals.real))
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,36 +379,51 @@ def _real_blocks(op: LatticeOperator, sparse: bool = False):
     Block m comes from H's columns at the orbit representatives alone,
     H_m[r', r] = sqrt(p_r / p_r') sum over s = T^l r' of H[s, r] conj(w^(m l)),
     made real by W_m (`_orbits`), and is summed by one bincount (dense
-    arrays) or one COO sum (CSR when `sparse`).  The index tables are the
-    sector's kept ones (`_kept_tables`) when H has their pattern, else
-    they are derived from H's own pattern as the blocks are made.  Raises a
-    ValueError unless H commutes with the shift and P H P = conj(H).
+    arrays) or one COO sum (CSR when `sparse`).  Raises a ValueError unless
+    H commutes with the shift and P H P = conj(H).
     """
-    basis, H = op.sector, op.matrix
+    basis, H, L = op.sector, op.matrix, op.sector.L
     if not H.has_canonical_format:
         H = H.copy()
         H.sum_duplicates()
-    t = _kept_tables(basis)
-    if t is None or not (np.array_equal(t.indptr, H.indptr) and np.array_equal(t.indices, H.indices)):
-        t = _pattern_tables(basis.L, basis.n, H.indptr, H.indices)
-    # max |H S - S H| over the entries and their translates (S the shift)
+    orb, dim, nnz = _orbits(L, basis.n), basis.dim, H.nnz
+    # max |H S - S H| over the stored entries and their translates (S the shift):
+    # each entry against the translate it lands on, and entries no translate lands on
+    row = np.repeat(np.arange(dim), np.diff(H.indptr))
+    key = np.append(row * dim + H.indices, dim * dim)  # row-major, so sorted; one sentinel
+    target = orb.step[row] * dim + orb.step[H.indices]
+    hit = np.searchsorted(key, target)
+    found = key[hit] == target
+    orphans = np.ones(nnz, dtype=bool)
+    orphans[hit[found]] = False
     tol = 1e-12 * max(1.0, np.abs(H.data).max(initial=0.0))
     data = np.append(H.data, 0)
-    defect = max(np.abs(data[t.shifted] - H.data).max(initial=0.0),
-                 np.abs(H.data[t.orphans]).max(initial=0.0))
+    defect = max(np.abs(data[np.where(found, hit, nnz)] - H.data).max(initial=0.0),
+                 np.abs(H.data[orphans]).max(initial=0.0))
     if defect > tol:
         raise ValueError("momentum blocks need an operator that commutes with the shift")
-    h = H.data[t.pos] * t.fac
-    for mt in t.momenta:
-        d, v = mt.d, h[mt.on] * mt.phase
-        uv = [_cmul(w, v) for w in mt.w_out]
-        b = np.concatenate([_cmul(u, x) for u in uv for x in mt.w_in])
+    slot = np.full(dim, -1)
+    slot[orb.states] = np.arange(len(orb.states))
+    pos = np.nonzero(slot[H.indices] >= 0)[0]
+    r, rp, l = slot[H.indices[pos]], orb.rep[row[pos]], orb.shift[row[pos]]  # H[T^l r', r]
+    h, z = H.data[pos] * np.sqrt(orb.period[r] / orb.period[rp]), _half_turn_roots(L)
+    for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
+        d = np.count_nonzero(col >= 0)
+        on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
+        v = h[on] * z[-2 * m * l[on] % (2 * L)]
+        rpm, rm = rp[on], r[on]
+        # term (r', r) of H_m enters B[a', a] for a' in {r', r'~} and a in {r, r~}
+        uv = (_cmul(own[rpm].conj(), v), _cmul(other[rpm].conj(), v))
+        b = np.concatenate([_cmul(u, x) for u in uv for x in (own[rm], other[rm])])
+        i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
+        j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
         if sparse:
-            B = sp.csr_matrix((b, np.divmod(mt.flat, d)), shape=(d, d))
+            B = sp.csr_matrix((b, (i, j)), shape=(d, d))
             imag, B = B.data.imag, B.real
         else:
-            imag = np.bincount(mt.flat, b.imag, d * d)
-            B = np.bincount(mt.flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
+            flat = i * d + j
+            imag = np.bincount(flat, b.imag, d * d)
+            B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
         if len(imag) and abs(imag).max() > tol:
             raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
         yield B
@@ -459,7 +460,7 @@ def diagonalize(
             if op.dim > DENSE_LIMIT:
                 raise
             method = "dense-fallback"
-    vals = np.concatenate([eig(B, right=False) for B in _real_blocks(op) if len(B)])
+    vals = np.concatenate([eig(B, right=False) for B in op.real_blocks() if len(B)])
     if mode == "lowest":
         vals = vals[np.argsort(vals.real)][:k]
     return _make_report(op.sector, vals, method, real_tol)
@@ -469,7 +470,7 @@ def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumRepo
     """ARPACK's real nonsymmetric mode on the direct sum of the real momentum
     blocks, assembled sparse; eigenvectors mapped back by Q_m, residuals against H."""
     D, A = op.dim, op.matrix
-    B = sp.block_diag(list(_real_blocks(op, sparse=True)), format="csr")
+    B = sp.block_diag(list(op.real_blocks(sparse=True)), format="csr")
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
     for ncv in (max(40, 4 * k), max(90, 8 * k)):
@@ -530,11 +531,14 @@ def lowest_two_energies(U: float, L: int):
 def spectrum_is_real(U: float, L: int, tol: float = 1e-8) -> bool:
     """True when every eigenvalue in every sector is real within tolerance.
 
-    The +-n spectra coincide, as in `lowest_per_sector`, so only n >= 0 is
-    diagonalized, from the small n = L sector down.
+    Decided one real momentum block at a time, on the blocks and with the
+    test of `diagonalize`, from n = 0 up, stopping at the first block with
+    a complex level: below the threshold the surviving complex pairs sit in
+    n = 0.  The +-n spectra coincide, as in `lowest_per_sector`, so only
+    n >= 0 is solved.
     """
-    return all(np.all(diagonalize(build_hamiltonian(U, L, n), mode="full", real_tol=tol).is_real)
-               for n in range(L, -1, -1))
+    return all(np.all(_is_real(eig(B, right=False), tol))
+               for n in range(L + 1) for B in build_hamiltonian(U, L, n).real_blocks() if len(B))
 
 
 def reality_threshold(
@@ -544,13 +548,14 @@ def reality_threshold(
 ) -> float:
     """Smallest U with an entirely real spectrum, located by bisection to 1e-6.
 
-    Needs the full spectrum of every sector n >= 0 per probe.  Solved per
-    real momentum block, with the tables of every sector of at most
-    _DENSE_EIG_CUTOFF states kept across probes (`_kept_tables`), a whole
-    bisection took 0.49 s at L = 7, 2.2-2.4 s at L = 8 and 17-18 s at L = 9
-    on one core of a 2-core machine (0.86-0.94, 2.4-2.6 and 18.5 s with the
-    tables laid out anew at every probe), so it is practical for L <= 9.
-    The result is rounded to five decimal places.
+    A probe above the threshold needs the full spectrum of every sector
+    n >= 0; one below stops at its first complex level (`spectrum_is_real`).
+    With the blocks of every sector of at most _DENSE_EIG_CUTOFF states
+    kept across probes (`_kept_blocks`), a whole bisection took 0.25-0.29 s
+    at L = 7, 1.7 s at L = 8 and 17.0 s at L = 9 on one core of a 2-core
+    machine (0.45-0.47, 2.3-2.5 and 19.8 s with H and the blocks refilled
+    at every probe and every sector solved whole), so it is practical for
+    L <= 9.  The result is rounded to five decimal places.
     """
     lo, hi = bracket
     if not (lo < hi):

@@ -100,6 +100,26 @@ def test_ed_prints_conjugate_pairs_minus_im_first(capsys):
         assert low["re"] == high["re"] and low["im"] == -high["im"] < 0
 
 
+def test_ed_mirrors_minus_n_from_n(capsys, monkeypatch):
+    # at L = 7, U = 1 the sectors +-1 hold the defective level 3.5
+    solves = []
+    diagonalize = lattice.diagonalize
+    monkeypatch.setattr(lattice, "diagonalize",
+                        lambda op, **kw: solves.append(op.sector.n) or diagonalize(op, **kw))
+    code, out = run(["ed", "--L", "7", "--U", "1"], capsys)
+    assert code == 0
+    assert sorted(solves) == list(range(8))
+    sectors = json.loads(out)["sectors"]
+    assert set(sectors) == {str(n) for n in range(-7, 8)}
+    for n in range(1, 8):
+        assert sectors[str(-n)] == sectors[str(n)]
+    code, out = run(["ed", "--L", "7", "--U", "1", "--n", "-1"], capsys)
+    assert code == 0
+    assert json.loads(out)["sectors"] == {"-1": sectors["1"]}
+    assert main(["ed", "--L", "7", "--U", "1", "--n", "-8"]) == 2
+    assert "sector n=-8 out of range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("L", ["4", "8"])  # block and ARPACK sizes
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_ed_lowest_mode_refuses_nonpositive_k(L, k, capsys):

@@ -136,8 +136,8 @@ def test_staggered_sign_maps_real_blocks_bit_for_bit(L, data, U):
     # -kappa B kappa^* of block m at U, which real arithmetic must keep exact
     n = data.draw(st.integers(-L, L), label="n")
     g = (-1.0) ** ((1 - sector_basis(L, n).digits()) @ np.arange(L))
-    plus = list(lattice._real_blocks(build_hamiltonian(U, L, n)))
-    minus = list(lattice._real_blocks(build_hamiltonian(-U, L, n)))
+    plus = list(build_hamiltonian(U, L, n).real_blocks())  # the blocks diagonalize solves
+    minus = list(build_hamiltonian(-U, L, n).real_blocks())
     Q = lattice.momentum_blocks(L, n)
     for m in range(L):
         mp = (m + n * L // 2) % L
@@ -188,36 +188,24 @@ def _bits(M):
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_kept_tables_refill_bit_for_bit(sparse):
-    # U = 0 drops the diagonal, so its pattern is not the kept one and is streamed
-    L, n, couplings = 7, 1, (1.0, 0.0, -2.3)  # dim 357: tables kept
-    lattice._sector_tables.cache_clear()
-    warm = [build_hamiltonian(U, L, n) for U in couplings]
-    warm = [(op.matrix, list(lattice._real_blocks(op, sparse))) for op in warm]
-    assert lattice._sector_tables.cache_info().currsize == 1
-    for U, (H, blocks) in zip(couplings, warm):
-        lattice._sector_tables.cache_clear()
-        op = build_hamiltonian(U, L, n)
-        assert _bits(H) == _bits(op.matrix)
-        cold = list(lattice._real_blocks(op, sparse))
-        ref = list(_reference_real_blocks(op, sparse))
-        assert [_bits(B) for B in blocks] == [_bits(B) for B in cold] == [_bits(B) for B in ref]
+@pytest.mark.parametrize("U", [0.0, 1.0, -2.3, 2 * np.sqrt(3)])
+def test_hamiltonian_blocks_match_reference(U):
+    # kept sectors add (U/2) C_m to B_m(0), within rounding of the blocks of
+    # H(U) itself; larger sectors take those blocks bit for bit
+    for L in range(2, 9):
+        for n in range(-L, L + 1):
+            op = build_hamiltonian(U, L, n)
+            blocks = list(op.real_blocks())
+            ref = list(_reference_real_blocks(op))
+            if op.dim > lattice._DENSE_EIG_CUTOFF:
+                assert [_bits(B) for B in blocks] == [_bits(B) for B in ref]
+            for B, R in zip(blocks, ref, strict=True):
+                assert B.dtype == R.dtype == np.float64 and B.shape == R.shape
+                assert np.max(np.abs(B - R), initial=0.0) < 1e-13
 
 
-def test_foreign_pattern_streams_its_own_tables(monkeypatch):
-    op = build_hamiltonian(2.0, 6, 0)  # dim 141: tables kept
-    list(lattice._real_blocks(op))
-    streamed = []
-    pattern_tables = lattice._pattern_tables
-
-    def spy(L, n, indptr, indices):
-        streamed.append(indptr)
-        return pattern_tables(L, n, indptr, indices)
-
-    monkeypatch.setattr(lattice, "_pattern_tables", spy)
-    list(lattice._real_blocks(build_hamiltonian(-1.5, 6, 0)))
-    assert streamed == []
+def test_foreign_operator_blocks_match_reference():
+    op = build_hamiltonian(2.0, 6, 0)
     eye = sp.identity(op.dim, dtype=complex, format="csr")
     shifted = op.matrix + 0.1j * eye
     stray = eye.tolil()
@@ -229,18 +217,16 @@ def test_foreign_pattern_streams_its_own_tables(monkeypatch):
     step = lattice._orbits(6, 0).step
     chain = eye.tolil()
     chain[0, 5], chain[step[0], step[5]] = 1.5e-12, 0.9e-12
-    for M in (eye, shifted, zero, sp.csr_matrix(stray), sp.csr_matrix(chain)):
+    for M in (op.matrix, eye, shifted, zero, sp.csr_matrix(stray), sp.csr_matrix(chain)):
         foreign = lattice.LatticeOperator(op.sector, M)
         for sparse in (False, True):
-            streamed.clear()
             try:
                 ref = [_bits(B) for B in _reference_real_blocks(foreign, sparse)]
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    list(lattice._real_blocks(foreign, sparse))
+                    list(foreign.real_blocks(sparse))
             else:
-                assert [_bits(B) for B in lattice._real_blocks(foreign, sparse)] == ref
-            assert len(streamed) == 1 and streamed[0] is M.indptr
+                assert [_bits(B) for B in foreign.real_blocks(sparse)] == ref
     # duplicate entries are summed before the pattern is read
     halves = sp.csr_matrix((np.full(2 * op.dim, 0.5 + 0j), np.repeat(np.arange(op.dim), 2),
                             np.arange(0, 2 * op.dim + 1, 2)), shape=eye.shape)
@@ -249,20 +235,23 @@ def test_foreign_pattern_streams_its_own_tables(monkeypatch):
     assert [_bits(B) for B in blocks[0]] == [_bits(B) for B in blocks[1]]
 
 
-def test_tables_kept_for_dense_sectors_only():
+def test_blocks_kept_for_dense_sectors_only():
     # the benchmark empties every lru_cache it finds among module attributes
-    assert hasattr(vars(lattice)["_sector_tables"], "cache_clear")
+    assert hasattr(vars(lattice)["_kept_blocks"], "cache_clear")
     L = 9
-    lattice._sector_tables.cache_clear()
+    lattice._kept_blocks.cache_clear()
     for n in range(L + 1):
-        diagonalize(build_hamiltonian(1.0, L, n), mode="lowest", k=6)
+        op = build_hamiltonian(1.0, L, n)
+        diagonalize(op, mode="lowest", k=6)
+        # a kept sector is solved without its CSR matrix
+        assert ("matrix" in vars(op)) == (op.dim > lattice._DENSE_EIG_CUTOFF)
     small = [n for n in range(L + 1) if sector_dimension(L, n) <= lattice._DENSE_EIG_CUTOFF]
     assert 0 < len(small) < L + 1
-    info = lattice._sector_tables.cache_info()
+    info = lattice._kept_blocks.cache_info()
     assert info.currsize == len(small)
     for n in small:
-        lattice._sector_tables(L, n)
-    after = lattice._sector_tables.cache_info()
+        lattice._kept_blocks(L, n)
+    after = lattice._kept_blocks.cache_info()
     assert after.currsize == len(small) and after.hits == info.hits + len(small)
 
 
@@ -504,6 +493,28 @@ def test_lowest_mode_arpack_path():
 def test_reality_threshold_reference_values(reality_thresholds):
     for L in (4, 5, 6):
         assert abs(reality_thresholds[L] - refdata.TABLE1_REALITY[L]) < 1e-4
+
+
+def test_spectrum_is_real_matches_all_sector_spectra():
+    # block by block from n = 0 gives the verdict of every sector's full spectrum,
+    # on a grid and at the points of a bisection to 1e-7 around each threshold
+
+    def whole(U, L):
+        verdict = all(np.all(diagonalize(build_hamiltonian(U, L, n), mode="full").is_real)
+                      for n in range(-L, L + 1))
+        assert lattice.spectrum_is_real(U, L) == verdict, (L, U)
+        return verdict
+
+    for L in (4, 5, 6, 7):
+        for U in (-1.0, 0.0, 1.5, 2.5, 3.0, 4.0):
+            whole(U, L)
+        lo, hi = refdata.TABLE1_REALITY[L] - 1e-4, refdata.TABLE1_REALITY[L] + 1e-4
+        assert not whole(lo, L) and whole(hi, L)
+        while hi - lo > 1e-7:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if whole(mid, L) else (mid, hi)
+        for d in (1e-6, 3e-7):
+            whole(lo - d, L), whole(hi + d, L)
 
 
 def test_reality_threshold_bad_bracket():
