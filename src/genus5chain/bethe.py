@@ -18,10 +18,12 @@ are E = -sum_j 2 cos(k_j + pi/6) + n U / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import curve as curve_mod
+from . import thermo
 from .curve import SQRT3, U_CRITICAL, CurveParams, CurvePoint, zw_map
 from .errors import (
     JacobianSingular,
@@ -37,6 +39,8 @@ ACCEPT_RESIDUAL = 1e-10
 _POLE_TOL = 1e-13
 # |Im k| below this counts as a real root in the two-string classification
 _STRING_TOL = 1e-6
+# sigma nodes of the counting function that seeds the log form
+_SEED_NODES = 256
 
 
 @dataclass
@@ -130,9 +134,84 @@ def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarr
     return g, J
 
 
+def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
+    """Bulk counting function Z(k) and its derivative sigma(k) at any momenta,
+    by the Nystrom formula on the sigma nodes (sines s, weight times density ws):
+
+        Z(k) = k / 2 pi - (1/pi) Integral arctan[(s(k) - s') / (sqrt(3)(s(k) + s') - U)]
+                   sigma(k') dk',
+
+    whose derivative is the right side of the sigma equation in `thermo`.
+    """
+    sk = np.sin(k - np.pi / 6)[:, None]
+    num = sk - s
+    den = sk + s
+    den *= SQRT3
+    den -= U
+    at = np.divide(num, den)
+    Z = k / (2 * np.pi) - np.arctan(at, out=at) @ ws / np.pi
+    # the sigma kernel (U - 2 sqrt(3) s') / (num^2 + den^2), in place
+    np.multiply(num, num, out=num)
+    num += np.multiply(den, den, out=den)
+    np.divide(U - 2 * SQRT3 * s, num, out=num)
+    return Z, (1.0 + 2 * np.cos(k - np.pi / 6) * (num @ ws)) / (2 * np.pi)
+
+
+@lru_cache(maxsize=64)
+def _counting_table(U: float):
+    """Z over one period on half the step of the N = 256 sigma grid, with
+    what `_counting_function` needs to evaluate it elsewhere.
+
+    The half steps put a table point on k = 2 pi/3, where the critical
+    density is singular and Z climbs steeply; a running maximum keeps the
+    table increasing where the quadrature lets Z dip next to that point.
+    """
+    grid = thermo.solve_sigma(U, N=_SEED_NODES)
+    s = np.sin(grid.nodes - np.pi / 6)
+    ws = grid.weights * grid.values
+    t = grid.nodes[0] + (np.pi / _SEED_NODES) * np.arange(2 * _SEED_NODES + 1)
+    # 32 rows at a time: the whole table's temporaries (3 MB) added about
+    # 1.2 MB to the peak RSS of a process that only warms the solver up
+    Z = np.concatenate([_counting_function(t[i:i + 32], U, s, ws)[0]
+                        for i in range(0, len(t), 32)])
+    return t, np.maximum.accumulate(Z), s, ws
+
+
+def _log_form_start(L: int, U: float, Q: np.ndarray) -> np.ndarray:
+    """Newton's start k_j = Z^{-1}(Q_j / L) for U >= 2 sqrt(3); the free momenta
+    2 pi Q_j / L below, where the density does not exist.
+
+    The table inverse is refined by two Newton steps on Z with Z' = sigma,
+    each kept only for the roots whose |Z - Q/L| it lowers: next to the
+    singular point of the critical kernel the quadrature of Z is poor, and a
+    step there need not bring a root closer.
+    """
+    if U < U_CRITICAL:
+        return (2 * np.pi / L) * Q
+    t, Ztab, s, ws = _counting_table(U)
+    q = Q / L
+    turns = np.floor(q - Ztab[0])  # Z(k + 2 pi) = Z(k) + 1
+    k = np.interp(q - turns, Ztab, t) + 2 * np.pi * turns
+    Z, sigma = _counting_function(k, U, s, ws)
+    for _ in range(2):
+        k_new = k - (Z - q) / sigma
+        Z_new, sigma_new = _counting_function(k_new, U, s, ws)
+        better = np.abs(Z_new - q) < np.abs(Z - q)
+        k = np.where(better, k_new, k)
+        Z = np.where(better, Z_new, Z)
+        sigma = np.where(better, sigma_new, sigma)
+    return k
+
+
 def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRootSet:
-    """Real momenta from the logarithmic equations by damped Newton, started
-    from k_j = 2 pi Q_j / L and stopped once a step falls below 1e-13.
+    """Real momenta from the logarithmic equations by damped Newton, stopped
+    once a step falls below 1e-13.
+
+    For U >= 2*sqrt(3) Newton starts at the roots of the bulk counting
+    function, Z(k_j) = Q_j / L (`_log_form_start`).  Finite-size corrections
+    fall off exponentially in the massive phase, so at U >= 4 and L >= 256
+    that start is within rounding of the roots.  Below 2*sqrt(3) Newton
+    starts from the free momenta k_j = 2 pi Q_j / L.
 
     Each point is evaluated once: an accepted line-search trial brings its
     residual and Jacobian along, and a trial that rounds back to k ends the
@@ -149,7 +228,7 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
         raise ValueError(f"expected {M} branch numbers, got {len(Qa)}")
     if M == 0:
         return BetheRootSet(L, n, U, np.zeros(0, dtype=complex), [], 0.0)
-    k = (2 * np.pi / L) * Qa
+    k = _log_form_start(L, U, Qa)
     g, J = _log_form_residual_and_jacobian(k, L, U, Qa)
     last_step = np.inf
     for _ in range(200):
@@ -171,12 +250,9 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
         else:
             k = k - scale * step
             g, J = _log_form_residual_and_jacobian(k, L, U, Qa)
-        if M > 1:
-            dk = np.abs(k[:, None] - k[None, :]) + np.eye(M)
-            if np.min(dk) < 1e-9:
-                raise NonRealDrift(
-                    f"momenta collided at U={U}, L={L}, n={n}: real roots unstable"
-                )
+        # the closest pair of momenta are neighbours once sorted
+        if M > 1 and np.min(np.diff(np.sort(k))) < 1e-9:
+            raise NonRealDrift(f"momenta collided at U={U}, L={L}, n={n}: real roots unstable")
         last_step = scale * np.max(np.abs(step))
         if last_step < 1e-13:
             break

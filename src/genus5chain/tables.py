@@ -84,7 +84,8 @@ def _table2(heavy: bool):
             return thermo.bulk_energy(thermo.solve_sigma(u, N=8192 if u == U_CRITICAL else 2048))
         return bethe.energy(bethe.solve_log_form(L, 0, u)) / L
 
-    return _grid("E/L", refdata.TABLE2_ENERGY, [8, 12, 16, 24, 64, "bulk"], energy_per_site)
+    sizes = [8, 12, 16, 24, 64] + ([128, 256, 516, 1024] if heavy else []) + ["bulk"]
+    return _grid("E/L", refdata.TABLE2_ENERGY, sizes, energy_per_site)
 
 
 def _table3(heavy: bool):

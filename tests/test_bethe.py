@@ -98,12 +98,17 @@ def _ref_cleared_jacobian(k, L, U):
     return J
 
 
-def _ref_solve_log_form(L, n, U):
+def _free_start(L, U, Q):
+    return (2 * np.pi / L) * Q
+
+
+def _ref_solve_log_form(L, n, U, start=bethe._log_form_start):
     """The log-form Newton loop that evaluates every line-search trial with its
-    Jacobian, discards it, and evaluates the accepted point again."""
+    Jacobian, discards it, and evaluates the accepted point again, started
+    from `start(L, U, Q)`."""
     Qa = np.asarray(ground_state_quantum_numbers(L, n), dtype=float)
     M = L - n
-    k = (2 * np.pi / L) * Qa
+    k = start(L, U, Qa)
     last_step = np.inf
     for _ in range(200):
         g, J = bethe._log_form_residual_and_jacobian(k, L, U, Qa)
@@ -220,15 +225,45 @@ def test_log_form_matches_reference_loop(case):
         assert new[2] == ref[2]
 
 
-def test_log_form_evaluates_each_point_once(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(case=_log_form_cases())
+@example(case=(64, 0, U_CRITICAL))
+@example(case=(64, 20, U_CRITICAL))
+def test_seeded_log_form_matches_free_start(case):
+    seeded = _log_form_outcome(solve_log_form, *case)
+    free = _log_form_outcome(lambda *a: _ref_solve_log_form(*a, start=_free_start), *case)
+    assert seeded[0] == free[0]
+    if free[0] is None:
+        assert np.max(np.abs(seeded[1] - free[1])) < 1e-12
+
+
+def _count_evaluations(monkeypatch):
     calls = []
     inner = bethe._log_form_residual_and_jacobian
     monkeypatch.setattr(bethe, "_log_form_residual_and_jacobian",
                         lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+def test_log_form_evaluates_each_point_once(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
     solve_log_form(128, 0, 5.0)
-    # 12 when each point is evaluated once; 51 when accepted trials are
-    # evaluated again and all 40 halvings run out at the rounding floor
+    # the seed is within rounding of the roots: the start and one step
+    assert len(calls) <= 2
+    calls.clear()
+    monkeypatch.setattr(bethe, "_log_form_start", _free_start)
+    solve_log_form(128, 0, 5.0)
+    # from 2 pi Q / L: 12 when each point is evaluated once; 51 when accepted
+    # trials are evaluated again and all 40 halvings run out at the rounding floor
     assert len(calls) <= 15
+
+
+def test_log_form_critical_coupling_from_seed(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    rs = solve_log_form(1024, 0, U_CRITICAL)
+    # 681 evaluations from the free momenta 2 pi Q / L
+    assert len(calls) <= 15
+    assert abs(energy(rs) / 1024 - refdata.TABLE2_ENERGY["2sqrt3"][1024]) < 1e-9
 
 
 def test_energy_trivial_cases():

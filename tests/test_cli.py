@@ -314,6 +314,17 @@ def test_table_command_grids(k, label, last, bound, capsys):
             assert float(cells[col]) < (1e-7 if critical_bulk else bound), (line, col)
 
 
+@pytest.mark.heavy
+def test_table_two_heavy_adds_the_large_rows(capsys):
+    code, out = run(["table", "2", "--heavy"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["8", "12", "16", "24", "64", "128", "256", "516",
+                                        "1024", "bulk"]
+    for row in rows[5:9]:
+        assert max(float(v) for v in row[2::2]) < 1e-9, row
+
+
 def test_extrapolate_gap_recovers_cubic_intercept():
     ls = np.arange(4, 11)
     gaps = {int(L): 0.1 + 0.5 / L - 0.3 / L**2 + 0.2 / L**3 for L in ls}
