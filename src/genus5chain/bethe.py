@@ -144,17 +144,10 @@ def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
     whose derivative is the right side of the sigma equation in `thermo`.
     """
     sk = np.sin(k - np.pi / 6)[:, None]
-    num = sk - s
-    den = sk + s
-    den *= SQRT3
-    den -= U
-    at = np.divide(num, den)
-    Z = k / (2 * np.pi) - np.arctan(at, out=at) @ ws / np.pi
-    # the sigma kernel (U - 2 sqrt(3) s') / (num^2 + den^2), in place
-    np.multiply(num, num, out=num)
-    num += np.multiply(den, den, out=den)
-    np.divide(U - 2 * SQRT3 * s, num, out=num)
-    return Z, (1.0 + 2 * np.cos(k - np.pi / 6) * (num @ ws)) / (2 * np.pi)
+    num, den = sk - s, SQRT3 * (sk + s) - U
+    Z = k / (2 * np.pi) - np.arctan(num / den) @ ws / np.pi
+    kernel = (U - 2 * SQRT3 * s) / (num * num + den * den)  # the sigma kernel
+    return Z, (1.0 + 2 * np.cos(k - np.pi / 6) * (kernel @ ws)) / (2 * np.pi)
 
 
 @lru_cache(maxsize=64)
@@ -274,15 +267,18 @@ def _wrap(k: np.ndarray) -> np.ndarray:
     return (k.real + np.pi) % (2 * np.pi) - np.pi + 1j * k.imag
 
 
+def _cylinder_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j| with the real parts compared on the circle of length 2 pi."""
+    dr = np.abs(a.real[:, None] - b.real[None, :])
+    dr = np.minimum(dr, 2 * np.pi - dr)
+    return np.hypot(dr, a.imag[:, None] - b.imag[None, :])
+
+
 def _min_distance(k: np.ndarray) -> float:
     M = len(k)
     if M < 2:
         return np.inf
-    dr = np.abs(k.real[:, None] - k.real[None, :])
-    dr = np.minimum(dr, 2 * np.pi - dr)
-    di = k.imag[:, None] - k.imag[None, :]
-    dist = np.hypot(dr, di) + 2 * np.pi * np.eye(M)
-    return float(np.min(dist))
+    return float(np.min(_cylinder_distances(k, k) + 2 * np.pi * np.eye(M)))
 
 
 def _cleared_defect(k: np.ndarray, L: int, U: float):
@@ -445,10 +441,7 @@ def track_state(
 
 def _max_move(old: np.ndarray, new: np.ndarray) -> float:
     """Largest displacement matching each old root to its nearest new one."""
-    dr = np.abs(old.real[:, None] - new.real[None, :])
-    dr = np.minimum(dr, 2 * np.pi - dr)
-    dist = np.hypot(dr, old.imag[:, None] - new.imag[None, :])
-    return float(np.max(np.min(dist, axis=1)))
+    return float(np.max(np.min(_cylinder_distances(old, new), axis=1)))
 
 
 def _fuse_candidates(k: np.ndarray, L: int, n: int, u_next: float):

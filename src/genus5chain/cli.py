@@ -215,6 +215,14 @@ def cmd_table(args):
 # parser
 
 
+def sites(text: str) -> int:
+    """A chain length `--L`: refused below one site as a usage error (exit 2)."""
+    L = int(text)
+    if L < 1:
+        raise argparse.ArgumentTypeError(f"need at least one site, got {L}")
+    return L
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="genus5",
@@ -230,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_ybe_check)
 
     q = sub.add_parser("ed", help="exact diagonalization of the chain")
-    q.add_argument("--L", type=int, required=True)
+    q.add_argument("--L", type=sites, required=True)
     q.add_argument("--U", type=float, required=True)
     q.add_argument("--n", type=int, default=None, help="sector (all when omitted)")
     q.add_argument("--mode", choices=["full", "lowest"], default="full")
@@ -238,26 +246,26 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_ed)
 
     q = sub.add_parser("reality-threshold", help="smallest U with an all-real spectrum")
-    q.add_argument("--L", type=int, required=True)
+    q.add_argument("--L", type=sites, required=True)
     q.add_argument("--tol", type=float, default=1e-8)
     q.add_argument("--bracket", default="2.5,3.45")
     q.add_argument("--heavy", action="store_true")
     q.set_defaults(func=cmd_reality_threshold)
 
     q = sub.add_parser("symmetry-check", help="spectral relations between H(U) and H(-U)")
-    q.add_argument("--L", type=int, required=True)
+    q.add_argument("--L", type=sites, required=True)
     q.add_argument("--U", type=float, required=True)
     q.set_defaults(func=cmd_symmetry_check)
 
     q = sub.add_parser("bethe-solve", help="real logarithmic-form solve")
-    q.add_argument("--L", type=int, required=True)
+    q.add_argument("--L", type=sites, required=True)
     q.add_argument("--n", type=int, default=0)
     q.add_argument("--U", type=float, required=True)
     q.add_argument("--Q", default=None, help="comma-separated branch numbers")
     q.set_defaults(func=cmd_bethe_solve)
 
     q = sub.add_parser("roots", help="root pattern with two-string classification")
-    q.add_argument("--L", type=int, required=True)
+    q.add_argument("--L", type=sites, required=True)
     q.add_argument("--U", type=float, required=True)
     q.add_argument("--n", type=int, default=0)
     q.add_argument("--mode", choices=["auto", "log", "continue"], default="auto")
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_fit_threshold)
 
     q = sub.add_parser("aba-verify", help="eigenvector-construction consistency checks")
-    q.add_argument("--L", type=int, default=4)
+    q.add_argument("--L", type=sites, default=4)
     q.add_argument("--U", type=float, default=5.0)
     q.add_argument("--m", type=int, default=2)
     q.add_argument("--seed", type=int, default=11)

@@ -47,6 +47,8 @@ _E_MINUS = np.exp(-1j * np.pi / 6)
 
 DENSE_LIMIT = 20000
 _DENSE_EIG_CUTOFF = 900  # dims above this use ARPACK in "lowest" mode
+_REAL_TOL = 1e-8  # |Im E| <= _REAL_TOL max(1, |Re E|) marks a reported level real
+_LEVELS = 8  # levels per sector behind the ground state and the first excitation
 
 
 # the U-independent hopping part of the bond and its on-site U/2 term
@@ -130,12 +132,14 @@ class LatticeOperator:
 
 
 class _ChainHamiltonian(LatticeOperator):
-    """H(U) on one sector (`build_hamiltonian`); `matrix` is built on first read.
+    """H(U) on one sector (`build_hamiltonian`); the CSR `matrix` is built on
+    first read, in every sector.
 
     `real_blocks` is the one place that decides where H(U)'s blocks come
     from: for a sector of at most _DENSE_EIG_CUTOFF states, dense block m is
     the kept B_m(0) plus (U/2) C_m on its diagonal (`_kept_blocks`), so a
-    new U costs one diagonal add; other blocks come from the CSR matrix.
+    new U costs one diagonal add and never reads `matrix`; other blocks come
+    from the CSR matrix.
     """
 
     def __init__(self, U: float, sector: SectorBasis):
@@ -179,16 +183,13 @@ def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
     """H(U) restricted to the magnetization-n sector, periodic boundaries.
 
-    A sector of at most _DENSE_EIG_CUTOFF states builds its CSR matrix only
-    when `matrix` is read, since its real blocks come from `_kept_blocks`;
-    a larger one is solved from the matrix, which is built here.
+    Nothing is built here beyond the sector basis: the CSR matrix is built
+    when `matrix` is first read, which a sector of at most _DENSE_EIG_CUTOFF
+    states never needs for its spectrum (`_ChainHamiltonian.real_blocks`).
     """
     if L < 2:
         raise ValueError("need at least two sites")
-    op = _ChainHamiltonian(U, sector_basis(L, n))
-    if op.dim > _DENSE_EIG_CUTOFF:
-        op.matrix
-    return op
+    return _ChainHamiltonian(U, sector_basis(L, n))
 
 
 def _shift_targets(basis: SectorBasis) -> np.ndarray:
@@ -354,10 +355,10 @@ class SpectrumReport:
         return float(np.min(reals.real))
 
 
-def _make_report(basis: SectorBasis, vals: np.ndarray, method: str, real_tol: float) -> SpectrumReport:
+def _make_report(basis: SectorBasis, vals: np.ndarray, method: str) -> SpectrumReport:
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    return SpectrumReport(basis.L, basis.n, vals, _is_real(vals, real_tol), method)
+    return SpectrumReport(basis.L, basis.n, vals, _is_real(vals, _REAL_TOL), method)
 
 
 def _is_real(vals: np.ndarray, real_tol: float) -> np.ndarray:
@@ -379,34 +380,23 @@ def _real_blocks(op: LatticeOperator, sparse: bool = False):
     Block m comes from H's columns at the orbit representatives alone,
     H_m[r', r] = sqrt(p_r / p_r') sum over s = T^l r' of H[s, r] conj(w^(m l)),
     made real by W_m (`_orbits`), and is summed by one bincount (dense
-    arrays) or one COO sum (CSR when `sparse`).  Raises a ValueError unless
-    H commutes with the shift and P H P = conj(H).
+    arrays) or one COO sum (CSR when `sparse`); the columns are one CSR
+    slice of H.  Raises a ValueError unless H commutes with the shift S, by
+    the largest entry of the sparse commutator H S - S H, and unless
+    P H P = conj(H).
     """
     basis, H, L = op.sector, op.matrix, op.sector.L
     if not H.has_canonical_format:
         H = H.copy()
         H.sum_duplicates()
-    orb, dim, nnz = _orbits(L, basis.n), basis.dim, H.nnz
-    # max |H S - S H| over the stored entries and their translates (S the shift):
-    # each entry against the translate it lands on, and entries no translate lands on
-    row = np.repeat(np.arange(dim), np.diff(H.indptr))
-    key = np.append(row * dim + H.indices, dim * dim)  # row-major, so sorted; one sentinel
-    target = orb.step[row] * dim + orb.step[H.indices]
-    hit = np.searchsorted(key, target)
-    found = key[hit] == target
-    orphans = np.ones(nnz, dtype=bool)
-    orphans[hit[found]] = False
     tol = 1e-12 * max(1.0, np.abs(H.data).max(initial=0.0))
-    data = np.append(H.data, 0)
-    defect = max(np.abs(data[np.where(found, hit, nnz)] - H.data).max(initial=0.0),
-                 np.abs(H.data[orphans]).max(initial=0.0))
-    if defect > tol:
+    S = shift_operator(L, basis.n)
+    if abs(H @ S - S @ H).max() > tol:
         raise ValueError("momentum blocks need an operator that commutes with the shift")
-    slot = np.full(dim, -1)
-    slot[orb.states] = np.arange(len(orb.states))
-    pos = np.nonzero(slot[H.indices] >= 0)[0]
-    r, rp, l = slot[H.indices[pos]], orb.rep[row[pos]], orb.shift[row[pos]]  # H[T^l r', r]
-    h, z = H.data[pos] * np.sqrt(orb.period[r] / orb.period[rp]), _half_turn_roots(L)
+    orb = _orbits(L, basis.n)
+    cols = H[:, orb.states].tocoo()
+    r, rp, l = cols.col, orb.rep[cols.row], orb.shift[cols.row]  # H[T^l r', r]
+    h, z = cols.data * np.sqrt(orb.period[r] / orb.period[rp]), _half_turn_roots(L)
     for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
         d = np.count_nonzero(col >= 0)
         on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
@@ -429,12 +419,7 @@ def _real_blocks(op: LatticeOperator, sparse: bool = False):
         yield B
 
 
-def diagonalize(
-    op: LatticeOperator,
-    mode: str = "full",
-    k: int = 6,
-    real_tol: float = 1e-8,
-) -> SpectrumReport:
+def diagonalize(op: LatticeOperator, mode: str = "full", k: int = 6) -> SpectrumReport:
     """Eigenvalues of a (generally non-Hermitian) sector operator.
 
     Every solve runs on the real momentum blocks (`momentum_blocks`), so the
@@ -455,7 +440,7 @@ def diagonalize(
     method = "dense"
     if mode == "lowest" and op.dim > max(_DENSE_EIG_CUTOFF, 3 * k + 2):
         try:
-            return _lowest_arpack(op, k, real_tol)
+            return _lowest_arpack(op, k)
         except ConvergenceFailure:
             if op.dim > DENSE_LIMIT:
                 raise
@@ -463,10 +448,10 @@ def diagonalize(
     vals = np.concatenate([eig(B, right=False) for B in op.real_blocks() if len(B)])
     if mode == "lowest":
         vals = vals[np.argsort(vals.real)][:k]
-    return _make_report(op.sector, vals, method, real_tol)
+    return _make_report(op.sector, vals, method)
 
 
-def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumReport:
+def _lowest_arpack(op: LatticeOperator, k: int) -> SpectrumReport:
     """ARPACK's real nonsymmetric mode on the direct sum of the real momentum
     blocks, assembled sparse; eigenvectors mapped back by Q_m, residuals against H."""
     D, A = op.dim, op.matrix
@@ -485,42 +470,42 @@ def _lowest_arpack(op: LatticeOperator, k: int, real_tol: float) -> SpectrumRepo
         vecs = sum(Qm @ y for Qm, y in zip(Q, parts))
         res = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
         if np.all(res <= 1e-9 * max(1.0, spla.norm(A, np.inf))):
-            return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})", real_tol)
+            return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})")
         attempts.append(f"SR ncv={ncv}: residual {np.max(res):.2e}")
     raise ConvergenceFailure(
         f"lowest-eigenvalue iteration failed for dim {D}", diagnostics={"attempts": attempts}
     )
 
 
-def lowest_per_sector(U: float, L: int, k: int = 6) -> dict[int, SpectrumReport]:
-    """k lowest (by real part) eigenvalues per sector; mirrors n < 0 from n > 0.
+def lowest_per_sector(U: float, L: int) -> dict[int, SpectrumReport]:
+    """_LEVELS lowest (by real part) eigenvalues per sector; mirrors n < 0 from n > 0.
 
     The +-n spectra coincide (checked directly at small L by the test
     suite), so only n >= 0 is diagonalized.
     """
-    reports = {n: diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=k)
+    reports = {n: diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=_LEVELS)
                for n in range(L + 1)}
     return reports | {-n: reports[n] for n in range(1, L + 1)}
 
 
 @lru_cache(maxsize=512)
-def _lowest_levels(U: float, L: int, k: int) -> np.ndarray:
-    """Sorted real parts of the k lowest levels of every sector; read-only."""
-    reports = lowest_per_sector(U, L, k=k)
+def _lowest_levels(U: float, L: int) -> np.ndarray:
+    """Sorted real parts of the _LEVELS lowest levels of every sector; read-only."""
+    reports = lowest_per_sector(U, L)
     vals = np.sort(np.concatenate([r.eigenvalues.real for r in reports.values()]))
     vals.setflags(write=False)
     return vals
 
 
-def ground_state_energy(U: float, L: int, k: int = 6) -> float:
+def ground_state_energy(U: float, L: int) -> float:
     """Smallest real part over all magnetization sectors."""
-    return float(_lowest_levels(U, L, k)[0])
+    return float(_lowest_levels(U, L)[0])
 
 
 def lowest_two_energies(U: float, L: int):
     """(E0, E1): ground energy and the next level across sectors that lies
-    more than 1e-9 (relative) above it, from the 8 lowest of each sector."""
-    vals = _lowest_levels(U, L, 8)
+    more than 1e-9 (relative) above it, from the _LEVELS lowest of each sector."""
+    vals = _lowest_levels(U, L)
     e0 = vals[0]
     above = vals[vals > e0 + 1e-9 * max(1.0, abs(e0))]
     if len(above) == 0:
@@ -615,6 +600,6 @@ def sector_1_lowest(U: float, L: int) -> float:
 
 def f0_per_site(U: float, L: int) -> float:
     """Per-site defect of the ground-state reflection relation."""
-    e0p = ground_state_energy(U, L, k=8)
-    e0m = ground_state_energy(-U, L, k=8)
+    e0p = ground_state_energy(U, L)
+    e0m = ground_state_energy(-U, L)
     return (e0p - e0m - U * L / 2.0) / L

@@ -57,6 +57,29 @@ def test_format_option_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["ed", "--L", "-3", "--U", "1"],
+    ["reality-threshold", "--L", "0"],
+    ["symmetry-check", "--L", "-2", "--U", "1"],
+    ["bethe-solve", "--L", "0", "--U", "5"],
+    ["roots", "--L", "0", "--U", "5"],
+    ["aba-verify", "--L", "0", "--m", "0"],
+])
+def test_chain_length_below_one_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "need at least one site" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["ed", "--L", "1", "--U", "1"], ["reality-threshold", "--L", "1"]])
+def test_two_site_commands_refuse_one_site(argv, capsys):
+    assert main(argv) == 2
+    assert "need at least two sites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["ybe-check", "--samples", "2"],
     ["density-profile", "--U", "4", "--N", "256"],
 ])

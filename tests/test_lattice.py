@@ -242,6 +242,8 @@ def test_blocks_kept_for_dense_sectors_only():
     lattice._kept_blocks.cache_clear()
     for n in range(L + 1):
         op = build_hamiltonian(1.0, L, n)
+        # every sector builds its CSR matrix on first read only
+        assert "matrix" not in vars(op)
         diagonalize(op, mode="lowest", k=6)
         # a kept sector is solved without its CSR matrix
         assert ("matrix" in vars(op)) == (op.dim > lattice._DENSE_EIG_CUTOFF)
@@ -287,7 +289,7 @@ def test_table_energies_share_one_sector_solve(monkeypatch):
 
     monkeypatch.setattr(lattice, "lowest_per_sector", counted)
     e0, _ = lattice.lowest_two_energies(1.0, 4)
-    assert lattice.ground_state_energy(1.0, 4, k=8) == e0
+    assert lattice.ground_state_energy(1.0, 4) == e0
     assert len(calls) == 1
 
 
