@@ -24,7 +24,7 @@ import numpy as np
 
 from . import curve as curve_mod
 from . import thermo
-from .curve import SQRT3, U_CRITICAL, CurveParams, CurvePoint, zw_map
+from .curve import SQRT3, CurveParams, CurvePoint, critical_side, zw_map
 from .errors import (
     JacobianSingular,
     NoConvergence,
@@ -114,23 +114,24 @@ def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
 # real logarithmic form
 
 
+def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float):
+    """Pair phase arctan[(s_a - s_b) / D] with D = sqrt(3)(s_a + s_b) - U, rows a and
+    columns b, and its s_a-derivative kern = (2 sqrt(3) s_b - U) / [(s_a - s_b)^2 + D^2].
+    For sa = sb that denominator is symmetric bit for bit, so -kern.T is the s_b-derivative."""
+    num = sa[:, None] - sb[None, :]
+    den = SQRT3 * (sa[:, None] + sb[None, :]) - U
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arctan(num / den), (2 * SQRT3 * sb - U) / (num * num + den * den)
+
+
 def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarray):
     s = np.sin(k - np.pi / 6)
     c = np.cos(k - np.pi / 6)
-    Nm = s[:, None] - s[None, :]
-    Dm = SQRT3 * (s[:, None] + s[None, :]) - U
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at = np.arctan(Nm / Dm)
+    at, kern = _phase_kernel(s, s, U)
     np.fill_diagonal(at, 0.0)
+    np.fill_diagonal(kern, 0.0)
     g = L * k - 2 * np.pi * Q - 2 * at.sum(axis=1)
-    den = Nm * Nm + Dm * Dm
-    np.fill_diagonal(den, 1.0)
-    kern_j = (2 * SQRT3 * s[None, :] - U) / den
-    np.fill_diagonal(kern_j, 0.0)
-    J = np.diag(L - 2 * c * kern_j.sum(axis=1))
-    kern_i = (2 * SQRT3 * s[:, None] - U) / den
-    np.fill_diagonal(kern_i, 0.0)
-    J = J + 2 * c[None, :] * kern_i
+    J = np.diag(L - 2 * c * kern.sum(axis=1)) + 2 * c[None, :] * kern.T
     return g, J
 
 
@@ -143,11 +144,9 @@ def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
 
     whose derivative is the right side of the sigma equation in `thermo`.
     """
-    sk = np.sin(k - np.pi / 6)[:, None]
-    num, den = sk - s, SQRT3 * (sk + s) - U
-    Z = k / (2 * np.pi) - np.arctan(num / den) @ ws / np.pi
-    kernel = (U - 2 * SQRT3 * s) / (num * num + den * den)  # the sigma kernel
-    return Z, (1.0 + 2 * np.cos(k - np.pi / 6) * (kernel @ ws)) / (2 * np.pi)
+    at, kern = _phase_kernel(np.sin(k - np.pi / 6), s, U)  # -kern is the sigma kernel
+    Z = k / (2 * np.pi) - at @ ws / np.pi
+    return Z, (1.0 - 2 * np.cos(k - np.pi / 6) * (kern @ ws)) / (2 * np.pi)
 
 
 @lru_cache(maxsize=64)
@@ -171,15 +170,15 @@ def _counting_table(U: float):
 
 
 def _log_form_start(L: int, U: float, Q: np.ndarray) -> np.ndarray:
-    """Newton's start k_j = Z^{-1}(Q_j / L) for U >= 2 sqrt(3); the free momenta
-    2 pi Q_j / L below, where the density does not exist.
+    """Newton's start k_j = Z^{-1}(Q_j / L) for U >= 2 sqrt(3), down to 1e-12 below
+    it; the free momenta 2 pi Q_j / L further below, where the density does not exist.
 
     The table inverse is refined by two Newton steps on Z with Z' = sigma,
     each kept only for the roots whose |Z - Q/L| it lowers: next to the
     singular point of the critical kernel the quadrature of Z is poor, and a
     step there need not bring a root closer.
     """
-    if U < U_CRITICAL:
+    if critical_side(U) < 0:
         return (2 * np.pi / L) * Q
     t, Ztab, s, ws = _counting_table(U)
     q = Q / L
@@ -200,11 +199,11 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     """Real momenta from the logarithmic equations by damped Newton, stopped
     once a step falls below 1e-13.
 
-    For U >= 2*sqrt(3) Newton starts at the roots of the bulk counting
-    function, Z(k_j) = Q_j / L (`_log_form_start`).  Finite-size corrections
-    fall off exponentially in the massive phase, so at U >= 4 and L >= 256
-    that start is within rounding of the roots.  Below 2*sqrt(3) Newton
-    starts from the free momenta k_j = 2 pi Q_j / L.
+    For U >= 2*sqrt(3), down to 1e-12 below it, Newton starts at the roots
+    of the bulk counting function, Z(k_j) = Q_j / L (`_log_form_start`).
+    Finite-size corrections fall off exponentially in the massive phase, so
+    at U >= 4 and L >= 256 that start is within rounding of the roots.
+    Further below, Newton starts from the free momenta k_j = 2 pi Q_j / L.
 
     Each point is evaluated once: an accepted line-search trial brings its
     residual and Jacobian along, and a trial that rounds back to k ends the
@@ -562,11 +561,6 @@ def classify_roots(rs: BetheRootSet) -> RootClassification:
             used[i] = True
             unpaired.append(k)
     return RootClassification(reals, strings, unpaired)
-
-
-def string_bound_check(U: float) -> bool:
-    """True iff U lies at or below the string-forming bound 2*sqrt(3)."""
-    return U <= U_CRITICAL + 1e-12
 
 
 def curve_points_for_roots(rs: BetheRootSet) -> list[CurvePoint]:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import aba, bethe, lattice, refdata, tables, thermo
-from .curve import SQRT3, U_CRITICAL, CurveParams, CurvePoint, sample_points
+from .curve import SQRT3, U_CRITICAL, CurveParams, CurvePoint, critical_side, sample_points
 from .errors import (
     BracketInvalid,
     Genus5Error,
@@ -129,7 +129,7 @@ def cmd_bethe_solve(args):
 def cmd_roots(args):
     mode = args.mode
     if mode == "auto":
-        mode = "log" if args.U >= U_CRITICAL - 1e-12 else "continue"
+        mode = "log" if critical_side(args.U) >= 0 else "continue"
     if mode == "log":
         rs = bethe.solve_log_form(args.L, args.n, args.U)
     else:
@@ -223,6 +223,23 @@ def sites(text: str) -> int:
     return L
 
 
+def samples(text: str) -> int:
+    """A sample count `--samples`: refused below one as a usage error (exit 2),
+    since a check over no samples passes without testing anything."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least one sample, got {n}")
+    return n
+
+
+def coupling(text: str) -> float:
+    """A coupling `--U` or `--u-start`: refused unless finite, as a usage error (exit 2)."""
+    U = float(text)
+    if not np.isfinite(U):
+        raise argparse.ArgumentTypeError(f"need a finite coupling, got {text}")
+    return U
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="genus5",
@@ -231,15 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("ybe-check", help="Yang-Baxter residual over random on-curve triples")
-    q.add_argument("--U", type=float, default=5.0)
+    q.add_argument("--U", type=coupling, default=5.0)
     q.add_argument("--eps-sign", dest="eps_sign", choices=["plus", "minus"], default="plus")
-    q.add_argument("--samples", type=int, default=50)
+    q.add_argument("--samples", type=samples, default=50)
     q.add_argument("--seed", type=int, default=7)
     q.set_defaults(func=cmd_ybe_check)
 
     q = sub.add_parser("ed", help="exact diagonalization of the chain")
     q.add_argument("--L", type=sites, required=True)
-    q.add_argument("--U", type=float, required=True)
+    q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--n", type=int, default=None, help="sector (all when omitted)")
     q.add_argument("--mode", choices=["full", "lowest"], default="full")
     q.add_argument("--k", type=int, default=6)
@@ -254,38 +271,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("symmetry-check", help="spectral relations between H(U) and H(-U)")
     q.add_argument("--L", type=sites, required=True)
-    q.add_argument("--U", type=float, required=True)
+    q.add_argument("--U", type=coupling, required=True)
     q.set_defaults(func=cmd_symmetry_check)
 
     q = sub.add_parser("bethe-solve", help="real logarithmic-form solve")
     q.add_argument("--L", type=sites, required=True)
     q.add_argument("--n", type=int, default=0)
-    q.add_argument("--U", type=float, required=True)
+    q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--Q", default=None, help="comma-separated branch numbers")
     q.set_defaults(func=cmd_bethe_solve)
 
     q = sub.add_parser("roots", help="root pattern with two-string classification")
     q.add_argument("--L", type=sites, required=True)
-    q.add_argument("--U", type=float, required=True)
+    q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--n", type=int, default=0)
     q.add_argument("--mode", choices=["auto", "log", "continue"], default="auto")
-    q.add_argument("--u-start", dest="u_start", type=float, default=5.0)
+    q.add_argument("--u-start", dest="u_start", type=coupling, default=5.0)
     q.set_defaults(func=cmd_roots)
 
     q = sub.add_parser("thermo", help="bulk ground-state energy from the density equation")
-    q.add_argument("--U", type=float, required=True)
+    q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--N", type=int, default=2048)
     q.add_argument("--k0", type=float, default=-np.pi)
     q.set_defaults(func=cmd_thermo)
 
     q = sub.add_parser("gap", help="mass gap with back-flow verification")
-    q.add_argument("--U", type=float, required=True)
+    q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--N", type=int, default=1024)
     q.add_argument("--k0", type=float, default=-np.pi)
     q.set_defaults(func=cmd_gap)
 
     q = sub.add_parser("density-profile", help="CSV of the root density sigma(k)")
-    q.add_argument("--U", type=float, required=True)
+    q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--N", type=int, default=2048)
     q.add_argument("--k0", type=float, default=-np.pi)
     q.set_defaults(func=cmd_density_profile)
@@ -304,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("aba-verify", help="eigenvector-construction consistency checks")
     q.add_argument("--L", type=sites, default=4)
-    q.add_argument("--U", type=float, default=5.0)
+    q.add_argument("--U", type=coupling, default=5.0)
     q.add_argument("--m", type=int, default=2)
     q.add_argument("--seed", type=int, default=11)
     q.set_defaults(func=cmd_aba_verify)

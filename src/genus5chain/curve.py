@@ -156,12 +156,17 @@ def cubic_factor_residuals(x: complex, y: complex, params: CurveParams) -> tuple
     Defined at the degeneration coupling U = 2*sqrt(3), where the full
     curve polynomial factorizes as C = C+ * C- (unit cofactor).
     """
-    if abs(params.U - U_CRITICAL) > 1e-12:
+    if critical_side(params.U) != 0:
         raise WrongCoupling(f"factorization requires U = 2*sqrt(3), got U={params.U}")
     eps = params.eps
     cp = x**3 + eps * x * x * y + eps * x * y * y - y**3 / eps - x + y
     cm = x**3 - eps * x * x * y + eps * x * y * y + y**3 / eps + x + y
     return cp, cm
+
+
+def critical_side(U: float) -> int:
+    """-1 below the degeneration coupling 2*sqrt(3), 0 within 1e-12 of it, +1 above (NaN: -1)."""
+    return 0 if abs(U - U_CRITICAL) <= 1e-12 else (1 if U > U_CRITICAL else -1)
 
 
 def critical_couplings() -> tuple[float, float]:

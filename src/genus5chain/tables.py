@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bethe, lattice, refdata, thermo
-from .curve import U_CRITICAL
+from .curve import critical_side
 from .errors import InsufficientData
 
 
@@ -81,7 +81,7 @@ def _table2(heavy: bool):
     def energy_per_site(u, L):
         if L == "bulk":
             # the critical kernel converges slowly near its pole
-            return thermo.bulk_energy(thermo.solve_sigma(u, N=8192 if u == U_CRITICAL else 2048))
+            return thermo.bulk_energy(thermo.solve_sigma(u, N=2048 if critical_side(u) else 8192))
         return bethe.energy(bethe.solve_log_form(L, 0, u)) / L
 
     sizes = [8, 12, 16, 24, 64] + ([128, 256, 516, 1024] if heavy else []) + ["bulk"]

@@ -1,4 +1,4 @@
-"""Thermodynamic-limit root density, bulk energy and mass gap for U >= 2*sqrt(3).
+"""Bulk root density, energy and mass gap for U >= 2*sqrt(3), as `curve.critical_side` decides.
 
 With s = sin(k - pi/6) and D(s, s') = 1 / [(s - s')^2 + (U - sqrt(3)(s + s'))^2],
 the ground-state density sigma(k) on a period [k0, k0 + 2 pi] solves
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import SQRT3, U_CRITICAL
+from .curve import SQRT3, critical_side
 from .errors import KernelSingular, NoConvergence
 
 # the sigma-kernel denominator vanishes only at k = k' = K_SINGULAR when
@@ -115,11 +115,11 @@ def solve_sigma(U: float, N: int = 2048, k0: float = -np.pi) -> DensityGrid:
     """Root density by fixed-point iteration with Anderson mixing over the
     last five iterates, until an update moves it by less than 1e-13.
 
-    Valid for U >= 2*sqrt(3).  The normalization of the result is checked
-    by the caller (it is not imposed); iteration starts from the uniform
-    density 1/(2 pi).
+    Valid for U >= 2*sqrt(3), down to 1e-12 below it.  The normalization
+    of the result is checked by the caller (it is not imposed); iteration
+    starts from the uniform density 1/(2 pi).
     """
-    if U < U_CRITICAL - 1e-12:
+    if critical_side(U) < 0:
         raise ValueError(f"density equation requires U >= 2*sqrt(3), got U={U}")
     nodes, w, pair = _grid(U, N, k0)
     s = np.bincount(pair, np.sin(nodes - np.pi / 6)) / np.bincount(pair)
@@ -165,9 +165,9 @@ def solve_rho(U: float, N: int = 1024, k0: float = -np.pi) -> tuple[DensityGrid,
     falls below 1e-12 or an update moves it by less than 1e-13.  The unit
     start is annihilated in one step, so it cannot show that the operator
     squares to zero; the defect checks that on a seeded random vector with
-    two matrix-vector products.
+    two matrix-vector products.  Refuses U within 1e-12 above 2*sqrt(3) too.
     """
-    if U <= U_CRITICAL:
+    if critical_side(U) <= 0:
         raise ValueError(f"back-flow equation requires U > 2*sqrt(3), got U={U}")
     nodes, w, _ = _grid(U, N, k0)
     s = np.sin(nodes - np.pi / 6)
@@ -200,13 +200,13 @@ def gap(U: float, N: int = 1024, k0: float = -np.pi) -> GapEstimate:
 
     The back-flow integral is evaluated from the solved rho; with the
     collapse rho -> 0 the value reduces to U/2 - sqrt(3).  The nilpotency
-    defect of the back-flow operator checks that the collapse is exact.  At
-    the critical coupling itself the homogeneous solve is skipped and the
-    boundary value 0 is returned.
+    defect of the back-flow operator checks that the collapse is exact.
+    Within 1e-12 of the critical coupling the homogeneous solve is skipped
+    and the boundary value 0 is returned.
     """
-    if U < U_CRITICAL - 1e-12:
+    if critical_side(U) < 0:
         raise ValueError(f"gap formula requires U >= 2*sqrt(3), got U={U}")
-    if abs(U - U_CRITICAL) < 1e-12:
+    if critical_side(U) == 0:
         return GapEstimate(0.0, 0.0, 0.0, U)
     grid, defect = solve_rho(U, N=N, k0=k0)
     backflow = 2.0 * np.sum(np.sin(grid.nodes + np.pi / 6) * grid.values * grid.weights)

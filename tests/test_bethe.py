@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from genus5chain import bethe, lattice, refdata
 from genus5chain.bethe import (
     BetheRootSet,
-    U_CRITICAL,
     bethe_defect,
     bethe_defect_z,
     classify_roots,
@@ -18,10 +17,16 @@ from genus5chain.bethe import (
     ground_state_quantum_numbers,
     solve_complex,
     solve_log_form,
-    string_bound_check,
     track_state,
 )
-from genus5chain.curve import CurveParams, CurvePoint, sample_points
+from genus5chain.curve import (
+    SQRT3,
+    U_CRITICAL,
+    CurveParams,
+    CurvePoint,
+    critical_side,
+    sample_points,
+)
 from genus5chain.errors import (
     Genus5Error,
     JacobianSingular,
@@ -266,6 +271,81 @@ def test_log_form_critical_coupling_from_seed(monkeypatch):
     assert abs(energy(rs) / 1024 - refdata.TABLE2_ENERGY["2sqrt3"][1024]) < 1e-9
 
 
+def test_log_form_just_below_critical_coupling_from_seed(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    rs = solve_log_form(512, 0, U_CRITICAL - 5e-13)
+    # 219-302 evaluations from the free momenta 2 pi Q / L, by BLAS thread count
+    assert len(calls) <= 15
+    assert np.max(np.abs(rs.roots - solve_log_form(512, 0, U_CRITICAL).roots)) < 1e-10
+
+
+# The log-form residual and Jacobian and the counting function with the pair
+# phase and its kernel written out in each, kept as references for the shared
+# `bethe._phase_kernel`.
+
+
+def _ref_log_form_residual_and_jacobian(k, L, U, Q):
+    s = np.sin(k - np.pi / 6)
+    c = np.cos(k - np.pi / 6)
+    Nm = s[:, None] - s[None, :]
+    Dm = SQRT3 * (s[:, None] + s[None, :]) - U
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = np.arctan(Nm / Dm)
+    np.fill_diagonal(at, 0.0)
+    g = L * k - 2 * np.pi * Q - 2 * at.sum(axis=1)
+    den = Nm * Nm + Dm * Dm
+    np.fill_diagonal(den, 1.0)
+    kern_j = (2 * SQRT3 * s[None, :] - U) / den
+    np.fill_diagonal(kern_j, 0.0)
+    J = np.diag(L - 2 * c * kern_j.sum(axis=1))
+    kern_i = (2 * SQRT3 * s[:, None] - U) / den
+    np.fill_diagonal(kern_i, 0.0)
+    J = J + 2 * c[None, :] * kern_i
+    return g, J
+
+
+def _ref_counting_function(k, U, s, ws):
+    sk = np.sin(k - np.pi / 6)[:, None]
+    num, den = sk - s, SQRT3 * (sk + s) - U
+    Z = k / (2 * np.pi) - np.arctan(num / den) @ ws / np.pi
+    kernel = (U - 2 * SQRT3 * s) / (num * num + den * den)
+    return Z, (1.0 + 2 * np.cos(k - np.pi / 6) * (kernel @ ws)) / (2 * np.pi)
+
+
+def _same_bits(new, ref):
+    """Both functions return two arrays; a repeated momentum gives NaN in both."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(new, ref))
+
+
+_couplings = st.one_of(st.just(U_CRITICAL), st.floats(0.0, 8.0))
+_angles = st.floats(-np.pi, np.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.lists(_angles, min_size=1, max_size=80), n=st.integers(0, 64), U=_couplings)
+@example(k=[0.0, 2 * np.pi / 3, 2 * np.pi / 3 + 1e-9, 0.0], n=0, U=U_CRITICAL)
+def test_log_form_kernel_matches_reference_bits(k, n, U):
+    k = np.array(k)
+    Q = np.arange(len(k)) - (len(k) - 1) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new = bethe._log_form_residual_and_jacobian(k, len(k) + n, U, Q)
+        ref = _ref_log_form_residual_and_jacobian(k, len(k) + n, U, Q)
+    assert _same_bits(new, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.lists(_angles, min_size=1, max_size=40), U=_couplings,
+       nodes=st.lists(st.tuples(_angles, st.floats(0.0, 0.05)), min_size=1, max_size=80))
+def test_counting_function_matches_reference_bits(k, U, nodes):
+    k = np.array(k)
+    s = np.sin(np.array([a for a, _ in nodes]) - np.pi / 6)
+    ws = np.array([w for _, w in nodes])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new = bethe._counting_function(k, U, s, ws)
+        ref = _ref_counting_function(k, U, s, ws)
+    assert _same_bits(new, ref)
+
+
 def test_energy_trivial_cases():
     assert energy(BetheRootSet(6, 6, 3.0, np.zeros(0, dtype=complex))) == 9.0
     one = BetheRootSet(6, 5, 3.0, np.zeros(1, dtype=complex))
@@ -389,10 +469,13 @@ def test_classify_trivial_patterns():
     assert cls2.n_strings == 1 and not cls2.reals
 
 
-def test_string_bound():
-    assert string_bound_check(3.0)
-    assert not string_bound_check(4.0)
-    assert string_bound_check(U_CRITICAL)
+def test_critical_side():
+    assert critical_side(3.0) == -1
+    assert critical_side(4.0) == 1
+    for d in (0.0, 5e-13, -5e-13):
+        assert critical_side(U_CRITICAL + d) == 0
+    assert critical_side(U_CRITICAL - 2e-12) == -1
+    assert critical_side(U_CRITICAL + 2e-12) == 1
 
 
 def test_eigenvalue_formula_vacuum(rng):

@@ -73,6 +73,37 @@ def test_chain_length_below_one_is_usage_error(argv, capsys):
     assert "need at least one site" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ybe-check", "--U", "nan"],
+    ["ed", "--L", "4", "--U", "nan"],
+    ["symmetry-check", "--L", "4", "--U", "nan"],
+    ["bethe-solve", "--L", "8", "--U", "nan"],
+    ["roots", "--L", "6", "--U", "nan"],
+    ["roots", "--L", "6", "--U", "inf"],
+    ["roots", "--L", "6", "--U", "3", "--u-start=-inf"],
+    ["thermo", "--U", "nan"],
+    ["gap", "--U", "inf"],
+    ["density-profile", "--U", "inf"],
+    ["aba-verify", "--U", "1e999"],
+])
+def test_non_finite_coupling_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "need a finite coupling" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_ybe_check_refuses_no_samples(count, capsys):
+    # a check over no samples would pass without testing anything
+    with pytest.raises(SystemExit) as exc:
+        main(["ybe-check", "--samples", count])
+    assert exc.value.code == 2
+    assert "need at least one sample" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["ed", "--L", "1", "--U", "1"], ["reality-threshold", "--L", "1"]])
 def test_two_site_commands_refuse_one_site(argv, capsys):
     assert main(argv) == 2

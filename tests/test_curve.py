@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,27 @@ def test_factorization_cofactor_is_unity(rng):
 def test_cubic_factors_require_critical_coupling():
     with pytest.raises(WrongCoupling):
         cubic_factor_residuals(1.0, 0.0, CurveParams(3.0))
+
+
+def _critical_comparisons(path):
+    """Lines of the comparisons in a module that have U_CRITICAL in an operand."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare) and any(
+            (isinstance(n, ast.Name) and n.id == "U_CRITICAL")
+            or (isinstance(n, ast.Attribute) and n.attr == "U_CRITICAL")
+            for n in ast.walk(node)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_curve_compares_with_the_critical_coupling():
+    # every other module asks `critical_side` which side of 2 sqrt(3) a coupling is on
+    package = Path(__file__).resolve().parents[1] / "src" / "genus5chain"
+    found = {p.name: _critical_comparisons(p) for p in sorted(package.glob("*.py"))}
+    assert found.pop("curve.py")  # the scan does see curve's own comparisons
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_critical_couplings_values():

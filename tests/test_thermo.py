@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from genus5chain import bethe, refdata, thermo
+from genus5chain.curve import U_CRITICAL
 from genus5chain.thermo import (
-    U_CRITICAL,
     bulk_energy,
     gap,
     kernel_F,
@@ -133,6 +133,13 @@ def test_gap_values():
     assert abs(gap(5.0).value - refdata.TABLE3_GAP["5"]["conjecture"]) < 1e-10
     assert abs(gap(4.0).value - refdata.TABLE3_GAP["4"]["conjecture"]) < 1e-10
     assert gap(U_CRITICAL).value == 0.0
+
+
+def test_rho_refuses_the_critical_window():
+    # gap takes U within 1e-12 of 2 sqrt(3) as critical and needs no rho there
+    with pytest.raises(ValueError):
+        solve_rho(U_CRITICAL + 5e-13)
+    assert gap(U_CRITICAL + 5e-13).value == 0.0
 
 
 def test_gap_reports_nilpotency_defect():
