@@ -232,12 +232,30 @@ def samples(text: str) -> int:
     return n
 
 
+def _finite(text: str, what: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"need a finite {what}, got {text}")
+    return x
+
+
 def coupling(text: str) -> float:
     """A coupling `--U` or `--u-start`: refused unless finite, as a usage error (exit 2)."""
-    U = float(text)
-    if not np.isfinite(U):
-        raise argparse.ArgumentTypeError(f"need a finite coupling, got {text}")
-    return U
+    return _finite(text, "coupling")
+
+
+def grid_start(text: str) -> float:
+    """A density-grid start `--k0`: refused unless finite, as a usage error (exit 2)."""
+    return _finite(text, "grid start")
+
+
+def tolerance(text: str) -> float:
+    """A reality tolerance `--tol`: refused unless finite and non-negative, as a
+    usage error (exit 2), so a bad value is not blamed on the bracket."""
+    tol = _finite(text, "tolerance")
+    if tol < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative tolerance, got {text}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("reality-threshold", help="smallest U with an all-real spectrum")
     q.add_argument("--L", type=sites, required=True)
-    q.add_argument("--tol", type=float, default=1e-8)
+    q.add_argument("--tol", type=tolerance, default=1e-8)
     q.add_argument("--bracket", default="2.5,3.45")
     q.add_argument("--heavy", action="store_true")
     q.set_defaults(func=cmd_reality_threshold)
@@ -292,19 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("thermo", help="bulk ground-state energy from the density equation")
     q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--N", type=int, default=2048)
-    q.add_argument("--k0", type=float, default=-np.pi)
+    q.add_argument("--k0", type=grid_start, default=-np.pi)
     q.set_defaults(func=cmd_thermo)
 
     q = sub.add_parser("gap", help="mass gap with back-flow verification")
     q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--N", type=int, default=1024)
-    q.add_argument("--k0", type=float, default=-np.pi)
+    q.add_argument("--k0", type=grid_start, default=-np.pi)
     q.set_defaults(func=cmd_gap)
 
     q = sub.add_parser("density-profile", help="CSV of the root density sigma(k)")
     q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--N", type=int, default=2048)
-    q.add_argument("--k0", type=float, default=-np.pi)
+    q.add_argument("--k0", type=grid_start, default=-np.pi)
     q.set_defaults(func=cmd_density_profile)
 
     q = sub.add_parser("table", help="reproduce benchmark table k with deviations")

@@ -48,7 +48,7 @@ _E_MINUS = np.exp(-1j * np.pi / 6)
 DENSE_LIMIT = 20000
 _DENSE_EIG_CUTOFF = 900  # dims above this use ARPACK in "lowest" mode
 _REAL_TOL = 1e-8  # |Im E| <= _REAL_TOL max(1, |Re E|) marks a reported level real
-_LEVELS = 8  # levels per sector behind the ground state and the first excitation
+_LEVELS = 8  # levels solved in each sector that holds E0, to find the first excitation E1
 
 
 # the U-independent hopping part of the bond and its on-site U/2 term
@@ -477,40 +477,54 @@ def _lowest_arpack(op: LatticeOperator, k: int) -> SpectrumReport:
     )
 
 
-def lowest_per_sector(U: float, L: int) -> dict[int, SpectrumReport]:
-    """_LEVELS lowest (by real part) eigenvalues per sector; mirrors n < 0 from n > 0.
+def lowest_per_sector(U: float, L: int, k: int = _LEVELS) -> dict[int, SpectrumReport]:
+    """The k lowest (by real part) eigenvalues per sector; mirrors n < 0 from n > 0.
 
     The +-n spectra coincide (checked directly at small L by the test
-    suite), so only n >= 0 is diagonalized.
+    suite), so only n >= 0 is diagonalized.  Tables 4 and 5 ask for k = 1
+    (`_lowest_levels`): ARPACK converges its wanted levels together, so
+    each extra level costs restarts.
     """
-    reports = {n: diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=_LEVELS)
+    reports = {n: diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=k)
                for n in range(L + 1)}
     return reports | {-n: reports[n] for n in range(1, L + 1)}
 
 
 @lru_cache(maxsize=512)
 def _lowest_levels(U: float, L: int) -> np.ndarray:
-    """Sorted real parts of the _LEVELS lowest levels of every sector; read-only."""
-    reports = lowest_per_sector(U, L)
-    vals = np.sort(np.concatenate([r.eigenvalues.real for r in reports.values()]))
+    """Lowest real part of each sector n = 0 .. L, indexed by n; read-only."""
+    reports = lowest_per_sector(U, L, k=1)
+    vals = np.array([reports[n].eigenvalues.real.min() for n in range(L + 1)])
     vals.setflags(write=False)
     return vals
 
 
 def ground_state_energy(U: float, L: int) -> float:
-    """Smallest real part over all magnetization sectors."""
-    return float(_lowest_levels(U, L)[0])
+    """E0, the smallest real part over all magnetization sectors (tables 4 and
+    5), from each sector's lowest level alone."""
+    return float(_lowest_levels(U, L).min())
 
 
 def lowest_two_energies(U: float, L: int):
     """(E0, E1): ground energy and the next level across sectors that lies
-    more than 1e-9 (relative) above it, from the _LEVELS lowest of each sector."""
-    vals = _lowest_levels(U, L)
-    e0 = vals[0]
-    above = vals[vals > e0 + 1e-9 * max(1.0, abs(e0))]
+    more than 1e-9 (relative) above it (table 4).
+
+    E0 and every sector's lowest level come from `_lowest_levels`; only the
+    sectors whose lowest level lies within the window of E0 are solved again
+    for their _LEVELS lowest.  A sector's other levels lie at or above its
+    lowest, so E1 is the smallest level above the window among those levels
+    and the other sectors' lowest levels.
+    """
+    lows = _lowest_levels(U, L)
+    e0 = lows.min()
+    top = e0 + 1e-9 * max(1.0, abs(e0))
+    vals = np.concatenate([lows] + [
+        diagonalize(build_hamiltonian(U, L, int(n)), mode="lowest", k=_LEVELS).eigenvalues.real
+        for n in np.nonzero(lows <= top)[0]])
+    above = vals[vals > top]
     if len(above) == 0:
         raise ConvergenceFailure("no level above the ground state among the 8 lowest per sector")
-    return float(e0), float(above[0])
+    return float(e0), float(above.min())
 
 
 def spectrum_is_real(U: float, L: int, tol: float = 1e-8) -> bool:
@@ -593,8 +607,9 @@ def symmetry_check_neg_u(L: int, U: float) -> SymmetryReport:
 
 @lru_cache(maxsize=512)
 def sector_1_lowest(U: float, L: int) -> float:
-    """Lowest energy in the n = 1 sector (iterative for larger sizes)."""
-    rep = diagonalize(build_hamiltonian(U, L, 1), mode="lowest", k=6)
+    """Lowest energy in the n = 1 sector (the E1 relation), its only level
+    solved (iterative for larger sizes)."""
+    rep = diagonalize(build_hamiltonian(U, L, 1), mode="lowest", k=1)
     return float(rep.eigenvalues.real.min())
 
 

@@ -95,6 +95,39 @@ def test_non_finite_coupling_is_usage_error(argv, capsys):
     assert "need a finite coupling" in captured.err
 
 
+@pytest.mark.parametrize("command", ["thermo", "gap", "density-profile"])
+@pytest.mark.parametrize("k0", ["inf", "-inf", "nan"])
+def test_non_finite_grid_start_is_usage_error(command, k0, capsys):
+    # a non-finite --k0 used to reach thermo._grid (an OverflowError traceback for inf)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--U", "5", "--N", "256", f"--k0={k0}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --k0: need a finite grid start" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf"])
+def test_bad_reality_tolerance_is_usage_error(tol, capsys):
+    # these were refused as "predicate does not change sign", blaming the bracket
+    with pytest.raises(SystemExit) as exc:
+        main(["reality-threshold", "--L", "4", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    message = captured.err.strip().splitlines()[-1]  # the lines above are the usage
+    assert "argument --tol:" in message and "tolerance" in message
+    assert "bracket" not in message and "change sign" not in message
+
+
+def test_valid_reality_tolerance_keeps_output(capsys):
+    assert main(["reality-threshold", "--L", "4"]) == 0
+    default = capsys.readouterr().out
+    assert main(["reality-threshold", "--L", "4", "--tol", "1e-8"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["threshold"] == pytest.approx(2.99684, abs=1e-4)
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_ybe_check_refuses_no_samples(count, capsys):
     # a check over no samples would pass without testing anything

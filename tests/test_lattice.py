@@ -293,6 +293,48 @@ def test_table_energies_share_one_sector_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def _every_sector_pair(U, L):
+    """(E0, E1) by the rule with every sector n >= 0 solved for _LEVELS levels:
+    the smallest real part, and the smallest one more than 1e-9 (relative) above it."""
+    vals = np.sort(np.concatenate([
+        diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=lattice._LEVELS).eigenvalues.real
+        for n in range(L + 1)]))
+    return vals[0], vals[vals > vals[0] + 1e-9 * max(1.0, abs(vals[0]))][0]
+
+
+# table 4's couplings at the ARPACK sizes, and L = 9, U = -3, where E0 sits in n = +-1
+@pytest.mark.parametrize("L, U", [(L, refdata.u_value(key)) for L in (8, 9, 10)
+                                  for key in ("1", "3", "2", "0")] + [(9, -3.0)])
+def test_table_energies_match_every_sector_rule(L, U):
+    e0, e1 = _every_sector_pair(U, L)
+    got0, got1 = lattice.lowest_two_energies(U, L)
+    assert abs(got0 - e0) <= 1e-12 and abs(got1 - e1) <= 1e-12
+    assert abs(lattice.ground_state_energy(U, L) - e0) <= 1e-12
+    if U == -3.0:
+        assert np.argmin(lattice._lowest_levels(U, L)) == 1
+
+
+def test_lowest_two_energies_resolves_ground_sector_only(monkeypatch):
+    lattice._lowest_levels.cache_clear()
+    asked = []
+    solve = lattice.diagonalize
+
+    def spy(op, mode="full", k=6):
+        asked.append((op.sector.n, mode, k))
+        return solve(op, mode=mode, k=k)
+
+    monkeypatch.setattr(lattice, "diagonalize", spy)
+    lattice.lowest_two_energies(1.0, 10)
+    assert asked == [(n, "lowest", 1) for n in range(11)] + [(0, "lowest", lattice._LEVELS)]
+
+
+@pytest.mark.parametrize("U", [-2.0, 1.0, 2 * np.sqrt(3)])
+def test_sector_1_lowest_matches_six_level_solve(U):
+    six = diagonalize(build_hamiltonian(U, 10, 1), mode="lowest", k=6)
+    assert six.method.startswith("arpack")
+    assert abs(lattice.sector_1_lowest(U, 10) - six.eigenvalues.real.min()) <= 1e-12
+
+
 def test_magnetization_conserved_by_bond_terms():
     bond = lattice.bond_hamiltonian(1.3)
     spin = {0: 1, 1: 0, 2: -1}
