@@ -477,24 +477,22 @@ def _lowest_arpack(op: LatticeOperator, k: int) -> SpectrumReport:
     )
 
 
-def lowest_per_sector(U: float, L: int, k: int = _LEVELS) -> dict[int, SpectrumReport]:
-    """The k lowest (by real part) eigenvalues per sector; mirrors n < 0 from n > 0.
+def lowest_per_sector(U: float, L: int) -> np.ndarray:
+    """Lowest real part of each sector n = 0 .. L, indexed by n.
 
     The +-n spectra coincide (checked directly at small L by the test
-    suite), so only n >= 0 is diagonalized.  Tables 4 and 5 ask for k = 1
-    (`_lowest_levels`): ARPACK converges its wanted levels together, so
-    each extra level costs restarts.
+    suite), so only n >= 0 is diagonalized.  Each sector is asked for its
+    lowest level alone: ARPACK converges its wanted levels together, so each
+    extra level costs restarts.
     """
-    reports = {n: diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=k)
-               for n in range(L + 1)}
-    return reports | {-n: reports[n] for n in range(1, L + 1)}
+    return np.array([diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=1)
+                     .eigenvalues.real.min() for n in range(L + 1)])
 
 
 @lru_cache(maxsize=512)
 def _lowest_levels(U: float, L: int) -> np.ndarray:
-    """Lowest real part of each sector n = 0 .. L, indexed by n; read-only."""
-    reports = lowest_per_sector(U, L, k=1)
-    vals = np.array([reports[n].eigenvalues.real.min() for n in range(L + 1)])
+    """`lowest_per_sector`, solved once for tables 4 and 5; read-only."""
+    vals = lowest_per_sector(U, L)
     vals.setflags(write=False)
     return vals
 

@@ -302,9 +302,9 @@ def _every_sector_pair(U, L):
     return vals[0], vals[vals > vals[0] + 1e-9 * max(1.0, abs(vals[0]))][0]
 
 
-# table 4's couplings at the ARPACK sizes, and L = 9, U = -3, where E0 sits in n = +-1
-@pytest.mark.parametrize("L, U", [(L, refdata.u_value(key)) for L in (8, 9, 10)
-                                  for key in ("1", "3", "2", "0")] + [(9, -3.0)])
+# two of table 4's couplings at an ARPACK size, and L = 9, U = -3, where E0
+# sits in n = +-1; the table's other cells are checked against refdata
+@pytest.mark.parametrize("L, U", [(10, 1.0), (10, 0.0), (9, -3.0)])
 def test_table_energies_match_every_sector_rule(L, U):
     e0, e1 = _every_sector_pair(U, L)
     got0, got1 = lattice.lowest_two_energies(U, L)
