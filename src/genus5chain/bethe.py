@@ -341,8 +341,8 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
         with np.errstate(over="ignore", invalid="ignore"):
             return _cleared_defect(kk, L, U)
 
+    F, row_scale = cleared(k)
     for _ in range(150):
-        F, row_scale = cleared(k)
         r = float(np.max(np.abs(F) / row_scale)) if len(F) else 0.0
         if not np.all(np.isfinite(F)):
             raise NoConvergence("defect overflowed", last=k)
@@ -382,7 +382,7 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
             scale /= 2
         if not improved:
             raise NoConvergence(f"line search stalled at defect {r:.2e}", last=k, residual=r)
-        k = trial
+        k, F, row_scale = trial, Ft, st  # the accepted trial's defect is the next iterate's
     raise NoConvergence("complex Newton exceeded 150 iterations", last=k)
 
 

@@ -126,20 +126,28 @@ class LatticeOperator:
     def dim(self) -> int:
         return self.sector.dim
 
-    def real_blocks(self, sparse: bool = False):
-        """The real momentum blocks Q_mᴴ H Q_m, m = 0 .. L-1 (`_real_blocks`)."""
-        return _real_blocks(self, sparse)
+    def real_blocks(self):
+        """The dense real momentum blocks Q_mᴴ H Q_m, m = 0 .. L-1 (`_real_blocks`)."""
+        return _real_blocks(self)
+
+    def _real_sum(self) -> sp.csr_matrix:
+        """The direct sum of the real blocks as one CSR matrix, ARPACK's operator."""
+        return sp.block_diag(list(_real_blocks(self, sparse=True)), format="csr")
+
+    def _apply(self, V: np.ndarray) -> tuple[np.ndarray, float]:
+        """H V and the row-sum norm of H, for the residual check of `_lowest_arpack`."""
+        return self.matrix @ V, spla.norm(self.matrix, np.inf)
 
 
 class _ChainHamiltonian(LatticeOperator):
     """H(U) on one sector (`build_hamiltonian`); the CSR `matrix` is built on
-    first read, in every sector.
+    first read, in every sector, and no solve reads it.
 
-    `real_blocks` is the one place that decides where H(U)'s blocks come
-    from: for a sector of at most _DENSE_EIG_CUTOFF states, dense block m is
-    the kept B_m(0) plus (U/2) C_m on its diagonal (`_kept_blocks`), so a
-    new U costs one diagonal add and never reads `matrix`; other blocks come
-    from the CSR matrix.
+    The blocks come from one place, the sector's kept B_m(0) and on-site
+    counts C_m (`_kept_blocks`): block m of H(U) is B_m(0) + (U/2) diag(C_m),
+    dense blocks for `real_blocks` and their direct sum as one CSR matrix
+    for ARPACK.  The ARPACK residuals apply H(U) bond by bond on the codes
+    (`_apply_bonds`).
     """
 
     def __init__(self, U: float, sector: SectorBasis):
@@ -153,20 +161,23 @@ class _ChainHamiltonian(LatticeOperator):
         return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(self.dim, self.dim),
                              dtype=complex)
 
-    def real_blocks(self, sparse: bool = False):
-        if sparse or self.dim > _DENSE_EIG_CUTOFF:
-            return _real_blocks(self, sparse)
-        kept = _kept_blocks(self.sector.L, self.sector.n)
-        return (B + np.diag((self.U / 2) * c) for B, c in zip(kept.blocks, kept.counts))
+    def real_blocks(self):
+        return _kept_blocks(self.sector.L, self.sector.n).blocks(self.U)
+
+    def _real_sum(self) -> sp.csr_matrix:
+        return _kept_blocks(self.sector.L, self.sector.n).real_sum(self.U)
+
+    def _apply(self, V: np.ndarray) -> tuple[np.ndarray, float]:
+        return _apply_bonds(self.U, self.sector, V)
 
 
-def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and flat bond index 9 r + c of every term of the L periodic
-    bonds that some U makes nonzero, bond by bond, then by bond column c and
-    row r; one vectorized pass per bond."""
+def _bond_terms(basis: SectorBasis):
+    """Yield every term of the L periodic bonds that some U makes nonzero as
+    (rows, cols, e): bond entry e = 9 r + c takes the states `cols` to the
+    states `rows`, one to one.  Bond by bond, then by bond column c and row r;
+    one vectorized pass per bond."""
     L, codes = basis.L, basis.codes
     labels = basis.digits()
-    rows, cols, entry = [], [], []
     for j in range(L):
         jp = (j + 1) % L
         pair = 3 * labels[:, j] + labels[:, jp]
@@ -174,18 +185,36 @@ def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarra
             src = np.nonzero(pair == c)[0]
             for r in _BOND_ROWS[c]:
                 shift = (r // 3 - c // 3) * 3 ** (L - 1 - j) + (r % 3 - c % 3) * 3 ** (L - 1 - jp)
-                rows.append(np.searchsorted(codes, codes[src] + shift))
-                cols.append(src)
-                entry.append(np.full(len(src), 9 * r + c))
+                yield np.searchsorted(codes, codes[src] + shift), src, 9 * r + c
+
+
+def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and flat bond index of every bond term (`_bond_terms`)."""
+    rows, cols, entry = zip(*((t, s, np.full(len(s), e)) for t, s, e in _bond_terms(basis)))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(entry)
+
+
+def _apply_bonds(U: float, basis: SectorBasis, V: np.ndarray) -> tuple[np.ndarray, float]:
+    """H(U) V and the row-sum norm of H(U), bond term by bond term on the
+    codes, without a CSR H.  Terms of at most 1e-15 are left out, as in
+    `matrix`.  For L >= 3 only the on-site terms, which share a sign, meet
+    on one entry of H, so the row sums of the terms' moduli are those of |H|.
+    """
+    bond = bond_hamiltonian(U).ravel()
+    out = np.zeros(V.shape, dtype=complex)
+    row_abs = np.zeros(basis.dim)
+    for rows, cols, e in _bond_terms(basis):
+        if abs(bond[e]) > 1e-15:
+            out[rows] += bond[e] * V[cols]
+            row_abs[rows] += abs(bond[e])
+    return out, float(row_abs.max(initial=0.0))
 
 
 def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
     """H(U) restricted to the magnetization-n sector, periodic boundaries.
 
     Nothing is built here beyond the sector basis: the CSR matrix is built
-    when `matrix` is first read, which a sector of at most _DENSE_EIG_CUTOFF
-    states never needs for its spectrum (`_ChainHamiltonian.real_blocks`).
+    when `matrix` is first read, which no solve needs (`_ChainHamiltonian`).
     """
     if L < 2:
         raise ValueError("need at least two sites")
@@ -261,27 +290,82 @@ def _orbits(L: int, n: int) -> SimpleNamespace:
                            shift=shift, column=column, own=own, other=other)
 
 
+@dataclass(frozen=True, eq=False)
+class _KeptBlocks:
+    """A sector's real momentum blocks B_m(0) of H(0) and the diagonals C_m
+    of its on-site term (`_kept_blocks`), so that H(U)'s block m is
+    B_m(0) + (U/2) diag(C_m).
+
+    A sector of at most _DENSE_EIG_CUTOFF states keeps its blocks dense
+    (`dense`).  A larger one keeps their direct sum as one real CSR matrix
+    (`whole`) that stores every diagonal slot, at `diag` in its data, so
+    H(U)'s sum is one copy of the data with a diagonal add, and its dense
+    blocks are slices of that sum.
+    """
+
+    counts: tuple[np.ndarray, ...]
+    dense: tuple[np.ndarray, ...] | None = None
+    whole: sp.csr_matrix | None = None
+    diag: np.ndarray | None = None
+
+    def blocks(self, U: float):
+        """Dense blocks of H(U), m = 0 .. L-1."""
+        if self.dense is not None:
+            return (B + np.diag((U / 2) * c) for B, c in zip(self.dense, self.counts))
+        A, ends = self.real_sum(U), np.cumsum([len(c) for c in self.counts])
+        return (A[e - len(c):e, e - len(c):e].toarray() for e, c in zip(ends, self.counts))
+
+    def real_sum(self, U: float) -> sp.csr_matrix:
+        """The direct sum of H(U)'s blocks as one CSR matrix (sectors kept as CSR)."""
+        data = self.whole.data.copy()
+        data[self.diag] += (U / 2) * np.concatenate(self.counts)
+        return sp.csr_matrix((data, self.whole.indices, self.whole.indptr), shape=self.whole.shape)
+
+
 @lru_cache(maxsize=None)
-def _kept_blocks(L: int, n: int) -> SimpleNamespace:
-    """The real momentum blocks B_m(0) of H(0) on a sector, and the diagonals
-    C_m of its on-site term, m = 0 .. L-1; read-only.
+def _kept_blocks(L: int, n: int) -> _KeptBlocks:
+    """B_m(0) and C_m of every sector, folded once per (L, n) by `_real_blocks`
+    from H(0); arrays are read-only.
 
     sum_j (Sz_j)^2 counts a state's spins +-1: it is diagonal on the codes
     and commutes with the shift and the site reflection, so in the real
     block basis it is diag(C_m), the counts at the orbit representatives
-    that momentum m admits, in column order, and H(U)'s block m is
-    B_m(0) + (U/2) diag(C_m).  Kept only for sectors of at most
-    _DENSE_EIG_CUTOFF states: larger ones are mostly solved once per U, and
-    keeping every sector's blocks raised the peak RSS of
-    `genus5 ed --L 10 --U 1` from 129 to 319 MB.
+    that momentum m admits, in column order.  Keeping the sectors above
+    _DENSE_EIG_CUTOFF states as CSR (2.1 MB for L = 10, n = 0) took the peak
+    RSS of `genus5 ed --L 10 --U 1` from 127 to 142 MB; kept as dense
+    blocks they had taken it to 319 MB.
     """
     basis, orb = sector_basis(L, n), _orbits(L, n)
-    blocks = tuple(_real_blocks(_ChainHamiltonian(0.0, basis)))
     spins = np.count_nonzero(basis.digits()[orb.states] != 1, axis=1).astype(float)
     counts = tuple(spins[col >= 0] for col in orb.column)
-    for a in blocks + counts:
+    for c in counts:
+        c.setflags(write=False)
+    if basis.dim <= _DENSE_EIG_CUTOFF:
+        dense = tuple(_real_blocks(_ChainHamiltonian(0.0, basis)))
+        for B in dense:
+            B.setflags(write=False)
+        return _KeptBlocks(counts, dense=dense)
+    B = sp.block_diag(list(_real_blocks(_ChainHamiltonian(0.0, basis), sparse=True)), format="coo")
+    D, slots = basis.dim, np.arange(basis.dim)
+    whole = sp.csr_matrix((np.concatenate([B.data, np.zeros(D)]),
+                           (np.concatenate([B.row, slots]), np.concatenate([B.col, slots]))),
+                          shape=(D, D))
+    diag = np.flatnonzero(whole.indices == np.repeat(slots, np.diff(whole.indptr)))
+    for a in (whole.data, whole.indices, whole.indptr, diag):
         a.setflags(write=False)
-    return SimpleNamespace(blocks=blocks, counts=counts)
+    return _KeptBlocks(counts, whole=whole, diag=diag)
+
+
+def _momentum_rows(L: int, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The entries of Q_m (`momentum_blocks`) row by row: the states s whose
+    orbit momentum m admits, the columns a = col[r] and b = col[r~] of their
+    representative r and its mirror, and Q_m[s, a], Q_m[s, b]."""
+    orb = _orbits(L, n)
+    col, r = orb.column[m], orb.rep
+    on = np.nonzero(col[r] >= 0)[0]
+    r = r[on]
+    phase = _half_turn_roots(L)[2 * m * orb.shift[on] % (2 * L)] / np.sqrt(orb.period[r])
+    return on, col[r], col[orb.mirror[r]], phase * orb.own[m, r], phase * orb.other[m, r]
 
 
 def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
@@ -291,19 +375,28 @@ def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
     momentum m admits, with entries w^(m l) / sqrt(p) on the codes T^l r,
     l < p, and W_m (`_orbits`) makes Q_mᴴ H Q_m real for an operator with
     P H P = conj(H).  Together the blocks form a unitary that
-    block-diagonalizes every operator commuting with the shift.
+    block-diagonalizes every operator commuting with the shift.  The
+    solvers use the same entries without forming Q_m (`_map_back`).
     """
-    orb = _orbits(L, n)
-    z, c = _half_turn_roots(L), orb.rep
+    dim, widths = sector_dimension(L, n), np.count_nonzero(_orbits(L, n).column >= 0, axis=1)
     blocks = []
-    for m, col in enumerate(orb.column):
-        on = np.nonzero(col[c] >= 0)[0]
-        phase = z[2 * m * orb.shift[on] % (2 * L)] / np.sqrt(orb.period[c[on]])
-        vals = np.concatenate([phase * orb.own[m, c[on]], phase * orb.other[m, c[on]]])
-        cols = np.concatenate([col[c[on]], col[orb.mirror[c[on]]]])
-        blocks.append(sp.csr_matrix((vals, (np.tile(on, 2), cols)),
-                                    shape=(len(c), np.count_nonzero(col >= 0))))
+    for m, d in enumerate(widths):
+        on, a, b, qa, qb = _momentum_rows(L, n, m)
+        rows, cols = np.tile(on, 2), np.concatenate([a, b])
+        blocks.append(sp.csr_matrix((np.concatenate([qa, qb]), (rows, cols)), shape=(dim, d)))
     return tuple(blocks)
+
+
+def _map_back(L: int, n: int, Y: np.ndarray) -> np.ndarray:
+    """sum_m Q_m Y_m for the columns of Y, Y_m the rows of block m in the
+    direct sum of the real blocks: a gather over `_orbits`, no Q_m built."""
+    X = np.zeros((sector_dimension(L, n), Y.shape[1]), dtype=complex)
+    start = 0
+    for m, d in enumerate(np.count_nonzero(_orbits(L, n).column >= 0, axis=1)):
+        on, a, b, qa, qb = _momentum_rows(L, n, m)
+        X[on] += qa[:, None] * Y[start + a] + qb[:, None] * Y[start + b]
+        start += d
+    return X
 
 
 def _monodromy(R4: np.ndarray, k: int) -> np.ndarray:
@@ -453,9 +546,9 @@ def diagonalize(op: LatticeOperator, mode: str = "full", k: int = 6) -> Spectrum
 
 def _lowest_arpack(op: LatticeOperator, k: int) -> SpectrumReport:
     """ARPACK's real nonsymmetric mode on the direct sum of the real momentum
-    blocks, assembled sparse; eigenvectors mapped back by Q_m, residuals against H."""
-    D, A = op.dim, op.matrix
-    B = sp.block_diag(list(op.real_blocks(sparse=True)), format="csr")
+    blocks; eigenvectors mapped back through the Q_m (`_map_back`), and each
+    residual checked against H (`LatticeOperator._apply`)."""
+    D, B = op.dim, op._real_sum()
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
     for ncv in (max(40, 4 * k), max(90, 8 * k)):
@@ -465,11 +558,10 @@ def _lowest_arpack(op: LatticeOperator, k: int) -> SpectrumReport:
         except spla.ArpackNoConvergence as exc:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
-        Q = momentum_blocks(op.sector.L, op.sector.n)
-        parts = np.split(vecs, np.cumsum([Qm.shape[1] for Qm in Q])[:-1])
-        vecs = sum(Qm @ y for Qm, y in zip(Q, parts))
-        res = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
-        if np.all(res <= 1e-9 * max(1.0, spla.norm(A, np.inf))):
+        vecs = _map_back(op.sector.L, op.sector.n, vecs)
+        Hv, norm = op._apply(vecs)
+        res = np.linalg.norm(Hv - vecs * vals[None, :], axis=0)
+        if np.all(res <= 1e-9 * max(1.0, norm)):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})")
         attempts.append(f"SR ncv={ncv}: residual {np.max(res):.2e}")
     raise ConvergenceFailure(
@@ -547,11 +639,11 @@ def reality_threshold(
 
     A probe above the threshold needs the full spectrum of every sector
     n >= 0; one below stops at its first complex level (`spectrum_is_real`).
-    With the blocks of every sector of at most _DENSE_EIG_CUTOFF states
-    kept across probes (`_kept_blocks`), a whole bisection took 0.25-0.29 s
-    at L = 7, 1.7 s at L = 8 and 17.0 s at L = 9 on one core of a 2-core
-    machine (0.45-0.47, 2.3-2.5 and 19.8 s with H and the blocks refilled
-    at every probe and every sector solved whole), so it is practical for
+    Every sector's blocks are kept across probes (`_kept_blocks`), so a
+    whole bisection is almost all LAPACK `eig`: it took 0.25-0.29 s at
+    L = 7, 1.5-1.6 s at L = 8 and 14.9-16.2 s at L = 9 on one core of a
+    2-core machine (15.0-16.5 s at L = 9 with the sectors above
+    _DENSE_EIG_CUTOFF states rebuilt at every probe), so it is practical for
     L <= 9.  The result is rounded to five decimal places.
     """
     lo, hi = bracket

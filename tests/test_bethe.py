@@ -263,6 +263,15 @@ def test_log_form_evaluates_each_point_once(monkeypatch):
     assert len(calls) <= 15
 
 
+def test_complex_newton_evaluates_each_point_once(monkeypatch):
+    seen = []
+    inner = bethe._cleared_defect
+    monkeypatch.setattr(bethe, "_cleared_defect",
+                        lambda k, L, U: seen.append((k.tobytes(), L, U)) or inner(k, L, U))
+    track_state(4, 0, 5.0, 1.0)
+    assert seen and len(set(seen)) == len(seen)
+
+
 def test_log_form_critical_coupling_from_seed(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     rs = solve_log_form(1024, 0, U_CRITICAL)

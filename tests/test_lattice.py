@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from genus5chain import lattice, refdata
 from genus5chain.curve import CurveParams, CurvePoint, sample_points
-from genus5chain.errors import BracketInvalid
+from genus5chain.errors import BracketInvalid, ConvergenceFailure
 from genus5chain.lattice import (
     build_hamiltonian,
     build_transfer_matrix,
@@ -190,15 +190,13 @@ def _bits(M):
 
 @pytest.mark.parametrize("U", [0.0, 1.0, -2.3, 2 * np.sqrt(3)])
 def test_hamiltonian_blocks_match_reference(U):
-    # kept sectors add (U/2) C_m to B_m(0), within rounding of the blocks of
-    # H(U) itself; larger sectors take those blocks bit for bit
+    # every sector adds (U/2) C_m to its kept B_m(0), within rounding of the
+    # blocks of H(U) itself
     for L in range(2, 9):
         for n in range(-L, L + 1):
             op = build_hamiltonian(U, L, n)
             blocks = list(op.real_blocks())
             ref = list(_reference_real_blocks(op))
-            if op.dim > lattice._DENSE_EIG_CUTOFF:
-                assert [_bits(B) for B in blocks] == [_bits(B) for B in ref]
             for B, R in zip(blocks, ref, strict=True):
                 assert B.dtype == R.dtype == np.float64 and B.shape == R.shape
                 assert np.max(np.abs(B - R), initial=0.0) < 1e-13
@@ -224,9 +222,9 @@ def test_foreign_operator_blocks_match_reference():
                 ref = [_bits(B) for B in _reference_real_blocks(foreign, sparse)]
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    list(foreign.real_blocks(sparse))
+                    list(lattice._real_blocks(foreign, sparse))
             else:
-                assert [_bits(B) for B in foreign.real_blocks(sparse)] == ref
+                assert [_bits(B) for B in lattice._real_blocks(foreign, sparse)] == ref
     # duplicate entries are summed before the pattern is read
     halves = sp.csr_matrix((np.full(2 * op.dim, 0.5 + 0j), np.repeat(np.arange(op.dim), 2),
                             np.arange(0, 2 * op.dim + 1, 2)), shape=eye.shape)
@@ -235,26 +233,78 @@ def test_foreign_operator_blocks_match_reference():
     assert [_bits(B) for B in blocks[0]] == [_bits(B) for B in blocks[1]]
 
 
-def test_blocks_kept_for_dense_sectors_only():
+def test_every_sector_kept_and_solved_without_matrix(monkeypatch):
     # the benchmark empties every lru_cache it finds among module attributes
     assert hasattr(vars(lattice)["_kept_blocks"], "cache_clear")
     L = 9
     lattice._kept_blocks.cache_clear()
     for n in range(L + 1):
-        op = build_hamiltonian(1.0, L, n)
-        # every sector builds its CSR matrix on first read only
-        assert "matrix" not in vars(op)
-        diagonalize(op, mode="lowest", k=6)
-        # a kept sector is solved without its CSR matrix
-        assert ("matrix" in vars(op)) == (op.dim > lattice._DENSE_EIG_CUTOFF)
-    small = [n for n in range(L + 1) if sector_dimension(L, n) <= lattice._DENSE_EIG_CUTOFF]
-    assert 0 < len(small) < L + 1
-    info = lattice._kept_blocks.cache_info()
-    assert info.currsize == len(small)
-    for n in small:
         lattice._kept_blocks(L, n)
+    sizes = [sector_dimension(L, n) for n in range(L + 1)]
+    assert min(sizes) <= lattice._DENSE_EIG_CUTOFF < max(sizes)
+    info = lattice._kept_blocks.cache_info()
+    assert info.currsize == L + 1
+
+    def no_matrix(basis):
+        raise AssertionError(f"CSR H built for L={basis.L}, n={basis.n}")
+
+    monkeypatch.setattr(lattice, "_bond_pattern", no_matrix)
+    for n in range(L + 1):
+        for mode, k in (("lowest", 1), ("lowest", 6), ("full", 6)):
+            op = build_hamiltonian(1.0 + n, L, n)
+            diagonalize(op, mode=mode, k=k)
+            assert "matrix" not in vars(op)
+    assert not lattice.spectrum_is_real(2.5, L)  # below the threshold: complex levels in n = 0
     after = lattice._kept_blocks.cache_info()
-    assert after.currsize == len(small) and after.hits == info.hits + len(small)
+    assert after.currsize == L + 1 and after.misses == info.misses
+
+
+def test_bond_apply_matches_matrix():
+    rng = np.random.default_rng(20)
+    for L in range(3, 9):
+        for n in range(-L, L + 1):
+            for U in (0.0, 1.3, -2.7, 2 * np.sqrt(3)):
+                op = build_hamiltonian(U, L, n)
+                V = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
+                HV, norm = op._apply(V)
+                ref = op.matrix @ V
+                assert np.max(np.abs(HV - ref), initial=0.0) <= 1e-14 * max(1.0, np.abs(ref).max())
+                assert abs(norm - spla.norm(op.matrix, np.inf)) <= 1e-14 * max(1.0, norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), cols=st.integers(1, 3))
+def test_map_back_gather_matches_isometries(L, data, cols):
+    n = data.draw(st.integers(-L, L), label="n")
+    dim = sector_dimension(L, n)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+    Q = lattice.momentum_blocks(L, n)
+    parts = np.split(Y, np.cumsum([Qm.shape[1] for Qm in Q])[:-1])
+    ref = sum(Qm @ y for Qm, y in zip(Q, parts))
+    got = lattice._map_back(L, n, Y)
+    assert got.shape == ref.shape == (dim, cols)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.abs(ref).max()
+
+
+def test_arpack_residual_check_refuses_perturbed_vectors(monkeypatch):
+    solve = spla.eigs
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = solve(*args, **kwargs)
+        return vals, vecs + 1e-6 * np.random.default_rng(3).standard_normal(vecs.shape)
+
+    op = build_hamiltonian(0.5, 8, 0)  # dim 1107: above the dense cutoff
+    full = diagonalize(op, mode="full")
+    monkeypatch.setattr(spla, "eigs", perturbed)
+    with pytest.raises(ConvergenceFailure) as info:
+        lattice._lowest_arpack(op, 6)
+    attempts = info.value.diagnostics["attempts"]
+    assert len(attempts) == 2 and all("residual" in a for a in attempts)
+    low = diagonalize(op, mode="lowest", k=6)
+    assert low.method == "dense-fallback"
+    assert np.array_equal(np.sort(low.eigenvalues.real), np.sort(full.eigenvalues.real)[:6])
 
 
 def test_vacuum_sector():
