@@ -61,6 +61,8 @@ _HOP = (
 _ONSITE = np.kron(_ID3, SZ @ SZ)
 # per bond column c, the rows r of the entries that some U makes nonzero
 _BOND_ROWS = [np.nonzero((np.abs(_HOP[:, c]) > 1e-15) | (_ONSITE[:, c] != 0))[0] for c in range(9)]
+# per bond column c, the rows r of the entries of the hopping part
+_HOP_ROWS = [np.nonzero(np.abs(_HOP[:, c]) > 1e-15)[0] for c in range(9)]
 
 
 def bond_hamiltonian(U: float) -> np.ndarray:
@@ -70,14 +72,27 @@ def bond_hamiltonian(U: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Configurations of {+1, 0, -1}^L with total spin n, as sorted base-3 codes.
+    """Configurations of {+1, 0, -1}^L with total spin n, as sorted base-3 codes,
+    and everything the solvers keep of the sector.
 
     Site labels 0, 1, 2 carry spins +1, 0, -1.  A configuration's code is
     its label string read as a base-3 integer, site 0 the most significant
     digit, so the code equals the configuration's index in the full 3^L
     space (`aba` relies on this) and ascending codes list the states in
     lexicographic order of their label strings.  `codes` is read-only and
-    fixed by (L, n).
+    fixed by (L, n); it is generated site by site (`_sector_codes`), never
+    by filtering the 3^L codes, and `rank` maps codes back to indices by
+    two lookup tables of about 3^(L/2) entries each.
+
+    The rest is built on first use and lives as long as the sector: its
+    translation orbits (`orbits`), its real blocks at U = 0 (`kept`) and
+    the index arrays of its bond terms (`bond_terms`, `row_moduli`).  `sector_basis`
+    hands out one object per (L, n) and holds the sectors of one L only,
+    so a caller that walks L upward releases each L before it builds the
+    next.  At L = 10 the eleven sectors n >= 0 took 0.17-0.20 s to generate
+    and fold, against 0.31-0.33 s when the codes came from the 3^L filter
+    and the blocks from the CSR H(0); at L = 15 the codes of n = 0 take
+    0.05 s against 3.6 s (one BLAS thread).
     """
 
     L: int
@@ -90,7 +105,73 @@ class SectorBasis:
 
     def digits(self) -> np.ndarray:
         """(dim, L) site labels of every state."""
-        return self.codes[:, None] // 3 ** np.arange(self.L - 1, -1, -1) % 3
+        return _digits(self.codes, self.L)
+
+    def rank(self, codes: np.ndarray) -> np.ndarray:
+        """Index of each code of this sector (codes outside it give garbage):
+        with hi, lo = divmod(code, 3^(L//2)), the index is the first index
+        with that hi plus lo's rank among the lo codes of its spin (H. Q. Lin,
+        Phys. Rev. B 42, 6561 (1990))."""
+        base, first, lo_rank = self._rank_tables
+        hi, lo = np.divmod(codes, base)
+        return first[hi] + lo_rank[lo]
+
+    @cached_property
+    def _rank_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
+        sites = self.L // 2
+        base = 3**sites
+        spin = _code_spins(np.arange(base), sites)
+        order = np.argsort(spin, kind="stable")
+        sizes = np.bincount(spin + sites, minlength=2 * sites + 1)
+        lo_rank = np.empty(base, dtype=np.int64)
+        lo_rank[order] = np.arange(base) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        hi = self.codes // base
+        start = np.flatnonzero(np.diff(hi, prepend=-1))
+        first = np.zeros(3 ** (self.L - sites), dtype=np.int64)
+        first[hi[start]] = start
+        return base, first, lo_rank
+
+    @cached_property
+    def orbits(self) -> SimpleNamespace:
+        """Translation orbits and the real basis of the momentum blocks (`_orbit_tables`)."""
+        return _orbit_tables(self)
+
+    @cached_property
+    def kept(self) -> _KeptBlocks:
+        """The real blocks of H(0) and the on-site counts (`_kept_blocks`),
+        for the chain Hamiltonian only."""
+        return _kept_blocks(self)
+
+    @cached_property
+    def bond_terms(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+        """Every term of the L periodic bonds that some U makes nonzero as
+        (rows, cols, e): bond entry e = 9 r + c takes the states `cols` to the
+        states `rows`, one to one, as int32 indices found once through `rank`.
+        Bond by bond, then by bond column c and row r.  The terms of one
+        (bond, c) share `cols`, and an on-site term (r = c) has rows = cols;
+        the sector n = 0 of L = 10 keeps 0.9 MB of them."""
+        terms = []
+        for src, target, r, c in _bond_walk(self.codes, self.L, _BOND_ROWS):
+            terms.append((src if r == c else self.rank(target).astype(np.int32), src, 9 * r + c))
+        return tuple(terms)
+
+    @cached_property
+    def row_moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per state, the sum of the moduli of the hopping terms that reach
+        it and its number of on-site terms, the `bond_terms` whose rows are
+        their cols."""
+        hop, onsite = np.zeros(self.dim), np.zeros(self.dim)
+        for rows, cols, e in self.bond_terms:
+            if rows is cols:
+                onsite[rows] += 1
+            else:
+                hop[rows] += abs(_HOP.flat[e])
+        return hop, onsite
+
+
+def _digits(codes: np.ndarray, L: int) -> np.ndarray:
+    """(len(codes), L) site labels of L-site codes, site 0 first."""
+    return codes[:, None] // 3 ** np.arange(L - 1, -1, -1) % 3
 
 
 def _code_spins(codes: np.ndarray, L: int) -> np.ndarray:
@@ -102,14 +183,58 @@ def _code_spins(codes: np.ndarray, L: int) -> np.ndarray:
     return spin
 
 
-@lru_cache(maxsize=None)
+def _sector_codes(L: int, n: int) -> np.ndarray:
+    """The sorted codes of total spin n, built from the last site forward:
+    the codes of k trailing sites and spin s are label d's codes at site
+    L - k, d = 0, 1, 2 in turn, each followed by the codes of k - 1 sites
+    and spin s - 1 + d, so they come out sorted.  Only the spins that
+    the remaining L - k sites can still complete to n are kept."""
+    level = {0: np.zeros(1, dtype=np.int64)}
+    for k in range(1, L + 1):
+        power = 3 ** (k - 1)
+        level = {s: np.concatenate([d * power + level[s - 1 + d] for d in range(3)
+                                    if s - 1 + d in level])
+                 for s in range(max(-k, n - L + k), min(k, n + L - k) + 1)}
+    return level[n]
+
+
+def _bond_walk(codes: np.ndarray, L: int, rows):
+    """Yield (src, targets, r, c) for every term of the L periodic bonds
+    whose bond entry 9 r + c has r in rows[c]: the codes codes[src] carry
+    labels c at the bond's two sites, and the term takes them to the codes
+    `targets`.  Bond by bond, then by c and r; src is int32 and shared by
+    the terms of one (bond, c)."""
+    for j in range(L):
+        left, right = 3 ** (L - 1 - j), 3 ** (L - 1 - (j + 1) % L)
+        pair = 3 * (codes // left % 3) + codes // right % 3
+        for c in range(9):
+            src = np.flatnonzero(pair == c).astype(np.int32)
+            for r in rows[c]:
+                yield src, codes[src] + (r // 3 - c // 3) * left + (r % 3 - c % 3) * right, r, c
+
+
+_sectors: dict[tuple[int, int], SectorBasis] = {}  # by (L, n), all of one L (`sector_basis`)
+
+
 def sector_basis(L: int, n: int) -> SectorBasis:
-    if not (-L <= n <= L):
-        raise ValueError(f"sector n={n} out of range for L={L}")
-    codes = np.arange(3**L, dtype=np.int64)
-    codes = codes[_code_spins(codes, L) == n]
-    codes.setflags(write=False)
-    return SectorBasis(L, n, codes)
+    """The magnetization-n sector of L sites, one object per (L, n).
+
+    Only the sectors of the last L asked for are held: asking for another
+    L releases them, with their orbits, blocks and bond indices, and
+    `sector_basis.cache_clear()` releases them all.
+    """
+    if (L, n) not in _sectors:
+        if not (-L <= n <= L):
+            raise ValueError(f"sector n={n} out of range for L={L}")
+        if any(held != L for held, _ in _sectors):
+            _sectors.clear()
+        codes = _sector_codes(L, n)
+        codes.setflags(write=False)
+        _sectors[L, n] = SectorBasis(L, n, codes)
+    return _sectors[L, n]
+
+
+sector_basis.cache_clear = _sectors.clear
 
 
 def sector_dimension(L: int, n: int) -> int:
@@ -144,10 +269,12 @@ class _ChainHamiltonian(LatticeOperator):
     first read, in every sector, and no solve reads it.
 
     The blocks come from one place, the sector's kept B_m(0) and on-site
-    counts C_m (`_kept_blocks`): block m of H(U) is B_m(0) + (U/2) diag(C_m),
+    counts C_m (`SectorBasis.kept`): block m of H(U) is B_m(0) + (U/2) diag(C_m),
     dense blocks for `real_blocks` and their direct sum as one CSR matrix
     for ARPACK.  The ARPACK residuals apply H(U) bond by bond on the codes
-    (`_apply_bonds`).
+    (`_apply_bonds`), through the sector's kept int32 term indices: 3.5 ms
+    for one vector of L = 10, n = 0, against 14-16 ms with a binary search
+    of the codes at every call.
     """
 
     def __init__(self, U: float, sector: SectorBasis):
@@ -162,35 +289,18 @@ class _ChainHamiltonian(LatticeOperator):
                              dtype=complex)
 
     def real_blocks(self):
-        return _kept_blocks(self.sector.L, self.sector.n).blocks(self.U)
+        return self.sector.kept.blocks(self.U)
 
     def _real_sum(self) -> sp.csr_matrix:
-        return _kept_blocks(self.sector.L, self.sector.n).real_sum(self.U)
+        return self.sector.kept.real_sum(self.U)
 
     def _apply(self, V: np.ndarray) -> tuple[np.ndarray, float]:
         return _apply_bonds(self.U, self.sector, V)
 
 
-def _bond_terms(basis: SectorBasis):
-    """Yield every term of the L periodic bonds that some U makes nonzero as
-    (rows, cols, e): bond entry e = 9 r + c takes the states `cols` to the
-    states `rows`, one to one.  Bond by bond, then by bond column c and row r;
-    one vectorized pass per bond."""
-    L, codes = basis.L, basis.codes
-    labels = basis.digits()
-    for j in range(L):
-        jp = (j + 1) % L
-        pair = 3 * labels[:, j] + labels[:, jp]
-        for c in range(9):
-            src = np.nonzero(pair == c)[0]
-            for r in _BOND_ROWS[c]:
-                shift = (r // 3 - c // 3) * 3 ** (L - 1 - j) + (r % 3 - c % 3) * 3 ** (L - 1 - jp)
-                yield np.searchsorted(codes, codes[src] + shift), src, 9 * r + c
-
-
 def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and flat bond index of every bond term (`_bond_terms`)."""
-    rows, cols, entry = zip(*((t, s, np.full(len(s), e)) for t, s, e in _bond_terms(basis)))
+    """Row, column and flat bond index of every bond term (`SectorBasis.bond_terms`)."""
+    rows, cols, entry = zip(*((t, s, np.full(len(s), e)) for t, s, e in basis.bond_terms))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(entry)
 
 
@@ -198,16 +308,17 @@ def _apply_bonds(U: float, basis: SectorBasis, V: np.ndarray) -> tuple[np.ndarra
     """H(U) V and the row-sum norm of H(U), bond term by bond term on the
     codes, without a CSR H.  Terms of at most 1e-15 are left out, as in
     `matrix`.  For L >= 3 only the on-site terms, which share a sign, meet
-    on one entry of H, so the row sums of the terms' moduli are those of |H|.
+    on one entry of H, so a row sum of |H| is the state's sum of hopping
+    moduli plus |U|/2 per on-site term (`SectorBasis.row_moduli`).
     """
     bond = bond_hamiltonian(U).ravel()
     out = np.zeros(V.shape, dtype=complex)
-    row_abs = np.zeros(basis.dim)
-    for rows, cols, e in _bond_terms(basis):
+    for rows, cols, e in basis.bond_terms:
         if abs(bond[e]) > 1e-15:
             out[rows] += bond[e] * V[cols]
-            row_abs[rows] += abs(bond[e])
-    return out, float(row_abs.max(initial=0.0))
+    hop, onsite = basis.row_moduli
+    u = abs(U / 2) if abs(U / 2) > 1e-15 else 0.0
+    return out, float((hop + u * onsite).max(initial=0.0))
 
 
 def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
@@ -224,7 +335,7 @@ def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
 def _shift_targets(basis: SectorBasis) -> np.ndarray:
     """Index of the translate of every state (site k takes site k + 1's label)."""
     top = 3 ** (basis.L - 1)
-    return np.searchsorted(basis.codes, basis.codes % top * 3 + basis.codes // top)
+    return basis.rank(basis.codes % top * 3 + basis.codes // top)
 
 
 def shift_operator(L: int, n: int) -> sp.csr_matrix:
@@ -240,20 +351,20 @@ def _half_turn_roots(L: int) -> np.ndarray:
     """z[a] = exp(-i pi a / L), a < 2L, so z[2a] = w^a with w = exp(-2 pi i / L).
 
     Turns are exact, z[a + L] == -z[a] and for even L z[a + L/2] == -1j z[a],
-    so the U <-> -U reflection (`_orbits`) stays exact block by block.
+    so the U <-> -U reflection (`_orbit_tables`) stays exact block by block.
     """
     turns = (1, -1j, -1, 1j) if L % 2 == 0 else (1, -1)
     base = np.exp(-1j * np.pi * np.arange(2 * L // len(turns)) / L)
     return np.concatenate([base * t for t in turns])
 
 
-@lru_cache(maxsize=None)
-def _orbits(L: int, n: int) -> SimpleNamespace:
+def _orbit_tables(basis: SectorBasis) -> SimpleNamespace:
     """Translation orbits of a sector and the real basis of its momentum blocks.
 
     Orbit r (representative: its smallest code, state `states[r]`) has period
     p = `period[r]`; state s is T^l r with r = `rep[s]`, l = `shift[s]` < p.
-    `column[m, r]` is r's column in block m, or -1 unless m p = 0 mod L.
+    `column[m, r]` is r's column in block m, or -1 unless m p = 0 mod L, and
+    block m has `widths[m]` columns.
     A = P conj (P the site reflection) maps |r, m> to w^(-m t) |r~, m>, where
     P r = T^t r~ and r~ = `mirror[r]`.  Row r of the unitary W_m whose columns
     A fixes holds W_m[r, r] = `own[m, r]` and W_m[r, r~] = `other[m, r]`:
@@ -261,33 +372,36 @@ def _orbits(L: int, n: int) -> SimpleNamespace:
     (x e_r + y e_r~)/sqrt(2) and i (x e_r - y e_r~)/sqrt(2), x = z^(-m),
     y = conj(x) w^(-m t).  With that odd power of z, the staggered sign that
     maps H(U) to -H(-U) and momentum m to m + n L / 2 sends each column to
-    +-1 or +-1j times the same column of the other block.  Arrays are read-only.
+    +-1 or +-1j times the same column of the other block.  Each state's
+    representative is the least of its L rotated codes, found in L passes
+    over the codes.  Arrays are read-only.
     """
-    basis = sector_basis(L, n)
-    step = _shift_targets(basis)
-    orbit = np.empty((L, basis.dim), dtype=np.int64)  # orbit[j, i]: index of T^j applied to state i
-    orbit[0] = np.arange(basis.dim)
-    for k in range(1, L):
-        orbit[k] = step[orbit[k - 1]]
-    first = orbit.argmin(axis=0)  # T^first s is the representative of s
+    L, codes = basis.L, basis.codes
+    top = 3 ** (L - 1)
+    least, first, code = codes, np.zeros(basis.dim, dtype=np.int64), codes
+    for k in range(1, L):  # code: T^k applied to every state
+        code = code % top * 3 + code // top
+        lower = code < least
+        least = np.where(lower, code, least)
+        first[lower] = k
     states = np.nonzero(first == 0)[0]
-    rep = np.searchsorted(states, orbit.min(axis=0))
+    rep = np.searchsorted(states, basis.rank(least))
     period = np.bincount(rep)
     shift = -first % period[rep]
-    labels = basis.codes[states, None] // 3 ** np.arange(L - 1, -1, -1) % 3
-    flipped = np.searchsorted(basis.codes, labels @ 3 ** np.arange(L))  # P r
+    flipped = basis.rank(_digits(codes[states], L) @ 3 ** np.arange(L))  # P r
     mirror, t = rep[flipped], shift[flipped]
     m, idx = np.arange(L)[:, None], np.arange(len(states))
     admitted = m * period % L == 0
-    column = np.where(admitted, np.cumsum(admitted, axis=1) - 1, -1)
+    column = np.where(admitted, np.cumsum(admitted, axis=1, dtype=np.int32) - 1, -1)
+    widths = np.count_nonzero(admitted, axis=1)
     z, s = _half_turn_roots(L), 1 / np.sqrt(2)
     x, y = z[-m % (2 * L)] * s, z[m * (1 - 2 * t) % (2 * L)] * s
     own = np.where(mirror == idx, z[-m * t % (2 * L)], np.where(idx < mirror, x, -1j * y))
     other = np.where(mirror == idx, 0, np.where(idx < mirror, 1j * x, y))
-    for a in (step, states, period, mirror, rep, shift, column, own, other):
+    for a in (states, period, mirror, rep, shift, column, widths, own, other):
         a.setflags(write=False)
-    return SimpleNamespace(step=step, states=states, period=period, mirror=mirror, rep=rep,
-                           shift=shift, column=column, own=own, other=other)
+    return SimpleNamespace(states=states, period=period, mirror=mirror, rep=rep, shift=shift,
+                           column=column, widths=widths, own=own, other=other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,33 +436,62 @@ class _KeptBlocks:
         return sp.csr_matrix((data, self.whole.indices, self.whole.indptr), shape=self.whole.shape)
 
 
-@lru_cache(maxsize=None)
-def _kept_blocks(L: int, n: int) -> _KeptBlocks:
-    """B_m(0) and C_m of every sector, folded once per (L, n) by `_real_blocks`
-    from H(0); arrays are read-only.
+def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
+    """B_m(0) and C_m of a chain sector, folded from the hopping terms of
+    H(0) applied to the orbit representatives alone; arrays are read-only.
+
+    Each term takes a representative r to a state s = T^l r', and the fold
+    (`_fold`) is the one `_real_blocks` runs on H's columns at the
+    representatives, with the same P H P = conj(H) check; the terms come in
+    the order of that column slice, so dense blocks are bit for bit those
+    of `_real_blocks` on H(0) (L >= 3).  No CSR H(0), shift commutator or
+    whole-sector label table is built.  A sector above _DENSE_EIG_CUTOFF
+    states sums each block as CSR with its diagonal slots stored and
+    joins the blocks by concatenating their arrays.
 
     sum_j (Sz_j)^2 counts a state's spins +-1: it is diagonal on the codes
     and commutes with the shift and the site reflection, so in the real
     block basis it is diag(C_m), the counts at the orbit representatives
-    that momentum m admits, in column order.  Keeping the sectors above
-    _DENSE_EIG_CUTOFF states as CSR (2.1 MB for L = 10, n = 0) took the peak
-    RSS of `genus5 ed --L 10 --U 1` from 127 to 142 MB; kept as dense
-    blocks they had taken it to 319 MB.
+    that momentum m admits, in column order.  The sectors above
+    _DENSE_EIG_CUTOFF states keep CSR blocks (2.0 MB for L = 10, n = 0;
+    kept as dense blocks they had taken the peak RSS of
+    `genus5 ed --L 10 --U 1` from 142 to 319 MB).  Folded from H(0) that
+    command peaked at 143 MB, folded from the representatives at 135 MB.
+    L = 13, n = 0 folds in 1.3-1.4 s, and peaks at 341 MB RSS with its
+    lowest level solved, against 3.0 s and 415 MB folded from the CSR
+    H(0); L = 14 folds in 4.4 s at 837 MB.
     """
-    basis, orb = sector_basis(L, n), _orbits(L, n)
-    spins = np.count_nonzero(basis.digits()[orb.states] != 1, axis=1).astype(float)
+    orb, L = basis.orbits, basis.L
+    reps = basis.codes[orb.states]
+    r, target, hop = zip(*((src, t, np.full(len(src), _HOP[row, c]))
+                           for src, t, row, c in _bond_walk(reps, L, _HOP_ROWS)))
+    r, s, hop = np.concatenate(r), basis.rank(np.concatenate(target)), np.concatenate(hop)
+    order = np.lexsort((r, s))  # by state s, then by representative r
+    r, s, hop = r[order], s[order], hop[order]
+    rp = orb.rep[s]
+    h = hop * np.sqrt(orb.period[r] / orb.period[rp])
+    tol = 1e-12 * max(1.0, np.abs(hop).max(initial=0.0))
+    spins = np.count_nonzero(_digits(reps, L) != 1, axis=1).astype(float)
     counts = tuple(spins[col >= 0] for col in orb.column)
     for c in counts:
         c.setflags(write=False)
+    folds = _fold(orb, L, r, rp, orb.shift[s], h)
     if basis.dim <= _DENSE_EIG_CUTOFF:
-        dense = tuple(_real_blocks(_ChainHamiltonian(0.0, basis)))
+        dense = tuple(_summed(d, i, j, b, tol) for d, i, j, b in folds)
         for B in dense:
             B.setflags(write=False)
         return _KeptBlocks(counts, dense=dense)
-    B = sp.block_diag(list(_real_blocks(_ChainHamiltonian(0.0, basis), sparse=True)), format="coo")
+    blocks = []
+    for d, i, j, b in folds:  # each block with its diagonal slots stored
+        diagonal = np.arange(d, dtype=i.dtype)
+        blocks.append(_summed(d, np.concatenate([i, diagonal]), np.concatenate([j, diagonal]),
+                              np.concatenate([b, np.zeros(d)]), tol, sparse=True))
+    starts = np.cumsum([0] + [B.shape[0] for B in blocks]).tolist()
+    ends = np.cumsum([0] + [B.nnz for B in blocks]).tolist()
     D, slots = basis.dim, np.arange(basis.dim)
-    whole = sp.csr_matrix((np.concatenate([B.data, np.zeros(D)]),
-                           (np.concatenate([B.row, slots]), np.concatenate([B.col, slots]))),
+    whole = sp.csr_matrix((np.concatenate([B.data for B in blocks]),
+                           np.concatenate([B.indices + a for B, a in zip(blocks, starts)]),
+                           np.concatenate([[0]] + [B.indptr[1:] + e for B, e in zip(blocks, ends)])),
                           shape=(D, D))
     diag = np.flatnonzero(whole.indices == np.repeat(slots, np.diff(whole.indptr)))
     for a in (whole.data, whole.indices, whole.indptr, diag):
@@ -356,47 +499,49 @@ def _kept_blocks(L: int, n: int) -> _KeptBlocks:
     return _KeptBlocks(counts, whole=whole, diag=diag)
 
 
-def _momentum_rows(L: int, n: int, m: int) -> tuple[np.ndarray, ...]:
-    """The entries of Q_m (`momentum_blocks`) row by row: the states s whose
-    orbit momentum m admits, the columns a = col[r] and b = col[r~] of their
-    representative r and its mirror, and Q_m[s, a], Q_m[s, b]."""
-    orb = _orbits(L, n)
-    col, r = orb.column[m], orb.rep
-    on = np.nonzero(col[r] >= 0)[0]
-    r = r[on]
-    phase = _half_turn_roots(L)[2 * m * orb.shift[on] % (2 * L)] / np.sqrt(orb.period[r])
-    return on, col[r], col[orb.mirror[r]], phase * orb.own[m, r], phase * orb.other[m, r]
-
-
 def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
     """Sector isometries Q_0 .. Q_{L-1} onto the translation eigenspaces.
 
     Q_m = V_m W_m: V_m has one column |r, m> per orbit representative r that
     momentum m admits, with entries w^(m l) / sqrt(p) on the codes T^l r,
-    l < p, and W_m (`_orbits`) makes Q_mᴴ H Q_m real for an operator with
-    P H P = conj(H).  Together the blocks form a unitary that
+    l < p, and W_m (`_orbit_tables`) makes Q_mᴴ H Q_m real for an operator
+    with P H P = conj(H).  Together the blocks form a unitary that
     block-diagonalizes every operator commuting with the shift.  The
     solvers use the same entries without forming Q_m (`_map_back`).
     """
-    dim, widths = sector_dimension(L, n), np.count_nonzero(_orbits(L, n).column >= 0, axis=1)
+    basis = sector_basis(L, n)
+    orb = basis.orbits
     blocks = []
-    for m, d in enumerate(widths):
-        on, a, b, qa, qb = _momentum_rows(L, n, m)
-        rows, cols = np.tile(on, 2), np.concatenate([a, b])
-        blocks.append(sp.csr_matrix((np.concatenate([qa, qb]), (rows, cols)), shape=(dim, d)))
+    for m, (col, d) in enumerate(zip(orb.column, orb.widths)):
+        on = np.nonzero(col[orb.rep] >= 0)[0]  # the states s whose orbit r momentum m admits
+        r = orb.rep[on]
+        phase = _half_turn_roots(L)[2 * m * orb.shift[on] % (2 * L)] / np.sqrt(orb.period[r])
+        rows, cols = np.tile(on, 2), np.concatenate([col[r], col[orb.mirror[r]]])
+        vals = np.concatenate([phase * orb.own[m, r], phase * orb.other[m, r]])
+        blocks.append(sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, d)))
     return tuple(blocks)
 
 
 def _map_back(L: int, n: int, Y: np.ndarray) -> np.ndarray:
     """sum_m Q_m Y_m for the columns of Y, Y_m the rows of block m in the
-    direct sum of the real blocks: a gather over `_orbits`, no Q_m built."""
-    X = np.zeros((sector_dimension(L, n), Y.shape[1]), dtype=complex)
+    direct sum of the real blocks, without forming Q_m.
+
+    With g[m, r] = W_m[r, r] Y_m[col r] + W_m[r, r~] Y_m[col r~] (zero
+    unless momentum m admits r), state s = T^l r takes
+    sum_m w^(m l) g[m, r] / sqrt(p_r): one FFT over m, then a gather.
+    For one vector of L = 10, n = 0 this takes 0.9 ms, against 6-7 ms for
+    a gather of all states per momentum.
+    """
+    orb = sector_basis(L, n).orbits
+    g = np.zeros((L, len(orb.states), Y.shape[1]), dtype=complex)
     start = 0
-    for m, d in enumerate(np.count_nonzero(_orbits(L, n).column >= 0, axis=1)):
-        on, a, b, qa, qb = _momentum_rows(L, n, m)
-        X[on] += qa[:, None] * Y[start + a] + qb[:, None] * Y[start + b]
+    for m, (col, d) in enumerate(zip(orb.column, orb.widths)):
+        on = np.nonzero(col >= 0)[0]
+        g[m, on] = (orb.own[m, on, None] * Y[start + col[on]]
+                    + orb.other[m, on, None] * Y[start + col[orb.mirror[on]]])
         start += d
-    return X
+    G = np.fft.fft(g, axis=0)  # G[l] = sum_m g[m] w^(m l), w = exp(-2 pi i / L)
+    return G[orb.shift, orb.rep] / np.sqrt(orb.period[orb.rep])[:, None]
 
 
 def _monodromy(R4: np.ndarray, k: int) -> np.ndarray:
@@ -470,13 +615,11 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _real_blocks(op: LatticeOperator, sparse: bool = False):
     """Yield the real momentum blocks Q_mᴴ H Q_m (`momentum_blocks`), m = 0 .. L-1.
 
-    Block m comes from H's columns at the orbit representatives alone,
-    H_m[r', r] = sqrt(p_r / p_r') sum over s = T^l r' of H[s, r] conj(w^(m l)),
-    made real by W_m (`_orbits`), and is summed by one bincount (dense
-    arrays) or one COO sum (CSR when `sparse`); the columns are one CSR
-    slice of H.  Raises a ValueError unless H commutes with the shift S, by
-    the largest entry of the sparse commutator H S - S H, and unless
-    P H P = conj(H).
+    Block m comes from H's columns at the orbit representatives alone
+    (`_fold`), and is summed by one bincount (dense arrays) or one COO sum
+    (CSR when `sparse`); the columns are one CSR slice of H.  Raises a
+    ValueError unless H commutes with the shift S, by the largest entry of
+    the sparse commutator H S - S H, and unless P H P = conj(H).
     """
     basis, H, L = op.sector, op.matrix, op.sector.L
     if not H.has_canonical_format:
@@ -486,12 +629,22 @@ def _real_blocks(op: LatticeOperator, sparse: bool = False):
     S = shift_operator(L, basis.n)
     if abs(H @ S - S @ H).max() > tol:
         raise ValueError("momentum blocks need an operator that commutes with the shift")
-    orb = _orbits(L, basis.n)
+    orb = basis.orbits
     cols = H[:, orb.states].tocoo()
-    r, rp, l = cols.col, orb.rep[cols.row], orb.shift[cols.row]  # H[T^l r', r]
-    h, z = cols.data * np.sqrt(orb.period[r] / orb.period[rp]), _half_turn_roots(L)
+    r, rp = cols.col, orb.rep[cols.row]  # H[T^l r', r]
+    h = cols.data * np.sqrt(orb.period[r] / orb.period[rp])
+    for d, i, j, b in _fold(orb, L, r, rp, orb.shift[cols.row], h):
+        yield _summed(d, i, j, b, tol, sparse)
+
+
+def _fold(orb: SimpleNamespace, L: int, r, rp, l, h):
+    """Yield, for m = 0 .. L-1, the width d of real block m and its entries
+    (i, j, b) before summation, from the terms h of H[T^l r', r] scaled by
+    sqrt(p_r / p_r') (arrays r, rp = r', l, h):
+    H_m[r', r] = sum of h conj(w^(m l)) over the terms, made real by W_m
+    (`_orbit_tables`)."""
+    z = _half_turn_roots(L)
     for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
-        d = np.count_nonzero(col >= 0)
         on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
         v = h[on] * z[-2 * m * l[on] % (2 * L)]
         rpm, rm = rp[on], r[on]
@@ -500,16 +653,25 @@ def _real_blocks(op: LatticeOperator, sparse: bool = False):
         b = np.concatenate([_cmul(u, x) for u in uv for x in (own[rm], other[rm])])
         i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
         j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
-        if sparse:
-            B = sp.csr_matrix((b, (i, j)), shape=(d, d))
-            imag, B = B.data.imag, B.real
-        else:
-            flat = i * d + j
-            imag = np.bincount(flat, b.imag, d * d)
-            B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
-        if len(imag) and abs(imag).max() > tol:
-            raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
-        yield B
+        yield orb.widths[m], i, j, b
+
+
+def _summed(d: int, i: np.ndarray, j: np.ndarray, b: np.ndarray, tol: float, sparse: bool = False):
+    """The real d x d block with entries b summed at (i, j), dense or CSR.
+    Raises a ValueError if an imaginary part above tol is left, as it is
+    unless P H P = conj(H)."""
+    if sparse:
+        B = sp.csr_matrix((b, (i, j)), shape=(d, d))
+        # copies, so the block holds no part of the unsummed buffers
+        imag, B = B.data.imag, sp.csr_matrix((B.data.real.copy(), B.indices.copy(), B.indptr),
+                                             shape=(d, d))
+    else:
+        flat = i * d + j
+        imag = np.bincount(flat, b.imag, d * d)
+        B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
+    if len(imag) and abs(imag).max() > tol:
+        raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
+    return B
 
 
 def diagonalize(op: LatticeOperator, mode: str = "full", k: int = 6) -> SpectrumReport:
@@ -639,12 +801,14 @@ def reality_threshold(
 
     A probe above the threshold needs the full spectrum of every sector
     n >= 0; one below stops at its first complex level (`spectrum_is_real`).
-    Every sector's blocks are kept across probes (`_kept_blocks`), so a
-    whole bisection is almost all LAPACK `eig`: it took 0.25-0.29 s at
-    L = 7, 1.5-1.6 s at L = 8 and 14.9-16.2 s at L = 9 on one core of a
-    2-core machine (15.0-16.5 s at L = 9 with the sectors above
-    _DENSE_EIG_CUTOFF states rebuilt at every probe), so it is practical for
-    L <= 9.  The result is rounded to five decimal places.
+    Every sector's blocks are kept across probes (`SectorBasis.kept`), so a
+    whole bisection is almost all LAPACK `eig`: it took 0.24-0.25 s at
+    L = 7, 1.6 s at L = 8 and 16.3 s at L = 9 on one core of a 2-core
+    machine with the blocks folded from the orbit representatives (0.24,
+    1.6 and 15.5 s, measured alongside, folded from H(0); 15.0-16.5 s at
+    L = 9 with the sectors above _DENSE_EIG_CUTOFF states rebuilt at every
+    probe), so it is practical for L <= 9.  The result is rounded to five
+    decimal places.
     """
     lo, hi = bracket
     if not (lo < hi):

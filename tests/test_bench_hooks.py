@@ -5,6 +5,7 @@ only as a failed traced benchmark run."""
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,20 @@ def test_workload_calls_bind():
     for mod_name, fn, npos, keywords in calls:
         sig = inspect.signature(getattr(importlib.import_module(f"genus5chain.{mod_name}"), fn))
         sig.bind(*range(npos), **dict.fromkeys(keywords))
+
+
+def test_discovered_caches_release_the_sector_store():
+    # before every round the benchmark calls cache_clear on every module
+    # attribute of the package that has one (`workloads._CACHED`); sectors
+    # kept warm across rounds would show as a gain that no caller sees
+    for mod_name in MODULES:
+        importlib.import_module(f"genus5chain.{mod_name}")
+    lattice = sys.modules["genus5chain.lattice"]
+    list(lattice.build_hamiltonian(1.0, 6, 0).real_blocks())
+    assert lattice._sectors
+    cached = {id(fn): fn for name, mod in list(sys.modules.items())
+              if name.startswith("genus5chain.")
+              for fn in vars(mod).values() if hasattr(fn, "cache_clear")}
+    for fn in cached.values():
+        fn.cache_clear()
+    assert not lattice._sectors

@@ -1,4 +1,7 @@
+import gc
 import re
+import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -75,6 +78,50 @@ def test_sector_dimensions_and_completeness():
 def test_basis_is_lexicographic():
     b = sector_basis(4, 1)
     assert [_labels(c, 4) for c in b.codes] == sorted(_tuple_states(4, 1))
+
+
+def test_sector_codes_match_full_space_filter():
+    for L in range(1, 10):
+        full = np.arange(3**L)
+        spins = lattice._code_spins(full, L)
+        for n in range(-L, L + 1):
+            basis = sector_basis(L, n)
+            assert np.array_equal(basis.codes, full[spins == n])
+            assert np.array_equal(basis.rank(basis.codes), np.arange(basis.dim))
+
+
+def test_large_sector_built_without_full_space():
+    # 3^16 codes would take 344 MB as int64
+    for n in (14, 15, 16):
+        tracemalloc.start()
+        try:
+            basis = sector_basis(16, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert basis.dim == _trinomial(16, n)
+        assert np.all(np.diff(basis.codes) > 0)
+        assert np.all(lattice._code_spins(basis.codes, 16) == n)
+        assert np.array_equal(basis.rank(basis.codes), np.arange(basis.dim))
+
+
+def test_sector_store_holds_one_length():
+    sector_basis.cache_clear()
+    held = []
+    for n in range(-6, 7):
+        basis = sector_basis(6, n)
+        basis.kept, basis.bond_terms  # the state a solve builds
+        held.append(weakref.ref(basis))
+    del basis
+    assert sector_basis(6, 2) is held[8]()
+    for n in range(8):
+        sector_basis(7, n)
+    gc.collect()
+    assert all(ref() is None for ref in held)
+    assert set(lattice._sectors) == {(7, n) for n in range(8)}
+    sector_basis.cache_clear()
+    assert not lattice._sectors
 
 
 @pytest.mark.parametrize("U", [1.3, -2.7, 2 * np.sqrt(3)])
@@ -157,7 +204,7 @@ def _reference_real_blocks(op, sparse=False):
     tol = 1e-12 * max(1.0, abs(H).max())
     if abs(H @ S - S @ H).max() > tol:
         raise ValueError("momentum blocks need an operator that commutes with the shift")
-    orb = lattice._orbits(L, basis.n)
+    orb = basis.orbits
     cols = H[:, orb.states].tocoo()
     r, rp, l = cols.col, orb.rep[cols.row], orb.shift[cols.row]
     h, z = cols.data * np.sqrt(orb.period[r] / orb.period[rp]), lattice._half_turn_roots(L)
@@ -202,6 +249,19 @@ def test_hamiltonian_blocks_match_reference(U):
                 assert np.max(np.abs(B - R), initial=0.0) < 1e-13
 
 
+def test_representative_blocks_match_csr_fold():
+    # B_m(0) built from the representatives' bond terms against the fold of
+    # the CSR H(0), with its shift and reflection checks, in every sector
+    for L in range(2, 11):
+        for n in range(-L, L + 1):
+            op = build_hamiltonian(0.0, L, n)
+            kept = list(op.real_blocks())
+            ref = list(lattice._real_blocks(op))
+            for B, R in zip(kept, ref, strict=True):
+                assert B.dtype == R.dtype == np.float64 and B.shape == R.shape
+                assert np.max(np.abs(B - R), initial=0.0) <= 1e-14
+
+
 def test_foreign_operator_blocks_match_reference():
     op = build_hamiltonian(2.0, 6, 0)
     eye = sp.identity(op.dim, dtype=complex, format="csr")
@@ -212,7 +272,7 @@ def test_foreign_operator_blocks_match_reference():
     zero.data[zero.indices == 5] = 0.0  # stored zero: its translate is not stored
     # two stored translates, 1.5e-12 then 0.9e-12, between unstored ends:
     # only the step from the unstored entry before them exceeds 1e-12
-    step = lattice._orbits(6, 0).step
+    step = lattice._shift_targets(op.sector)
     chain = eye.tolil()
     chain[0, 5], chain[step[0], step[5]] = 1.5e-12, 0.9e-12
     for M in (op.matrix, eye, shifted, zero, sp.csr_matrix(stray), sp.csr_matrix(chain)):
@@ -234,16 +294,15 @@ def test_foreign_operator_blocks_match_reference():
 
 
 def test_every_sector_kept_and_solved_without_matrix(monkeypatch):
-    # the benchmark empties every lru_cache it finds among module attributes
-    assert hasattr(vars(lattice)["_kept_blocks"], "cache_clear")
+    # the benchmark empties every module attribute of the package with a cache_clear
+    assert hasattr(vars(lattice)["sector_basis"], "cache_clear")
     L = 9
-    lattice._kept_blocks.cache_clear()
-    for n in range(L + 1):
-        lattice._kept_blocks(L, n)
-    sizes = [sector_dimension(L, n) for n in range(L + 1)]
+    sector_basis.cache_clear()
+    sectors = [sector_basis(L, n) for n in range(L + 1)]
+    kept = [basis.kept for basis in sectors]
+    sizes = [basis.dim for basis in sectors]
     assert min(sizes) <= lattice._DENSE_EIG_CUTOFF < max(sizes)
-    info = lattice._kept_blocks.cache_info()
-    assert info.currsize == L + 1
+    assert set(lattice._sectors) == {(L, n) for n in range(L + 1)}
 
     def no_matrix(basis):
         raise AssertionError(f"CSR H built for L={basis.L}, n={basis.n}")
@@ -255,8 +314,10 @@ def test_every_sector_kept_and_solved_without_matrix(monkeypatch):
             diagonalize(op, mode=mode, k=k)
             assert "matrix" not in vars(op)
     assert not lattice.spectrum_is_real(2.5, L)  # below the threshold: complex levels in n = 0
-    after = lattice._kept_blocks.cache_info()
-    assert after.currsize == L + 1 and after.misses == info.misses
+    # each sector and its blocks were built once
+    assert set(lattice._sectors) == {(L, n) for n in range(L + 1)}
+    assert all(sector_basis(L, n) is basis and basis.kept is blocks
+               for n, basis, blocks in zip(range(L + 1), sectors, kept))
 
 
 def test_bond_apply_matches_matrix():
