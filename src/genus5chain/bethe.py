@@ -218,6 +218,8 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     M = L - n
     if len(Qa) != M:
         raise ValueError(f"expected {M} branch numbers, got {len(Qa)}")
+    if not np.all(np.isfinite(Qa)):
+        raise ValueError("branch numbers must be finite")
     if M == 0:
         return BetheRootSet(L, n, U, np.zeros(0, dtype=complex), [], 0.0)
     k = _log_form_start(L, U, Qa)

@@ -242,7 +242,9 @@ def sector_dimension(L: int, n: int) -> int:
 
 
 class LatticeOperator:
-    """An operator on one magnetization sector, held as a CSR `matrix`."""
+    """An operator on one magnetization sector, held as a CSR `matrix`, such
+    as the transfer matrix (`build_transfer_matrix`).  Only the subclass of
+    the chain Hamiltonian is solved (`diagonalize`)."""
 
     def __init__(self, sector: SectorBasis, matrix: sp.csr_matrix):
         self.sector, self.matrix = sector, matrix
@@ -251,22 +253,10 @@ class LatticeOperator:
     def dim(self) -> int:
         return self.sector.dim
 
-    def real_blocks(self):
-        """The dense real momentum blocks Q_mᴴ H Q_m, m = 0 .. L-1 (`_real_blocks`)."""
-        return _real_blocks(self)
-
-    def _real_sum(self) -> sp.csr_matrix:
-        """The direct sum of the real blocks as one CSR matrix, ARPACK's operator."""
-        return sp.block_diag(list(_real_blocks(self, sparse=True)), format="csr")
-
-    def _apply(self, V: np.ndarray) -> tuple[np.ndarray, float]:
-        """H V and the row-sum norm of H, for the residual check of `_lowest_arpack`."""
-        return self.matrix @ V, spla.norm(self.matrix, np.inf)
-
 
 class _ChainHamiltonian(LatticeOperator):
-    """H(U) on one sector (`build_hamiltonian`); the CSR `matrix` is built on
-    first read, in every sector, and no solve reads it.
+    """H(U) on one sector (`build_hamiltonian`), the one operator `diagonalize`
+    solves; the CSR `matrix` is built on first read, and no solve reads it.
 
     The blocks come from one place, the sector's kept B_m(0) and on-site
     counts C_m (`SectorBasis.kept`): block m of H(U) is B_m(0) + (U/2) diag(C_m),
@@ -289,12 +279,15 @@ class _ChainHamiltonian(LatticeOperator):
                              dtype=complex)
 
     def real_blocks(self):
+        """The dense real momentum blocks Q_mᴴ H Q_m, m = 0 .. L-1."""
         return self.sector.kept.blocks(self.U)
 
     def _real_sum(self) -> sp.csr_matrix:
+        """The direct sum of the real blocks as one CSR matrix, ARPACK's operator."""
         return self.sector.kept.real_sum(self.U)
 
     def _apply(self, V: np.ndarray) -> tuple[np.ndarray, float]:
+        """H V and the row-sum norm of H, for the residual check of `_lowest_arpack`."""
         return _apply_bonds(self.U, self.sector, V)
 
 
@@ -321,7 +314,7 @@ def _apply_bonds(U: float, basis: SectorBasis, V: np.ndarray) -> tuple[np.ndarra
     return out, float((hop + u * onsite).max(initial=0.0))
 
 
-def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
+def build_hamiltonian(U: float, L: int, n: int) -> _ChainHamiltonian:
     """H(U) restricted to the magnetization-n sector, periodic boundaries.
 
     Nothing is built here beyond the sector basis: the CSR matrix is built
@@ -332,16 +325,10 @@ def build_hamiltonian(U: float, L: int, n: int) -> LatticeOperator:
     return _ChainHamiltonian(U, sector_basis(L, n))
 
 
-def _shift_targets(basis: SectorBasis) -> np.ndarray:
-    """Index of the translate of every state (site k takes site k + 1's label)."""
-    top = 3 ** (basis.L - 1)
-    return basis.rank(basis.codes % top * 3 + basis.codes // top)
-
-
 def shift_operator(L: int, n: int) -> sp.csr_matrix:
     """Translation by one site on the sector basis (site k takes site k + 1's label)."""
-    basis = sector_basis(L, n)
-    rows = _shift_targets(basis)
+    basis, top = sector_basis(L, n), 3 ** (L - 1)
+    rows = basis.rank(basis.codes % top * 3 + basis.codes // top)
     return sp.csr_matrix(
         (np.ones(basis.dim), (rows, np.arange(basis.dim))), shape=(basis.dim, basis.dim)
     )
@@ -437,17 +424,17 @@ class _KeptBlocks:
 
 
 def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
-    """B_m(0) and C_m of a chain sector, folded from the hopping terms of
-    H(0) applied to the orbit representatives alone; arrays are read-only.
+    """B_m(0) and C_m of a sector of the chain Hamiltonian, folded from the
+    hopping terms of H(0) applied to the orbit representatives alone;
+    arrays are read-only.  Only the chain is folded: its P H P = conj(H)
+    is what makes the blocks real, and `_summed` checks it.
 
-    Each term takes a representative r to a state s = T^l r', and the fold
-    (`_fold`) is the one `_real_blocks` runs on H's columns at the
-    representatives, with the same P H P = conj(H) check; the terms come in
-    the order of that column slice, so dense blocks are bit for bit those
-    of `_real_blocks` on H(0) (L >= 3).  No CSR H(0), shift commutator or
-    whole-sector label table is built.  A sector above _DENSE_EIG_CUTOFF
-    states sums each block as CSR with its diagonal slots stored and
-    joins the blocks by concatenating their arrays.
+    Each term takes a representative r to a state s = T^l r' (`_fold`).
+    The terms are summed in the order of H(0)'s CSR columns at the
+    representatives, by state s and then by r, which fixes every block's
+    rounding.  No CSR H(0) or whole-sector label table is built.  A sector
+    above _DENSE_EIG_CUTOFF states sums each block as CSR with its diagonal
+    slots stored and joins the blocks by concatenating their arrays.
 
     sum_j (Sz_j)^2 counts a state's spins +-1: it is diagonal on the codes
     and commutes with the shift and the site reflection, so in the real
@@ -612,31 +599,6 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_blocks(op: LatticeOperator, sparse: bool = False):
-    """Yield the real momentum blocks Q_mᴴ H Q_m (`momentum_blocks`), m = 0 .. L-1.
-
-    Block m comes from H's columns at the orbit representatives alone
-    (`_fold`), and is summed by one bincount (dense arrays) or one COO sum
-    (CSR when `sparse`); the columns are one CSR slice of H.  Raises a
-    ValueError unless H commutes with the shift S, by the largest entry of
-    the sparse commutator H S - S H, and unless P H P = conj(H).
-    """
-    basis, H, L = op.sector, op.matrix, op.sector.L
-    if not H.has_canonical_format:
-        H = H.copy()
-        H.sum_duplicates()
-    tol = 1e-12 * max(1.0, np.abs(H.data).max(initial=0.0))
-    S = shift_operator(L, basis.n)
-    if abs(H @ S - S @ H).max() > tol:
-        raise ValueError("momentum blocks need an operator that commutes with the shift")
-    orb = basis.orbits
-    cols = H[:, orb.states].tocoo()
-    r, rp = cols.col, orb.rep[cols.row]  # H[T^l r', r]
-    h = cols.data * np.sqrt(orb.period[r] / orb.period[rp])
-    for d, i, j, b in _fold(orb, L, r, rp, orb.shift[cols.row], h):
-        yield _summed(d, i, j, b, tol, sparse)
-
-
 def _fold(orb: SimpleNamespace, L: int, r, rp, l, h):
     """Yield, for m = 0 .. L-1, the width d of real block m and its entries
     (i, j, b) before summation, from the terms h of H[T^l r', r] scaled by
@@ -657,9 +619,9 @@ def _fold(orb: SimpleNamespace, L: int, r, rp, l, h):
 
 
 def _summed(d: int, i: np.ndarray, j: np.ndarray, b: np.ndarray, tol: float, sparse: bool = False):
-    """The real d x d block with entries b summed at (i, j), dense or CSR.
-    Raises a ValueError if an imaginary part above tol is left, as it is
-    unless P H P = conj(H)."""
+    """The real d x d block of the chain Hamiltonian with entries b summed at
+    (i, j), dense or CSR.  Raises a ValueError if an imaginary part above tol
+    is left, as it is when the folded terms break P H P = conj(H)."""
     if sparse:
         B = sp.csr_matrix((b, (i, j)), shape=(d, d))
         # copies, so the block holds no part of the unsummed buffers
@@ -674,12 +636,13 @@ def _summed(d: int, i: np.ndarray, j: np.ndarray, b: np.ndarray, tol: float, spa
     return B
 
 
-def diagonalize(op: LatticeOperator, mode: str = "full", k: int = 6) -> SpectrumReport:
-    """Eigenvalues of a (generally non-Hermitian) sector operator.
+def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> SpectrumReport:
+    """Eigenvalues of the (non-Hermitian) chain Hamiltonian on one sector,
+    as `build_hamiltonian` gives it.
 
-    Every solve runs on the real momentum blocks (`momentum_blocks`), so the
-    operator must commute with the shift and have P H P = conj(H) for the
-    site reflection P, as the chain Hamiltonian has (else ValueError).
+    Every solve runs on the sector's real momentum blocks (`SectorBasis.kept`):
+    H commutes with the shift and has P H P = conj(H) for the site
+    reflection P, so each block Q_mᴴ H Q_m (`momentum_blocks`) is real.
     mode="full" returns every eigenvalue, by dense LAPACK per block.
     mode="lowest" returns the k >= 1 smallest-real-part eigenvalues: from the
     block spectrum up to _DENSE_EIG_CUTOFF states, from ARPACK on the direct
@@ -706,10 +669,11 @@ def diagonalize(op: LatticeOperator, mode: str = "full", k: int = 6) -> Spectrum
     return _make_report(op.sector, vals, method)
 
 
-def _lowest_arpack(op: LatticeOperator, k: int) -> SpectrumReport:
-    """ARPACK's real nonsymmetric mode on the direct sum of the real momentum
-    blocks; eigenvectors mapped back through the Q_m (`_map_back`), and each
-    residual checked against H (`LatticeOperator._apply`)."""
+def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
+    """ARPACK's real nonsymmetric mode on the direct sum of the chain
+    Hamiltonian's real momentum blocks; eigenvectors mapped back through the
+    Q_m (`_map_back`), and each residual checked against H applied bond by
+    bond (`_apply_bonds`)."""
     D, B = op.dim, op._real_sum()
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
@@ -775,7 +739,8 @@ def lowest_two_energies(U: float, L: int):
         for n in np.nonzero(lows <= top)[0]])
     above = vals[vals > top]
     if len(above) == 0:
-        raise ConvergenceFailure("no level above the ground state among the 8 lowest per sector")
+        raise ConvergenceFailure(
+            f"no level above the ground state among the {_LEVELS} lowest per sector")
     return float(e0), float(above.min())
 
 

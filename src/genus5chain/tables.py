@@ -21,6 +21,12 @@ def fit_threshold(pairs) -> tuple[float, float]:
         raise InsufficientData("threshold fit needs at least three (L, U) points")
     ls = np.array([p[0] for p in pairs], dtype=float)
     us = np.array([p[1] for p in pairs], dtype=float)
+    if not np.all(np.isfinite(us)):
+        raise ValueError("threshold fit needs finite couplings U")
+    if np.any(ls < 1):
+        raise ValueError("threshold fit needs lengths L >= 1")
+    if len(np.unique(ls)) < 2:
+        raise InsufficientData("threshold fit needs at least two distinct lengths L")
     A = np.stack([np.ones_like(ls), ls**-2.0], axis=1)
     coef, *_ = np.linalg.lstsq(A, us, rcond=None)
     return float(coef[0]), float(coef[1])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,18 @@ def test_non_finite_coupling_is_usage_error(argv, capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "need a finite coupling" in captured.err
+
+
+@pytest.mark.parametrize("Q", ["nan", "inf", "2,nan"])
+def test_non_finite_branch_numbers_are_refused(Q, capsys):
+    # these used to end as "log form did not converge (last step nan)", exit 1
+    n = 2 - len(Q.split(","))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bethe-solve", "--L", "2", "--n", str(n), "--U", "5", "--Q", Q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: branch numbers must be finite\n"
 
 
 @pytest.mark.parametrize("command", ["thermo", "gap", "density-profile"])
@@ -285,8 +298,18 @@ def test_density_profile_csv(tmp_path):
     assert abs(np.sum(sigma) * h - 1.0) < 1e-9
 
 
-def test_fit_threshold_insufficient_data():
+def test_fit_threshold_insufficient_data(capsys):
     assert main(["fit-threshold", "--data", "4:2.99684,5:3.1637"]) == 2
+    capsys.readouterr()
+    # a NaN U printed invalid JSON, L = 0 reached LAPACK, one repeated L fit a rank-deficient system
+    for data, reason in (("4:nan,5:3.0,6:3.1", "finite couplings"),
+                         ("4:3.0,5:inf,6:3.1", "finite couplings"),
+                         ("0:3.0,5:3.0,6:3.1", "lengths L >= 1"),
+                         ("4:3.0,4:3.0,4:3.0", "two distinct lengths")):
+        assert main(["fit-threshold", "--data", data]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("refused: threshold fit needs") and reason in captured.err
 
 
 @pytest.mark.parametrize("ls", ["4,5,9", "4,5,10"])

@@ -1,5 +1,4 @@
 import gc
-import re
 import tracemalloc
 import weakref
 from itertools import product
@@ -165,7 +164,7 @@ def test_reflection_conjugates_hamiltonian(L, data, U):
 def test_real_blocks_are_isometry_products(L, data, U):
     n = data.draw(st.integers(-L, L), label="n")
     op = build_hamiltonian(U, L, n)
-    blocks = list(lattice._real_blocks(op))
+    blocks = list(op.real_blocks())  # kept B_m(0) + (U/2) C_m, dense or sliced from CSR
     Q = lattice.momentum_blocks(L, n)
     assert len(blocks) == len(Q) == L
     for B, Qm in zip(blocks, Q):
@@ -196,7 +195,7 @@ def test_staggered_sign_maps_real_blocks_bit_for_bit(L, data, U):
         assert np.array_equal(minus[mp], -sign * plus[m])
 
 
-def _reference_real_blocks(op, sparse=False):
+def _reference_real_blocks(op):
     """The real momentum blocks laid out anew from H on every call: the shift
     check by sparse products, H's columns at the representatives by slicing."""
     basis, H, L = op.sector, op.matrix, op.sector.L
@@ -217,22 +216,12 @@ def _reference_real_blocks(op, sparse=False):
         b = np.concatenate([lattice._cmul(u, x) for u in uv for x in (own[rm], other[rm])])
         i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
         j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
-        if sparse:
-            B = sp.csr_matrix((b, (i, j)), shape=(d, d))
-            imag, B = B.data.imag, B.real
-        else:
-            flat = i * d + j
-            imag = np.bincount(flat, b.imag, d * d)
-            B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
+        flat = i * d + j
+        imag = np.bincount(flat, b.imag, d * d)
+        B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
         if len(imag) and abs(imag).max() > tol:
             raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
         yield B
-
-
-def _bits(M):
-    """Dtype, shape and bytes of a dense array or of a CSR matrix's arrays."""
-    arrays = (M.indptr, M.indices, M.data) if sp.issparse(M) else (M,)
-    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 @pytest.mark.parametrize("U", [0.0, 1.0, -2.3, 2 * np.sqrt(3)])
@@ -256,41 +245,10 @@ def test_representative_blocks_match_csr_fold():
         for n in range(-L, L + 1):
             op = build_hamiltonian(0.0, L, n)
             kept = list(op.real_blocks())
-            ref = list(lattice._real_blocks(op))
+            ref = list(_reference_real_blocks(op))
             for B, R in zip(kept, ref, strict=True):
                 assert B.dtype == R.dtype == np.float64 and B.shape == R.shape
                 assert np.max(np.abs(B - R), initial=0.0) <= 1e-14
-
-
-def test_foreign_operator_blocks_match_reference():
-    op = build_hamiltonian(2.0, 6, 0)
-    eye = sp.identity(op.dim, dtype=complex, format="csr")
-    shifted = op.matrix + 0.1j * eye
-    stray = eye.tolil()
-    stray[0, 5] = 1.0
-    zero = sp.csr_matrix(stray)
-    zero.data[zero.indices == 5] = 0.0  # stored zero: its translate is not stored
-    # two stored translates, 1.5e-12 then 0.9e-12, between unstored ends:
-    # only the step from the unstored entry before them exceeds 1e-12
-    step = lattice._shift_targets(op.sector)
-    chain = eye.tolil()
-    chain[0, 5], chain[step[0], step[5]] = 1.5e-12, 0.9e-12
-    for M in (op.matrix, eye, shifted, zero, sp.csr_matrix(stray), sp.csr_matrix(chain)):
-        foreign = lattice.LatticeOperator(op.sector, M)
-        for sparse in (False, True):
-            try:
-                ref = [_bits(B) for B in _reference_real_blocks(foreign, sparse)]
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    list(lattice._real_blocks(foreign, sparse))
-            else:
-                assert [_bits(B) for B in lattice._real_blocks(foreign, sparse)] == ref
-    # duplicate entries are summed before the pattern is read
-    halves = sp.csr_matrix((np.full(2 * op.dim, 0.5 + 0j), np.repeat(np.arange(op.dim), 2),
-                            np.arange(0, 2 * op.dim + 1, 2)), shape=eye.shape)
-    assert not halves.has_canonical_format
-    blocks = [lattice._real_blocks(lattice.LatticeOperator(op.sector, M)) for M in (halves, eye)]
-    assert [_bits(B) for B in blocks[0]] == [_bits(B) for B in blocks[1]]
 
 
 def test_every_sector_kept_and_solved_without_matrix(monkeypatch):
@@ -514,15 +472,6 @@ def test_block_spectrum_matches_whole_sector_eig(L, data, U):
     assert _hausdorff(vals, ref) <= 1e-5
 
 
-def test_full_mode_rejects_operator_without_translation_symmetry():
-    basis = sector_basis(4, 0)
-    diag = np.random.default_rng(5).normal(size=basis.dim)
-    op = lattice.LatticeOperator(basis, sp.diags(diag).tocsr().astype(complex))
-    for mode in ("full", "lowest"):
-        with pytest.raises(ValueError, match="commutes with the shift"):
-            diagonalize(op, mode=mode)
-
-
 def test_arpack_failure_falls_back_to_block_spectrum(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
@@ -560,20 +509,6 @@ def test_arpack_keeps_low_conjugate_pair():
     assert _hausdorff(low.eigenvalues, ref) < 1e-9
     pair = low.eigenvalues[~low.is_real]
     assert len(pair) == 2 and abs(pair[0] - pair[1].conj()) < 1e-9 and abs(pair[0].imag) > 0.02
-
-
-def test_arpack_rejects_operator_without_pt_symmetry():
-    op = build_hamiltonian(0.5, 8, 0)  # dim 1107: above the dense cutoff
-    shifted = lattice.LatticeOperator(op.sector, op.matrix + 0.1j * sp.identity(op.dim, format="csr"))
-    with pytest.raises(ValueError, match="P H P = conj"):
-        diagonalize(shifted, mode="lowest", k=6)
-
-
-def test_full_mode_rejects_operator_without_pt_symmetry():
-    op = build_hamiltonian(0.5, 4, 0)
-    shifted = lattice.LatticeOperator(op.sector, op.matrix + 0.1j * sp.identity(op.dim, format="csr"))
-    with pytest.raises(ValueError, match="P H P = conj"):
-        diagonalize(shifted, mode="full")
 
 
 def test_transfer_matrix_is_shift_at_regular_point():
@@ -616,15 +551,6 @@ def test_hamiltonian_commutes_with_transfer(rng):
     H = build_hamiltonian(4.0, L, n).matrix.toarray()
     scale = np.max(np.abs(T)) * np.max(np.abs(H))
     assert np.max(np.abs(H @ T - T @ H)) < 1e-9 * max(1.0, scale)
-
-
-def test_diagonalize_identity():
-    basis = sector_basis(4, 2)
-    import scipy.sparse as sp
-
-    op = lattice.LatticeOperator(basis, sp.identity(basis.dim, dtype=complex, format="csr"))
-    rep = diagonalize(op, mode="full")
-    assert np.allclose(rep.eigenvalues, 1.0)
 
 
 def test_lowest_mode_matches_dense():
