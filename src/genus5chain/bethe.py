@@ -220,6 +220,10 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
         raise ValueError(f"expected {M} branch numbers, got {len(Qa)}")
     if not np.all(np.isfinite(Qa)):
         raise ValueError("branch numbers must be finite")
+    shifted = Qa - (M - 1) / 2
+    if not np.array_equal(shifted, np.round(shifted)):
+        kind, parity = ("integers", "odd") if M % 2 else ("half-odd integers", "even")
+        raise ValueError(f"branch numbers must be {kind} when M = L - n = {M} is {parity}")
     if M == 0:
         return BetheRootSet(L, n, U, np.zeros(0, dtype=complex), [], 0.0)
     k = _log_form_start(L, U, Qa)

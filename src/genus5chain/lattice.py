@@ -85,8 +85,9 @@ class SectorBasis:
     two lookup tables of about 3^(L/2) entries each.
 
     The rest is built on first use and lives as long as the sector: its
-    translation orbits (`orbits`), its real blocks at U = 0 (`kept`) and
-    the index arrays of its bond terms (`bond_terms`, `row_moduli`).  `sector_basis`
+    translation orbits (`orbits`), its real blocks at U = 0 as one CSR
+    direct sum (`kept`) and the index arrays of its bond terms
+    (`bond_terms`, `row_moduli`).  `sector_basis`
     hands out one object per (L, n) and holds the sectors of one L only,
     so a caller that walks L upward releases each L before it builds the
     next.  At L = 10 the eleven sectors n >= 0 took 0.17-0.20 s to generate
@@ -138,8 +139,8 @@ class SectorBasis:
 
     @cached_property
     def kept(self) -> _KeptBlocks:
-        """The real blocks of H(0) and the on-site counts (`_kept_blocks`),
-        for the chain Hamiltonian only."""
+        """The direct sum of the real blocks of H(0) and the on-site counts
+        (`_kept_blocks`), for the chain Hamiltonian only."""
         return _kept_blocks(self)
 
     @cached_property
@@ -260,8 +261,9 @@ class _ChainHamiltonian(LatticeOperator):
 
     The blocks come from one place, the sector's kept B_m(0) and on-site
     counts C_m (`SectorBasis.kept`): block m of H(U) is B_m(0) + (U/2) diag(C_m),
-    dense blocks for `real_blocks` and their direct sum as one CSR matrix
-    for ARPACK.  The ARPACK residuals apply H(U) bond by bond on the codes
+    in every sector kept as one CSR direct sum.  That sum is ARPACK's
+    operator, and the dense blocks of `real_blocks` are filled from its
+    rows.  The ARPACK residuals apply H(U) bond by bond on the codes
     (`_apply_bonds`), through the sector's kept int32 term indices: 3.5 ms
     for one vector of L = 10, n = 0, against 14-16 ms with a binary search
     of the codes at every call.
@@ -281,14 +283,6 @@ class _ChainHamiltonian(LatticeOperator):
     def real_blocks(self):
         """The dense real momentum blocks Q_mᴴ H Q_m, m = 0 .. L-1."""
         return self.sector.kept.blocks(self.U)
-
-    def _real_sum(self) -> sp.csr_matrix:
-        """The direct sum of the real blocks as one CSR matrix, ARPACK's operator."""
-        return self.sector.kept.real_sum(self.U)
-
-    def _apply(self, V: np.ndarray) -> tuple[np.ndarray, float]:
-        """H V and the row-sum norm of H, for the residual check of `_lowest_arpack`."""
-        return _apply_bonds(self.U, self.sector, V)
 
 
 def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,30 +391,38 @@ class _KeptBlocks:
     of its on-site term (`_kept_blocks`), so that H(U)'s block m is
     B_m(0) + (U/2) diag(C_m).
 
-    A sector of at most _DENSE_EIG_CUTOFF states keeps its blocks dense
-    (`dense`).  A larger one keeps their direct sum as one real CSR matrix
-    (`whole`) that stores every diagonal slot, at `diag` in its data, so
-    H(U)'s sum is one copy of the data with a diagonal add, and its dense
-    blocks are slices of that sum.
+    The blocks are kept as their direct sum, one real CSR matrix (`whole`)
+    that stores every diagonal slot, at `diag` in its data.  H(U)'s sum is
+    one copy of the data with a diagonal add, and its dense blocks are
+    filled from the rows of that sum.
     """
 
     counts: tuple[np.ndarray, ...]
-    dense: tuple[np.ndarray, ...] | None = None
-    whole: sp.csr_matrix | None = None
-    diag: np.ndarray | None = None
+    whole: sp.csr_matrix
+    diag: np.ndarray
+
+    def _data(self, U: float) -> np.ndarray:
+        """The data of H(U)'s sum: one copy of `whole.data` with the diagonal add."""
+        data = self.whole.data.copy()
+        data[self.diag] += (U / 2) * np.concatenate(self.counts)
+        return data
 
     def blocks(self, U: float):
         """Dense blocks of H(U), m = 0 .. L-1."""
-        if self.dense is not None:
-            return (B + np.diag((U / 2) * c) for B, c in zip(self.dense, self.counts))
-        A, ends = self.real_sum(U), np.cumsum([len(c) for c in self.counts])
-        return (A[e - len(c):e, e - len(c):e].toarray() for e, c in zip(ends, self.counts))
+        data, cols, ptr = self._data(U), self.whole.indices, self.whole.indptr
+        rows, start = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), 0
+        for c in self.counts:
+            end = start + len(c)
+            a, b = ptr[start], ptr[end]
+            B = np.zeros((len(c), len(c)))
+            B[rows[a:b] - start, cols[a:b] - start] = data[a:b]
+            yield B
+            start = end
 
     def real_sum(self, U: float) -> sp.csr_matrix:
-        """The direct sum of H(U)'s blocks as one CSR matrix (sectors kept as CSR)."""
-        data = self.whole.data.copy()
-        data[self.diag] += (U / 2) * np.concatenate(self.counts)
-        return sp.csr_matrix((data, self.whole.indices, self.whole.indptr), shape=self.whole.shape)
+        """The direct sum of H(U)'s blocks as one CSR matrix."""
+        return sp.csr_matrix((self._data(U), self.whole.indices, self.whole.indptr),
+                             shape=self.whole.shape)
 
 
 def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
@@ -432,21 +434,22 @@ def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
     Each term takes a representative r to a state s = T^l r' (`_fold`).
     The terms are summed in the order of H(0)'s CSR columns at the
     representatives, by state s and then by r, which fixes every block's
-    rounding.  No CSR H(0) or whole-sector label table is built.  A sector
-    above _DENSE_EIG_CUTOFF states sums each block as CSR with its diagonal
-    slots stored and joins the blocks by concatenating their arrays.
+    rounding in every sector.  No CSR H(0) or whole-sector label table is
+    built.  Each block is summed slot by slot in that order (`_summed`) into
+    CSR arrays with its diagonal slots stored, and the blocks are joined by
+    concatenating their arrays.
 
     sum_j (Sz_j)^2 counts a state's spins +-1: it is diagonal on the codes
     and commutes with the shift and the site reflection, so in the real
     block basis it is diag(C_m), the counts at the orbit representatives
-    that momentum m admits, in column order.  The sectors above
-    _DENSE_EIG_CUTOFF states keep CSR blocks (2.0 MB for L = 10, n = 0;
-    kept as dense blocks they had taken the peak RSS of
+    that momentum m admits, in column order.  L = 10, n = 0 keeps 2.1 MB
+    (kept as dense blocks they had taken the peak RSS of
     `genus5 ed --L 10 --U 1` from 142 to 319 MB).  Folded from H(0) that
     command peaked at 143 MB, folded from the representatives at 135 MB.
-    L = 13, n = 0 folds in 1.3-1.4 s, and peaks at 341 MB RSS with its
-    lowest level solved, against 3.0 s and 415 MB folded from the CSR
-    H(0); L = 14 folds in 4.4 s at 837 MB.
+    L = 13, n = 0 folds in 1.2-1.7 s at a traced peak of 196 MB for 67 MB
+    kept, and peaks at 334 MB RSS with its lowest level solved, against
+    3.0 s and 415 MB folded from the CSR H(0); L = 14 folds in 5.4 s at
+    810 MB for 205 MB kept (one BLAS thread).
     """
     orb, L = basis.orbits, basis.L
     reps = basis.codes[orb.states]
@@ -462,28 +465,16 @@ def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
     counts = tuple(spins[col >= 0] for col in orb.column)
     for c in counts:
         c.setflags(write=False)
-    folds = _fold(orb, L, r, rp, orb.shift[s], h)
-    if basis.dim <= _DENSE_EIG_CUTOFF:
-        dense = tuple(_summed(d, i, j, b, tol) for d, i, j, b in folds)
-        for B in dense:
-            B.setflags(write=False)
-        return _KeptBlocks(counts, dense=dense)
-    blocks = []
-    for d, i, j, b in folds:  # each block with its diagonal slots stored
-        diagonal = np.arange(d, dtype=i.dtype)
-        blocks.append(_summed(d, np.concatenate([i, diagonal]), np.concatenate([j, diagonal]),
-                              np.concatenate([b, np.zeros(d)]), tol, sparse=True))
-    starts = np.cumsum([0] + [B.shape[0] for B in blocks]).tolist()
-    ends = np.cumsum([0] + [B.nnz for B in blocks]).tolist()
-    D, slots = basis.dim, np.arange(basis.dim)
-    whole = sp.csr_matrix((np.concatenate([B.data for B in blocks]),
-                           np.concatenate([B.indices + a for B, a in zip(blocks, starts)]),
-                           np.concatenate([[0]] + [B.indptr[1:] + e for B, e in zip(blocks, ends)])),
-                          shape=(D, D))
-    diag = np.flatnonzero(whole.indices == np.repeat(slots, np.diff(whole.indptr)))
+    data, cols, per_row = zip(*(_summed(d, i, j, b, tol)
+                                for d, i, j, b in _fold(orb, L, r, rp, orb.shift[s], h)))
+    starts = (np.cumsum(orb.widths) - orb.widths).tolist()
+    D = basis.dim
+    whole = sp.csr_matrix((np.concatenate(data), np.concatenate([c + a for c, a in zip(cols, starts)]),
+                           np.concatenate([[0], np.cumsum(np.concatenate(per_row))])), shape=(D, D))
+    diag = np.flatnonzero(whole.indices == np.repeat(np.arange(D), np.diff(whole.indptr)))
     for a in (whole.data, whole.indices, whole.indptr, diag):
         a.setflags(write=False)
-    return _KeptBlocks(counts, whole=whole, diag=diag)
+    return _KeptBlocks(counts, whole, diag)
 
 
 def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
@@ -618,22 +609,22 @@ def _fold(orb: SimpleNamespace, L: int, r, rp, l, h):
         yield orb.widths[m], i, j, b
 
 
-def _summed(d: int, i: np.ndarray, j: np.ndarray, b: np.ndarray, tol: float, sparse: bool = False):
+def _summed(d: int, i: np.ndarray, j: np.ndarray, b: np.ndarray, tol: float):
     """The real d x d block of the chain Hamiltonian with entries b summed at
-    (i, j), dense or CSR.  Raises a ValueError if an imaginary part above tol
-    is left, as it is when the folded terms break P H P = conj(H)."""
-    if sparse:
-        B = sp.csr_matrix((b, (i, j)), shape=(d, d))
-        # copies, so the block holds no part of the unsummed buffers
-        imag, B = B.data.imag, sp.csr_matrix((B.data.real.copy(), B.indices.copy(), B.indptr),
-                                             shape=(d, d))
-    else:
-        flat = i * d + j
-        imag = np.bincount(flat, b.imag, d * d)
-        B = np.bincount(flat, b.real, d * d).reshape(d, d).astype(float, copy=False)
+    (i, j), as the CSR arrays (data, int32 column indices, entries per row)
+    with every diagonal slot stored.  The entries are added at their slots
+    in the order given, so the order of the terms fixes the block's
+    rounding.  Raises a ValueError if an imaginary part above tol is left,
+    as it is when the folded terms break P H P = conj(H)."""
+    slots, at = np.unique(np.concatenate([i.astype(np.int64) * d + j, np.arange(d) * (d + 1)]),
+                          return_inverse=True)
+    at = at[:len(b)]
+    imag = np.bincount(at, b.imag, len(slots))
     if len(imag) and abs(imag).max() > tol:
         raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
-    return B
+    rows, cols = np.divmod(slots, d)
+    return (np.bincount(at, b.real, len(slots)).astype(float, copy=False), cols.astype(np.int32),
+            np.bincount(rows, minlength=d))
 
 
 def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> SpectrumReport:
@@ -674,7 +665,7 @@ def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
     Hamiltonian's real momentum blocks; eigenvectors mapped back through the
     Q_m (`_map_back`), and each residual checked against H applied bond by
     bond (`_apply_bonds`)."""
-    D, B = op.dim, op._real_sum()
+    D, B = op.dim, op.sector.kept.real_sum(op.U)
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
     for ncv in (max(40, 4 * k), max(90, 8 * k)):
@@ -685,7 +676,7 @@ def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
         vecs = _map_back(op.sector.L, op.sector.n, vecs)
-        Hv, norm = op._apply(vecs)
+        Hv, norm = _apply_bonds(op.U, op.sector, vecs)
         res = np.linalg.norm(Hv - vecs * vals[None, :], axis=0)
         if np.all(res <= 1e-9 * max(1.0, norm)):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})")
@@ -771,7 +762,7 @@ def reality_threshold(
     L = 7, 1.6 s at L = 8 and 16.3 s at L = 9 on one core of a 2-core
     machine with the blocks folded from the orbit representatives (0.24,
     1.6 and 15.5 s, measured alongside, folded from H(0); 15.0-16.5 s at
-    L = 9 with the sectors above _DENSE_EIG_CUTOFF states rebuilt at every
+    L = 9 with the sectors above 900 states rebuilt at every
     probe), so it is practical for L <= 9.  The result is rounded to five
     decimal places.
     """

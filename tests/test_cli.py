@@ -108,6 +108,18 @@ def test_non_finite_branch_numbers_are_refused(Q, capsys):
     assert captured.err == "refused: branch numbers must be finite\n"
 
 
+@pytest.mark.parametrize("Q", ["0.5", "1", "3"])
+def test_branch_numbers_of_wrong_parity_are_refused(Q, capsys):
+    # one root (M = L - n = 1) takes integer branch numbers
+    code = main(["bethe-solve", "--L", "2", "--n", "1", "--U", "5", "--Q", Q])
+    captured = capsys.readouterr()
+    if Q == "0.5":
+        assert code == 2 and captured.out == ""
+        assert captured.err == "refused: branch numbers must be integers when M = L - n = 1 is odd\n"
+    else:
+        assert code == 0 and json.loads(captured.out)["Q"] == [float(Q)]
+
+
 @pytest.mark.parametrize("command", ["thermo", "gap", "density-profile"])
 @pytest.mark.parametrize("k0", ["inf", "-inf", "nan"])
 def test_non_finite_grid_start_is_usage_error(command, k0, capsys):

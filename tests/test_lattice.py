@@ -164,7 +164,7 @@ def test_reflection_conjugates_hamiltonian(L, data, U):
 def test_real_blocks_are_isometry_products(L, data, U):
     n = data.draw(st.integers(-L, L), label="n")
     op = build_hamiltonian(U, L, n)
-    blocks = list(op.real_blocks())  # kept B_m(0) + (U/2) C_m, dense or sliced from CSR
+    blocks = list(op.real_blocks())  # kept B_m(0) + (U/2) C_m, filled from the kept CSR sum
     Q = lattice.momentum_blocks(L, n)
     assert len(blocks) == len(Q) == L
     for B, Qm in zip(blocks, Q):
@@ -240,7 +240,9 @@ def test_hamiltonian_blocks_match_reference(U):
 
 def test_representative_blocks_match_csr_fold():
     # B_m(0) built from the representatives' bond terms against the fold of
-    # the CSR H(0), with its shift and reflection checks, in every sector
+    # the CSR H(0), with its shift and reflection checks, in every sector:
+    # both add the same terms in the same order, so the blocks are bit-equal
+    # on either side of the dense/ARPACK cutoff
     for L in range(2, 11):
         for n in range(-L, L + 1):
             op = build_hamiltonian(0.0, L, n)
@@ -248,7 +250,21 @@ def test_representative_blocks_match_csr_fold():
             ref = list(_reference_real_blocks(op))
             for B, R in zip(kept, ref, strict=True):
                 assert B.dtype == R.dtype == np.float64 and B.shape == R.shape
-                assert np.max(np.abs(B - R), initial=0.0) <= 1e-14
+                assert np.array_equal(B, R)
+
+
+@pytest.mark.parametrize("L", [6, 8])  # n = 0 has 141 and 1107 states
+def test_fold_refuses_terms_breaking_reflection(L, monkeypatch):
+    # without the -i/2 S-(Sz S+) term, the site-reflected partner of the
+    # +i/2 (Sz S+)S- term, P H P = conj(H) fails and the blocks keep
+    # imaginary parts
+    sector_basis.cache_clear()
+    monkeypatch.setattr(lattice, "_HOP", lattice._HOP - (-1j / 2) * np.kron(lattice.SM, lattice._SZSP))
+    try:
+        with pytest.raises(ValueError, match="P H P = conj"):
+            sector_basis(L, 0).kept
+    finally:
+        sector_basis.cache_clear()
 
 
 def test_every_sector_kept_and_solved_without_matrix(monkeypatch):
@@ -285,7 +301,7 @@ def test_bond_apply_matches_matrix():
             for U in (0.0, 1.3, -2.7, 2 * np.sqrt(3)):
                 op = build_hamiltonian(U, L, n)
                 V = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
-                HV, norm = op._apply(V)
+                HV, norm = lattice._apply_bonds(U, op.sector, V)
                 ref = op.matrix @ V
                 assert np.max(np.abs(HV - ref), initial=0.0) <= 1e-14 * max(1.0, np.abs(ref).max())
                 assert abs(norm - spla.norm(op.matrix, np.inf)) <= 1e-14 * max(1.0, norm)
