@@ -162,10 +162,7 @@ def _counting_table(U: float):
     s = np.sin(grid.nodes - np.pi / 6)
     ws = grid.weights * grid.values
     t = grid.nodes[0] + (np.pi / _SEED_NODES) * np.arange(2 * _SEED_NODES + 1)
-    # 32 rows at a time: the whole table's temporaries (3 MB) added about
-    # 1.2 MB to the peak RSS of a process that only warms the solver up
-    Z = np.concatenate([_counting_function(t[i:i + 32], U, s, ws)[0]
-                        for i in range(0, len(t), 32)])
+    Z = _counting_function(t, U, s, ws)[0]
     return t, np.maximum.accumulate(Z), s, ws
 
 
@@ -224,6 +221,10 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     if not np.array_equal(shifted, np.round(shifted)):
         kind, parity = ("integers", "odd") if M % 2 else ("half-odd integers", "even")
         raise ValueError(f"branch numbers must be {kind} when M = L - n = {M} is {parity}")
+    if np.any(np.abs(Qa) >= 2.0**52):
+        # no double from 2**52 up is half-odd, none from 2**53 up is odd
+        raise ValueError("branch numbers must lie below 2**52 in magnitude, "
+                         "where their parity is still decidable")
     if M == 0:
         return BetheRootSet(L, n, U, np.zeros(0, dtype=complex), [], 0.0)
     k = _log_form_start(L, U, Qa)

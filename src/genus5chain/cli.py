@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("reality-threshold", help="smallest U with an all-real spectrum")
     q.add_argument("--L", type=sites, required=True)
-    q.add_argument("--tol", type=tolerance, default=1e-8)
+    q.add_argument("--tol", type=tolerance, default=lattice._REAL_TOL)
     q.add_argument("--bracket", default="2.5,3.45")
     q.add_argument("--heavy", action="store_true")
     q.set_defaults(func=cmd_reality_threshold)

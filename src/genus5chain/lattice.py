@@ -82,18 +82,14 @@ class SectorBasis:
     lexicographic order of their label strings.  `codes` is read-only and
     fixed by (L, n); it is generated site by site (`_sector_codes`), never
     by filtering the 3^L codes, and `rank` maps codes back to indices by
-    two lookup tables of about 3^(L/2) entries each.
+    binary search.
 
     The rest is built on first use and lives as long as the sector: its
     translation orbits (`orbits`), its real blocks at U = 0 as one CSR
     direct sum (`kept`) and the index arrays of its bond terms
-    (`bond_terms`, `row_moduli`).  `sector_basis`
-    hands out one object per (L, n) and holds the sectors of one L only,
-    so a caller that walks L upward releases each L before it builds the
-    next.  At L = 10 the eleven sectors n >= 0 took 0.17-0.20 s to generate
-    and fold, against 0.31-0.33 s when the codes came from the 3^L filter
-    and the blocks from the CSR H(0); at L = 15 the codes of n = 0 take
-    0.05 s against 3.6 s (one BLAS thread).
+    (`bond_terms`, `row_moduli`).  `sector_basis` hands out one object per
+    (L, n) and holds the sectors of one L only, so a caller that walks L
+    upward releases each L before it builds the next.
     """
 
     L: int
@@ -109,28 +105,9 @@ class SectorBasis:
         return _digits(self.codes, self.L)
 
     def rank(self, codes: np.ndarray) -> np.ndarray:
-        """Index of each code of this sector (codes outside it give garbage):
-        with hi, lo = divmod(code, 3^(L//2)), the index is the first index
-        with that hi plus lo's rank among the lo codes of its spin (H. Q. Lin,
-        Phys. Rev. B 42, 6561 (1990))."""
-        base, first, lo_rank = self._rank_tables
-        hi, lo = np.divmod(codes, base)
-        return first[hi] + lo_rank[lo]
-
-    @cached_property
-    def _rank_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
-        sites = self.L // 2
-        base = 3**sites
-        spin = _code_spins(np.arange(base), sites)
-        order = np.argsort(spin, kind="stable")
-        sizes = np.bincount(spin + sites, minlength=2 * sites + 1)
-        lo_rank = np.empty(base, dtype=np.int64)
-        lo_rank[order] = np.arange(base) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        hi = self.codes // base
-        start = np.flatnonzero(np.diff(hi, prepend=-1))
-        first = np.zeros(3 ** (self.L - sites), dtype=np.int64)
-        first[hi[start]] = start
-        return base, first, lo_rank
+        """Index of each code of this sector, by binary search of `codes`
+        (codes outside the sector give garbage)."""
+        return np.searchsorted(self.codes, codes)
 
     @cached_property
     def orbits(self) -> SimpleNamespace:
@@ -264,9 +241,8 @@ class _ChainHamiltonian(LatticeOperator):
     in every sector kept as one CSR direct sum.  That sum is ARPACK's
     operator, and the dense blocks of `real_blocks` are filled from its
     rows.  The ARPACK residuals apply H(U) bond by bond on the codes
-    (`_apply_bonds`), through the sector's kept int32 term indices: 3.5 ms
-    for one vector of L = 10, n = 0, against 14-16 ms with a binary search
-    of the codes at every call.
+    (`_apply_bonds`), through the sector's kept int32 term indices, so no
+    solve ranks codes.
     """
 
     def __init__(self, U: float, sector: SectorBasis):
@@ -442,14 +418,7 @@ def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
     sum_j (Sz_j)^2 counts a state's spins +-1: it is diagonal on the codes
     and commutes with the shift and the site reflection, so in the real
     block basis it is diag(C_m), the counts at the orbit representatives
-    that momentum m admits, in column order.  L = 10, n = 0 keeps 2.1 MB
-    (kept as dense blocks they had taken the peak RSS of
-    `genus5 ed --L 10 --U 1` from 142 to 319 MB).  Folded from H(0) that
-    command peaked at 143 MB, folded from the representatives at 135 MB.
-    L = 13, n = 0 folds in 1.2-1.7 s at a traced peak of 196 MB for 67 MB
-    kept, and peaks at 334 MB RSS with its lowest level solved, against
-    3.0 s and 415 MB folded from the CSR H(0); L = 14 folds in 5.4 s at
-    810 MB for 205 MB kept (one BLAS thread).
+    that momentum m admits, in column order.
     """
     orb, L = basis.orbits, basis.L
     reps = basis.codes[orb.states]
@@ -507,8 +476,6 @@ def _map_back(L: int, n: int, Y: np.ndarray) -> np.ndarray:
     With g[m, r] = W_m[r, r] Y_m[col r] + W_m[r, r~] Y_m[col r~] (zero
     unless momentum m admits r), state s = T^l r takes
     sum_m w^(m l) g[m, r] / sqrt(p_r): one FFT over m, then a gather.
-    For one vector of L = 10, n = 0 this takes 0.9 ms, against 6-7 ms for
-    a gather of all states per momentum.
     """
     orb = sector_basis(L, n).orbits
     g = np.zeros((L, len(orb.states), Y.shape[1]), dtype=complex)
@@ -686,43 +653,40 @@ def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
     )
 
 
+@lru_cache(maxsize=4096)
+def _sector_lowest(U: float, L: int, n: int) -> float:
+    """Lowest real part of sector n, its only level solved: ARPACK converges
+    its wanted levels together, so each extra level costs restarts."""
+    return float(diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=1)
+                 .eigenvalues.real.min())
+
+
 def lowest_per_sector(U: float, L: int) -> np.ndarray:
-    """Lowest real part of each sector n = 0 .. L, indexed by n.
+    """Lowest real part of each sector n = 0 .. L, indexed by n (`_sector_lowest`).
 
     The +-n spectra coincide (checked directly at small L by the test
-    suite), so only n >= 0 is diagonalized.  Each sector is asked for its
-    lowest level alone: ARPACK converges its wanted levels together, so each
-    extra level costs restarts.
+    suite), so only n >= 0 is diagonalized.
     """
-    return np.array([diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=1)
-                     .eigenvalues.real.min() for n in range(L + 1)])
-
-
-@lru_cache(maxsize=512)
-def _lowest_levels(U: float, L: int) -> np.ndarray:
-    """`lowest_per_sector`, solved once for tables 4 and 5; read-only."""
-    vals = lowest_per_sector(U, L)
-    vals.setflags(write=False)
-    return vals
+    return np.array([_sector_lowest(U, L, n) for n in range(L + 1)])
 
 
 def ground_state_energy(U: float, L: int) -> float:
     """E0, the smallest real part over all magnetization sectors (tables 4 and
     5), from each sector's lowest level alone."""
-    return float(_lowest_levels(U, L).min())
+    return float(lowest_per_sector(U, L).min())
 
 
 def lowest_two_energies(U: float, L: int):
     """(E0, E1): ground energy and the next level across sectors that lies
     more than 1e-9 (relative) above it (table 4).
 
-    E0 and every sector's lowest level come from `_lowest_levels`; only the
+    E0 and every sector's lowest level come from `lowest_per_sector`; only the
     sectors whose lowest level lies within the window of E0 are solved again
     for their _LEVELS lowest.  A sector's other levels lie at or above its
     lowest, so E1 is the smallest level above the window among those levels
     and the other sectors' lowest levels.
     """
-    lows = _lowest_levels(U, L)
+    lows = lowest_per_sector(U, L)
     e0 = lows.min()
     top = e0 + 1e-9 * max(1.0, abs(e0))
     vals = np.concatenate([lows] + [
@@ -735,7 +699,7 @@ def lowest_two_energies(U: float, L: int):
     return float(e0), float(above.min())
 
 
-def spectrum_is_real(U: float, L: int, tol: float = 1e-8) -> bool:
+def spectrum_is_real(U: float, L: int, tol: float = _REAL_TOL) -> bool:
     """True when every eigenvalue in every sector is real within tolerance.
 
     Decided one real momentum block at a time, on the blocks and with the
@@ -750,7 +714,7 @@ def spectrum_is_real(U: float, L: int, tol: float = 1e-8) -> bool:
 
 def reality_threshold(
     L: int,
-    tol: float = 1e-8,
+    tol: float = _REAL_TOL,
     bracket: tuple[float, float] = (2.5, 3.45),
 ) -> float:
     """Smallest U with an entirely real spectrum, located by bisection to 1e-6.
@@ -758,13 +722,9 @@ def reality_threshold(
     A probe above the threshold needs the full spectrum of every sector
     n >= 0; one below stops at its first complex level (`spectrum_is_real`).
     Every sector's blocks are kept across probes (`SectorBasis.kept`), so a
-    whole bisection is almost all LAPACK `eig`: it took 0.24-0.25 s at
-    L = 7, 1.6 s at L = 8 and 16.3 s at L = 9 on one core of a 2-core
-    machine with the blocks folded from the orbit representatives (0.24,
-    1.6 and 15.5 s, measured alongside, folded from H(0); 15.0-16.5 s at
-    L = 9 with the sectors above 900 states rebuilt at every
-    probe), so it is practical for L <= 9.  The result is rounded to five
-    decimal places.
+    probe at a new U costs one diagonal add per block and the block `eig`s.
+    Full spectra keep it practical to L <= 9 only.  The result is rounded
+    to five decimal places.
     """
     lo, hi = bracket
     if not (lo < hi):
@@ -815,12 +775,10 @@ def symmetry_check_neg_u(L: int, U: float) -> SymmetryReport:
                           f0_per_site=(e0p - e0m - U * L / 2.0) / L)
 
 
-@lru_cache(maxsize=512)
 def sector_1_lowest(U: float, L: int) -> float:
-    """Lowest energy in the n = 1 sector (the E1 relation), its only level
-    solved (iterative for larger sizes)."""
-    rep = diagonalize(build_hamiltonian(U, L, 1), mode="lowest", k=1)
-    return float(rep.eigenvalues.real.min())
+    """Lowest energy in the n = 1 sector (the E1 relation), the level
+    `lowest_per_sector` reads there."""
+    return _sector_lowest(U, L, 1)
 
 
 def f0_per_site(U: float, L: int) -> float:

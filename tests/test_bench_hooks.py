@@ -68,15 +68,18 @@ def test_workload_calls_bind():
 def test_discovered_caches_release_the_sector_store():
     # before every round the benchmark calls cache_clear on every module
     # attribute of the package that has one (`workloads._CACHED`); sectors
-    # kept warm across rounds would show as a gain that no caller sees
+    # and lowest levels kept warm across rounds would show as a gain that
+    # no caller sees
     for mod_name in MODULES:
         importlib.import_module(f"genus5chain.{mod_name}")
     lattice = sys.modules["genus5chain.lattice"]
     list(lattice.build_hamiltonian(1.0, 6, 0).real_blocks())
-    assert lattice._sectors
+    lattice.lowest_per_sector(1.0, 4)
+    assert lattice._sectors and lattice._sector_lowest.cache_info().currsize
     cached = {id(fn): fn for name, mod in list(sys.modules.items())
               if name.startswith("genus5chain.")
               for fn in vars(mod).values() if hasattr(fn, "cache_clear")}
     for fn in cached.values():
         fn.cache_clear()
     assert not lattice._sectors
+    assert lattice._sector_lowest.cache_info().currsize == 0

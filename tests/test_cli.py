@@ -120,6 +120,23 @@ def test_branch_numbers_of_wrong_parity_are_refused(Q, capsys):
         assert code == 0 and json.loads(captured.out)["Q"] == [float(Q)]
 
 
+@pytest.mark.parametrize("L, Q, code, err", [
+    ("2", "1e20", 2, "must lie below 2**52 in magnitude"),
+    ("3", "1e20,-0.5", 2, "must lie below 2**52 in magnitude"),
+    ("3", "4503599627370496,-0.5", 2, "must be half-odd integers when M = L - n = 2 is even"),
+    ("3", "0.5,-0.5", 0, None),
+])
+def test_branch_numbers_beyond_decidable_parity_are_refused(L, Q, code, err, capsys):
+    # from 2**52 up a double is never half-odd, from 2**53 up never odd;
+    # the first two used to end as a numerical failure, exit 1
+    assert main(["bethe-solve", "--L", L, "--n", "1", "--U", "5", "--Q", Q]) == code
+    captured = capsys.readouterr()
+    if err is None:
+        assert json.loads(captured.out)["Q"] == [0.5, -0.5]
+    else:
+        assert captured.out == "" and err in captured.err
+
+
 @pytest.mark.parametrize("command", ["thermo", "gap", "density-profile"])
 @pytest.mark.parametrize("k0", ["inf", "-inf", "nan"])
 def test_non_finite_grid_start_is_usage_error(command, k0, capsys):

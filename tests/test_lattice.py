@@ -365,17 +365,19 @@ def test_table_energies_share_one_sector_solve(monkeypatch):
     for fn in vars(lattice).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
-    calls = []
-    solve = lattice.lowest_per_sector
+    asked = []
+    solve = lattice.diagonalize
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def spy(op, mode="full", k=6):
+        asked.append((op.sector.n, mode, k))
+        return solve(op, mode=mode, k=k)
 
-    monkeypatch.setattr(lattice, "lowest_per_sector", counted)
+    monkeypatch.setattr(lattice, "diagonalize", spy)
     e0, _ = lattice.lowest_two_energies(1.0, 4)
     assert lattice.ground_state_energy(1.0, 4) == e0
-    assert len(calls) == 1
+    assert lattice.sector_1_lowest(1.0, 4) == lattice.lowest_per_sector(1.0, 4)[1]
+    once = [a for a in asked if a[1:] == ("lowest", 1)]
+    assert sorted(once) == [(n, "lowest", 1) for n in range(5)]
 
 
 def _every_sector_pair(U, L):
@@ -396,11 +398,11 @@ def test_table_energies_match_every_sector_rule(L, U):
     assert abs(got0 - e0) <= 1e-12 and abs(got1 - e1) <= 1e-12
     assert abs(lattice.ground_state_energy(U, L) - e0) <= 1e-12
     if U == -3.0:
-        assert np.argmin(lattice._lowest_levels(U, L)) == 1
+        assert np.argmin(lattice.lowest_per_sector(U, L)) == 1
 
 
 def test_lowest_two_energies_resolves_ground_sector_only(monkeypatch):
-    lattice._lowest_levels.cache_clear()
+    lattice._sector_lowest.cache_clear()
     asked = []
     solve = lattice.diagonalize
 
