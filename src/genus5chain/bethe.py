@@ -114,14 +114,21 @@ def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
 # real logarithmic form
 
 
-def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float):
+def _pair_phase(sa: np.ndarray, sb: np.ndarray, U: float):
     """Pair phase arctan[(s_a - s_b) / D] with D = sqrt(3)(s_a + s_b) - U, rows a and
-    columns b, and its s_a-derivative kern = (2 sqrt(3) s_b - U) / [(s_a - s_b)^2 + D^2].
-    For sa = sb that denominator is symmetric bit for bit, so -kern.T is the s_b-derivative."""
+    columns b, with its numerator s_a - s_b and D."""
     num = sa[:, None] - sb[None, :]
     den = SQRT3 * (sa[:, None] + sb[None, :]) - U
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.arctan(num / den), (2 * SQRT3 * sb - U) / (num * num + den * den)
+        return np.arctan(num / den), num, den
+
+
+def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float):
+    """`_pair_phase` and its s_a-derivative kern = (2 sqrt(3) s_b - U) / [(s_a - s_b)^2 + D^2].
+    For sa = sb that denominator is symmetric bit for bit, so -kern.T is the s_b-derivative."""
+    at, num, den = _pair_phase(sa, sb, U)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return at, (2 * SQRT3 * sb - U) / (num * num + den * den)
 
 
 def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarray):
@@ -145,8 +152,13 @@ def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
     whose derivative is the right side of the sigma equation in `thermo`.
     """
     at, kern = _phase_kernel(np.sin(k - np.pi / 6), s, U)  # -kern is the sigma kernel
-    Z = k / (2 * np.pi) - at @ ws / np.pi
-    return Z, (1.0 - 2 * np.cos(k - np.pi / 6) * (kern @ ws)) / (2 * np.pi)
+    sigma = (1.0 - 2 * np.cos(k - np.pi / 6) * (kern @ ws)) / (2 * np.pi)
+    return _counting_value(k, at, ws), sigma
+
+
+def _counting_value(k: np.ndarray, at: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Z(k) from the pair phases `at` of the momenta k against the sigma nodes."""
+    return k / (2 * np.pi) - at @ ws / np.pi
 
 
 @lru_cache(maxsize=64)
@@ -162,7 +174,7 @@ def _counting_table(U: float):
     s = np.sin(grid.nodes - np.pi / 6)
     ws = grid.weights * grid.values
     t = grid.nodes[0] + (np.pi / _SEED_NODES) * np.arange(2 * _SEED_NODES + 1)
-    Z = _counting_function(t, U, s, ws)[0]
+    Z = _counting_value(t, _pair_phase(np.sin(t - np.pi / 6), s, U)[0], ws)
     return t, np.maximum.accumulate(Z), s, ws
 
 

@@ -18,8 +18,11 @@ by the reflection symmetry about k = 2 pi/3, squares to zero).  The gap is
 which reduces to U/2 - sqrt(3) once rho vanishes.
 
 D sees k only through s, which is invariant under k -> 4 pi/3 - k, so the sigma
-solve folds reflected node pairs onto an (N/2) x (N/2) kernel.  The rho solve
-keeps all N nodes: a fold would build in the collapse and the nilpotency it checks.
+solve folds reflected node pairs onto N/2 nodes.  D is symmetric bit for bit, so
+it stores only D's lower triangle, row after row: (N/2)(N/2 + 1)/2 floats, which
+BLAS reads as the packed upper triangle (column-major) in `dspmv`.  The rho
+solve keeps all N nodes in a dense kernel: a fold would build in the collapse
+and the nilpotency it checks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dspmv
 
 from .curve import SQRT3, critical_side
 from .errors import KernelSingular, NoConvergence
@@ -78,19 +82,32 @@ def _grid(U: float, N: int, k0: float):
     return nodes, np.full(N, h), np.abs((2 * np.arange(N) - j + N) % (2 * N) - N) // 2
 
 
+def _denominator_rows(U: float, si: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows D(si, s) of the inverse denominator; raises KernelSingular where 1/D vanishes."""
+    den = si[:, None] - s
+    den *= den
+    den += (U - SQRT3 * (si[:, None] + s)) ** 2
+    if np.min(den) < 1e-14:
+        raise KernelSingular(
+            f"kernel denominator vanishes on the grid at U={U}; refine N or move k0"
+        )
+    return np.reciprocal(den, out=den)
+
+
 def _inverse_denominator(U: float, s: np.ndarray) -> np.ndarray:
-    """D(s_i, s_j), filled in row blocks; raises KernelSingular where 1/D vanishes."""
-    out = np.empty((len(s), len(s)))
-    for i0 in range(0, len(s), _ROW_BLOCK):
-        si = s[i0:i0 + _ROW_BLOCK, None]
-        den = np.subtract(si, s, out=out[i0:i0 + _ROW_BLOCK])
-        den *= den
-        den += (U - SQRT3 * (si + s)) ** 2
-        if np.min(den) < 1e-14:
-            raise KernelSingular(
-                f"kernel denominator vanishes on the grid at U={U}; refine N or move k0"
-            )
-        np.reciprocal(den, out=den)
+    """D(s_i, s_j) for j <= i, row after row in one flat array of n(n + 1)/2 floats.
+
+    Rows are built in blocks of _ROW_BLOCK against the columns up to the
+    block's last row.  The entries checked for a vanishing 1/D hold the
+    values of the stored ones, which by symmetry are all of D's values.
+    """
+    n = len(s)
+    out = np.empty(n * (n + 1) // 2)
+    for i0 in range(0, n, _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, n)
+        rows = _denominator_rows(U, s[i0:i1], s[:i1])
+        for i in range(i0, i1):
+            out[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] = rows[i - i0, :i + 1]
     return out
 
 
@@ -123,13 +140,14 @@ def solve_sigma(U: float, N: int = 2048, k0: float = -np.pi) -> DensityGrid:
         raise ValueError(f"density equation requires U >= 2*sqrt(3), got U={U}")
     nodes, w, pair = _grid(U, N, k0)
     s = np.bincount(pair, np.sin(nodes - np.pi / 6)) / np.bincount(pair)
-    K = _inverse_denominator(U, s)
-    K *= U - 2 * SQRT3 * s
+    D = _inverse_denominator(U, s)
+    col = U - 2 * SQRT3 * s  # the kernel is D diag(col)
     drive = 2.0 * np.cos(nodes - np.pi / 6)
     sigma = np.full(N, 1.0 / (2 * np.pi))
     x_hist, g_hist = [], []
     for _ in range(400):
-        g = (1.0 + drive * (K @ np.bincount(pair, w * sigma))[pair]) / (2 * np.pi)
+        Kf = dspmv(len(s), 1.0, D, col * np.bincount(pair, w * sigma))
+        g = (1.0 + drive * Kf[pair]) / (2 * np.pi)
         delta = float(np.max(np.abs(g - sigma)))
         if delta < 1e-13:
             return DensityGrid(k0, N, U, nodes, w, g, "sigma")
@@ -171,7 +189,9 @@ def solve_rho(U: float, N: int = 1024, k0: float = -np.pi) -> tuple[DensityGrid,
         raise ValueError(f"back-flow equation requires U > 2*sqrt(3), got U={U}")
     nodes, w, _ = _grid(U, N, k0)
     s = np.sin(nodes - np.pi / 6)
-    K = _inverse_denominator(U, s)
+    K = np.empty((N, N))
+    for i0 in range(0, N, _ROW_BLOCK):
+        K[i0:i0 + _ROW_BLOCK] = _denominator_rows(U, s[i0:i0 + _ROW_BLOCK], s)
     K *= (U + 2 * SQRT3 * s)[:, None]
     K *= np.cos(nodes - np.pi / 6) * w / (2 * np.pi)
     rho = np.ones(N)

@@ -355,6 +355,13 @@ def test_counting_function_matches_reference_bits(k, U, nodes):
     assert _same_bits(new, ref)
 
 
+@pytest.mark.parametrize("U", [U_CRITICAL, 3.6, 4.0, 5.0, 10.0])
+def test_counting_table_is_the_counting_function(U):
+    # the table evaluates Z without its derivative; the values must not move
+    t, Ztab, s, ws = bethe._counting_table.__wrapped__(U)
+    assert np.array_equal(Ztab, np.maximum.accumulate(bethe._counting_function(t, U, s, ws)[0]))
+
+
 def test_energy_trivial_cases():
     assert energy(BetheRootSet(6, 6, 3.0, np.zeros(0, dtype=complex))) == 9.0
     one = BetheRootSet(6, 5, 3.0, np.zeros(1, dtype=complex))

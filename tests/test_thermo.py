@@ -2,9 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.blas import dspmv
 
 from genus5chain import bethe, refdata, thermo
 from genus5chain.curve import U_CRITICAL
+from genus5chain.errors import KernelSingular
 from genus5chain.thermo import (
     bulk_energy,
     gap,
@@ -78,7 +82,8 @@ def test_folded_sigma_matches_dense_reference():
 
 
 def test_sigma_memory_below_folded_kernel_bound():
-    # the folded kernel holds (N/2)^2 floats; one N x N array alone is 4x that
+    # the packed kernel holds (N/2)(N/2 + 1)/2 floats; one dense (N/2) x (N/2)
+    # kernel alone reaches the bound
     N = 4096
     tracemalloc.start()
     try:
@@ -86,7 +91,29 @@ def test_sigma_memory_below_folded_kernel_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (N // 2) ** 2 * 8
+    assert peak < (N // 2) ** 2 * 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=200),
+       U=st.floats(U_CRITICAL, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_packed_denominator_is_the_dense_lower_triangle(s, U, seed):
+    s = np.sort(s)
+    n = len(s)
+    try:
+        D = thermo._denominator_rows(U, s, s)
+    except KernelSingular:
+        with pytest.raises(KernelSingular):
+            thermo._inverse_denominator(U, s)
+        return
+    assert np.array_equal(D, D.T)
+    packed = thermo._inverse_denominator(U, s)
+    assert packed.shape == (n * (n + 1) // 2,)
+    for i in range(n):
+        assert np.array_equal(packed[i * (i + 1) // 2:(i + 1) * (i + 2) // 2], D[i, :i + 1])
+    x = np.random.default_rng(seed).standard_normal(n)
+    scale = np.max(np.abs(D) @ np.abs(x))
+    assert np.max(np.abs(dspmv(n, 1.0, packed, x) - D @ x)) <= 1e-14 * scale
 
 
 def test_sigma_grid_refinement_stable():
