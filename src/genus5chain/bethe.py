@@ -37,6 +37,7 @@ _E3 = np.exp(1j * np.pi / 3)
 ACCEPT_RESIDUAL = 1e-10
 # a scattering or eigenvalue denominator below this is a pole
 _POLE_TOL = 1e-13
+_PAIR_POLE = "scattering denominator vanishes for a root pair"
 # |Im k| below this counts as a real root in the two-string classification
 _STRING_TOL = 1e-6
 # sigma nodes of the counting function that seeds the log form
@@ -75,39 +76,55 @@ def ground_state_quantum_numbers(L: int, n: int) -> list[float]:
     return [(L - n - 1) / 2.0 - j for j in range(L - n)]
 
 
-def _pair_arrays(t: np.ndarray, a: complex, c: complex):
-    """Scattering factors num[j, i] = t_j/a - t_i a + c, den[j, i] = t_j a - t_i/a - c
-    with exact ones on the diagonal, so row products run over the other roots.
+def _pair_arrays(t: np.ndarray, a: complex, c: complex, rows: slice = slice(None)):
+    """Scattering factors of rows j in `rows`, stacked as f[0] = num and f[1] = den:
+    num[j, i] = t_j/a - t_i a + c, den[j, i] = t_j a - t_i/a - c, with exact ones
+    on the diagonal, so row products run over the other roots.
     Momentum form: t = sin(k - pi/6), a = e^{i pi/3}, c = i U/2; Z form:
     t = Z - eps/Z, a = eps, c = -U sqrt(eps)."""
-    num = t[:, None] / a - t[None, :] * a + c
-    den = t[:, None] * a - t[None, :] / a - c
-    np.fill_diagonal(num, 1.0)
-    np.fill_diagonal(den, 1.0)
-    return num, den
+    q = np.array((t / a, t * a))
+    f = q[:, rows, None] - q[::-1, None, :]
+    f += np.array([c, -c])[:, None, None]
+    # entry (j, j) of a block starting at row j0 lies at flat offset j0 + (j - j0)(M + 1)
+    f.reshape(2, -1)[:, rows.indices(len(t))[0]::len(t) + 1] = 1.0
+    return f
 
 
 def _momentum_pairs(k: np.ndarray, U: float):
     return _pair_arrays(np.sin(k - np.pi / 6), _E3, 0.5j * U)
 
 
+def _ratio_products(f: np.ndarray, what: str) -> np.ndarray:
+    """prod_i num[j, i] / den[j, i] for each row of the factors f; PoleHit(what)
+    when a denominator is below _POLE_TOL."""
+    if f[1].size and np.min(np.abs(f[1])) < _POLE_TOL:
+        raise PoleHit(what)
+    return np.prod(f[0] / f[1], axis=-1)
+
+
+def _blocked_ratio_products(t: np.ndarray, a: complex, c: complex, what: str) -> np.ndarray:
+    """`_ratio_products` of the whole system, in blocks of thermo._ROW_BLOCK rows."""
+    out = np.empty(len(t), dtype=complex)
+    for j0 in range(0, len(t), thermo._ROW_BLOCK):
+        rows = slice(j0, j0 + thermo._ROW_BLOCK)
+        out[rows] = _ratio_products(_pair_arrays(t, a, c, rows), what)
+    return out
+
+
 def bethe_defect(rs: BetheRootSet) -> np.ndarray:
     """Residual of each momentum-form equation; zero on-shell."""
     k = np.asarray(rs.roots, dtype=complex)
-    num, den = _momentum_pairs(k, rs.U)
-    if den.size and np.min(np.abs(den)) < _POLE_TOL:
-        raise PoleHit("scattering denominator vanishes for a root pair")
-    return np.exp(1j * k * rs.L) - np.prod(num / den, axis=1)
+    prods = _blocked_ratio_products(np.sin(k - np.pi / 6), _E3, 0.5j * rs.U, _PAIR_POLE)
+    return np.exp(1j * k * rs.L) - prods
 
 
 def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
     """Same system written in Z_j = exp(i k_j); agrees with the k-form."""
     Z = rs.z_values
     params = CurveParams(rs.U)
-    num, den = _pair_arrays(Z - params.eps / Z, params.eps, -rs.U * params.sqrt_eps)
-    if den.size and np.min(np.abs(den)) < _POLE_TOL:
-        raise PoleHit("Z-form denominator vanishes")
-    return Z**rs.L - np.prod(num / den, axis=1)
+    prods = _blocked_ratio_products(Z - params.eps / Z, params.eps, -rs.U * params.sqrt_eps,
+                                    "Z-form denominator vanishes")
+    return Z**rs.L - prods
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +141,46 @@ def _pair_phase(sa: np.ndarray, sb: np.ndarray, U: float):
 
 
 def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float):
-    """`_pair_phase` and its s_a-derivative kern = (2 sqrt(3) s_b - U) / [(s_a - s_b)^2 + D^2].
-    For sa = sb that denominator is symmetric bit for bit, so -kern.T is the s_b-derivative."""
-    at, num, den = _pair_phase(sa, sb, U)
+    """`_pair_phase`, its s_a-derivative kern = (2 sqrt(3) s_b - U) / q and their
+    denominator q = (s_a - s_b)^2 + D^2.  q is symmetric bit for bit, so for
+    sa = sb, rows of the s_b-derivative -kern.T come from the same q."""
+    at, q, den = _pair_phase(sa, sb, U)
+    q *= q  # the numerator's square, in place
+    q += den * den
     with np.errstate(divide="ignore", invalid="ignore"):
-        return at, (2 * SQRT3 * sb - U) / (num * num + den * den)
+        return at, (2 * SQRT3 * sb - U) / q, q
 
 
-def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarray):
+def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarray,
+                                    J: np.ndarray | None = None):
+    """Residual g_a = L k_a - 2 pi Q_a - 2 sum_b at[a, b] and its Jacobian
+    J = diag(L - 2 c_a sum_b kern[a, b]) + 2 c_b kern[b, a], with the pair
+    terms of a != b only, filled in blocks of thermo._ROW_BLOCK rows into J
+    when an M x M array is given."""
     s = np.sin(k - np.pi / 6)
-    c = np.cos(k - np.pi / 6)
-    at, kern = _phase_kernel(s, s, U)
-    np.fill_diagonal(at, 0.0)
-    np.fill_diagonal(kern, 0.0)
-    g = L * k - 2 * np.pi * Q - 2 * at.sum(axis=1)
-    J = np.diag(L - 2 * c * kern.sum(axis=1)) + 2 * c[None, :] * kern.T
-    return g, J
+    c2 = 2 * np.cos(k - np.pi / 6)
+    w = 2 * SQRT3 * s - U
+    M = len(k)
+    phase_sums = np.empty(M)
+    if J is None:
+        J = np.empty((M, M))
+    for a0 in range(0, M, thermo._ROW_BLOCK):
+        rows = slice(a0, a0 + thermo._ROW_BLOCK)
+        at, kern, q = _phase_kernel(s[rows], s, U)
+        own = (np.arange(len(q)), np.arange(a0, a0 + len(q)))
+        at[own] = kern[own] = 0.0
+        phase_sums[rows] = at.sum(axis=1)
+        diag = L - c2[rows] * kern.sum(axis=1)
+        del at, kern
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern_t = np.divide(w[rows, None], q, out=q)  # kern[b, a] for row a
+        kern_t[own] = 0.0
+        kern_t *= c2
+        # the off-diagonal of diag(...) + 2 c_b kern[b, a] is 0.0 + 2 c_b kern[b, a],
+        # which holds +0.0 where the product is -0.0
+        np.add(kern_t, 0.0, out=J[rows])
+        J[rows][own] = diag
+    return L * k - 2 * np.pi * Q - 2 * phase_sums, J
 
 
 def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
@@ -151,7 +192,7 @@ def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
 
     whose derivative is the right side of the sigma equation in `thermo`.
     """
-    at, kern = _phase_kernel(np.sin(k - np.pi / 6), s, U)  # -kern is the sigma kernel
+    at, kern, _ = _phase_kernel(np.sin(k - np.pi / 6), s, U)  # -kern is the sigma kernel
     sigma = (1.0 - 2 * np.cos(k - np.pi / 6) * (kern @ ws)) / (2 * np.pi)
     return _counting_value(k, at, ws), sigma
 
@@ -216,7 +257,9 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
 
     Each point is evaluated once: an accepted line-search trial brings its
     residual and Jacobian along, and a trial that rounds back to k ends the
-    search, since every shorter step rounds back to k too.
+    search, since every shorter step rounds back to k too.  Once a step is
+    solved, each trial's Jacobian is written over the old one's array, so
+    one M x M Jacobian is held for the whole solve.
 
     Reliable for U >= 2*sqrt(3); below that range real roots destabilize
     and the solve raises NonRealDrift when two momenta collide.
@@ -247,27 +290,30 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
             step = np.linalg.solve(J, g)
         except np.linalg.LinAlgError as exc:
             raise JacobianSingular(f"log-form Jacobian singular at U={U}, L={L}") from exc
-        scale = 1.0
+        scale, stalled = 1.0, False
         gnorm = np.max(np.abs(g))
         for _ in range(40):
             trial = k - scale * step
             if np.array_equal(trial, k):
+                stalled = True
                 break
-            gt, Jt = _log_form_residual_and_jacobian(trial, L, U, Qa)
+            # J's step is solved: the trial's Jacobian overwrites it
+            gt, _ = _log_form_residual_and_jacobian(trial, L, U, Qa, J)
             if np.max(np.abs(gt)) < gnorm:
-                k, g, J = trial, gt, Jt
+                k, g = trial, gt
                 break
             scale /= 2
         else:
             k = k - scale * step
-            g, J = _log_form_residual_and_jacobian(k, L, U, Qa)
+            g, _ = _log_form_residual_and_jacobian(k, L, U, Qa, J)
         # the closest pair of momenta are neighbours once sorted
         if M > 1 and np.min(np.diff(np.sort(k))) < 1e-9:
             raise NonRealDrift(f"momenta collided at U={U}, L={L}, n={n}: real roots unstable")
         last_step = scale * np.max(np.abs(step))
-        if last_step < 1e-13:
+        # a step that rounds back to k would be solved again and again
+        if last_step < 1e-13 or stalled:
             break
-    else:
+    if not last_step < 1e-13:
         raise NoConvergence(f"log form did not converge (last step {last_step:.2e})", last=k)
     rs = BetheRootSet(L, n, U, k.astype(complex), list(Qa))
     rs.residual = float(np.max(np.abs(bethe_defect(rs))))
@@ -300,44 +346,46 @@ def _min_distance(k: np.ndarray) -> float:
 
 
 def _cleared_defect(k: np.ndarray, L: int, U: float):
-    """Pole-free residual exp(i k_j L) prod den - prod num, with row scales.
+    """Pole-free residual exp(i k_j L) prod den - prod num, with row scales and
+    the stacked pair factors of `_momentum_pairs`, which `_cleared_jacobian`
+    and the plain defect at convergence take from here.
 
     Near string formation the scattering denominators pinch zeros, which
     makes the ratio form ill-conditioned; the cleared form stays smooth
     through those couplings.  The returned scale per row is the magnitude
     sum of the two competing terms, for relative convergence tests.
     """
-    num, den = _momentum_pairs(k, U)
-    t1 = np.exp(1j * k * L) * np.prod(den, axis=1)
-    t2 = np.prod(num, axis=1)
-    return t1 - t2, np.abs(t1) + np.abs(t2) + 1.0
+    f = _momentum_pairs(k, U)
+    t2, d = np.multiply.reduce(f, axis=2)
+    t1 = np.exp(1j * k * L) * d
+    return t1 - t2, np.abs(t1) + np.abs(t2) + 1.0, f
 
 
 def _products_but_one(a: np.ndarray) -> np.ndarray:
-    """out[j, i] = prod_{l != i} a[j, l], from exclusive prefix and suffix
-    products; no division, so a vanishing factor (a pinched pole) is safe."""
-    pre = np.ones_like(a)
-    suf = np.ones_like(a)
-    pre[:, 1:] = np.cumprod(a[:, :-1], axis=1)
-    suf[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+    """out[..., i] = prod_{l != i} a[..., l], from exclusive prefix and suffix
+    products along the last axis; no division, so a vanishing factor (a pinched
+    pole) is safe."""
+    pre, suf = np.ones((2,) + a.shape, dtype=a.dtype)
+    np.cumprod(a[..., :-1], axis=-1, out=pre[..., 1:])
+    np.cumprod(a[..., :0:-1], axis=-1, out=suf[..., -2::-1])
     return pre * suf
 
 
-def _cleared_jacobian(k: np.ndarray, L: int, U: float) -> np.ndarray:
-    """J[j, i] = d/dk_i of the cleared residual of row j.  With c = cos(k - pi/6),
-    factor (j, i) has d/dk_j num = c_j/e3, den = c_j e3 and d/dk_i num = -c_i e3,
-    den = -c_i/e3; each term carries the product of the other factors."""
+def _cleared_jacobian(k: np.ndarray, L: int, f: np.ndarray) -> np.ndarray:
+    """J[j, i] = d/dk_i of the cleared residual of row j, from the pair factors
+    f of `_cleared_defect`.  With c = cos(k - pi/6), factor (j, i) has d/dk_j
+    num = c_j/e3, den = c_j e3 and d/dk_i num = -c_i e3, den = -c_i/e3; each
+    term carries the product of the other factors."""
+    M = len(k)
     c = np.cos(k - np.pi / 6)
     E = np.exp(1j * k * L)
-    num, den = _momentum_pairs(k, U)
-    dprod = _products_but_one(den)
-    nprod = _products_but_one(num)
-    P = np.diag(dprod).copy()  # the whole off-diagonal product of each row
-    np.fill_diagonal(dprod, 0.0)
-    np.fill_diagonal(nprod, 0.0)
-    J = E[:, None] * (-c / _E3) * dprod + (c * _E3) * nprod
-    dsum = E * _E3 * dprod.sum(axis=1) - nprod.sum(axis=1) / _E3
-    np.fill_diagonal(J, 1j * L * E * P + c * dsum)
+    prods = _products_but_one(f)
+    own = prods.reshape(2, -1)[:, ::M + 1]
+    P = own[1].copy()  # the whole off-diagonal product of each den row
+    own[...] = 0.0
+    nsum, dsum = prods.sum(axis=2)
+    J = E[:, None] * (-c / _E3) * prods[1] + (c * _E3) * prods[0]
+    J.reshape(-1)[::M + 1] = 1j * L * E * P + c * (E * _E3 * dsum - nsum / _E3)
     return J
 
 
@@ -351,6 +399,9 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
     iterates that collide two roots (distance below 1e-6 on the cylinder)
     are rejected, since coincident momenta solve the equations only
     spuriously.
+
+    Each point is evaluated once: its pair factors serve its cleared defect,
+    its Jacobian and, at convergence, its plain defect.
     """
     k = _wrap(np.asarray(init, dtype=complex))
     if len(k) != L - n:
@@ -360,10 +411,10 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
         with np.errstate(over="ignore", invalid="ignore"):
             return _cleared_defect(kk, L, U)
 
-    F, row_scale = cleared(k)
+    F, row_scale, f = cleared(k)
     for _ in range(150):
-        r = float(np.max(np.abs(F) / row_scale)) if len(F) else 0.0
-        if not np.all(np.isfinite(F)):
+        r = float((np.abs(F) / row_scale).max()) if len(F) else 0.0
+        if not np.isfinite(F).all():
             raise NoConvergence("defect overflowed", last=k)
         if r < 1e-13:
             if _min_distance(k) < 1e-6:
@@ -371,7 +422,7 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
             rs = BetheRootSet(L, n, U, k)
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    plain = bethe_defect(rs)
+                    plain = np.exp(1j * k * L) - _ratio_products(f, _PAIR_POLE)
                 rs.residual = float(np.max(np.abs(plain))) if len(plain) else 0.0
             except PoleHit:
                 # exactly pole-pinched (isolated couplings during string
@@ -386,7 +437,7 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
                     residual=rs.residual,
                 )
             return rs
-        J = _cleared_jacobian(k, L, U)
+        J = _cleared_jacobian(k, L, f)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -394,14 +445,14 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
         scale, improved = 1.0, False
         for _ in range(55):
             trial = _wrap(k - scale * step)
-            Ft, st = cleared(trial)
-            if np.all(np.isfinite(Ft)) and np.max(np.abs(Ft) / st) < r:
+            Ft, st, ft = cleared(trial)
+            if np.isfinite(Ft).all() and (np.abs(Ft) / st).max() < r:
                 improved = True
                 break
             scale /= 2
         if not improved:
             raise NoConvergence(f"line search stalled at defect {r:.2e}", last=k, residual=r)
-        k, F, row_scale = trial, Ft, st  # the accepted trial's defect is the next iterate's
+        k, F, row_scale, f = trial, Ft, st, ft  # the accepted trial is the next iterate
     raise NoConvergence("complex Newton exceeded 150 iterations", last=k)
 
 

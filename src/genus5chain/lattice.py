@@ -511,13 +511,16 @@ def monodromy_halves(lam: CurvePoint, mu: CurvePoint, L: int) -> tuple[np.ndarra
 
 def build_transfer_matrix(lam: CurvePoint, mu: CurvePoint, L: int, n: int) -> LatticeOperator:
     """Auxiliary-space trace of R_{01} ... R_{0L}, restricted to a sector,
-    assembled from the two factors of `monodromy_halves`."""
+    assembled from the two factors of `monodromy_halves`: each factor's
+    (hi, hi') and (lo, lo') entries are gathered by one flat index each."""
     if L < 1:
         raise ValueError("need at least one site")
     basis = sector_basis(L, n)
     A, B = monodromy_halves(lam, mu, L)
     hi, lo = np.divmod(basis.codes, 3 ** (L - L // 2))
-    T = sum(A[a, :, c][hi[:, None], hi] * B[c, :, a][lo[:, None], lo]
+    at_a = hi[:, None] * 3 ** (L // 2) + hi
+    at_b = lo[:, None] * 3 ** (L - L // 2) + lo
+    T = sum(A[a, :, c].ravel().take(at_a) * B[c, :, a].ravel().take(at_b)
             for a in range(3) for c in range(3))
     return LatticeOperator(basis, sp.csr_matrix(T))
 
@@ -717,21 +720,23 @@ def reality_threshold(
     tol: float = _REAL_TOL,
     bracket: tuple[float, float] = (2.5, 3.45),
 ) -> float:
-    """Smallest U with an entirely real spectrum, located by bisection to 1e-6.
+    """Smallest U with an entirely real spectrum, located by bisection to 1e-6,
+    or until both ends of the bracket round to the same five decimal places.
 
     A probe above the threshold needs the full spectrum of every sector
     n >= 0; one below stops at its first complex level (`spectrum_is_real`).
     Every sector's blocks are kept across probes (`SectorBasis.kept`), so a
     probe at a new U costs one diagonal add per block and the block `eig`s.
     Full spectra keep it practical to L <= 9 only.  The result is rounded
-    to five decimal places.
+    to five decimal places; once both ends round alike, every later midpoint
+    lies between them and rounds alike too, so further probes cannot change it.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise BracketInvalid(f"empty bracket {bracket}")
     if spectrum_is_real(lo, L, tol) or not spectrum_is_real(hi, L, tol):
         raise BracketInvalid(f"predicate does not change sign on {bracket} for L={L}")
-    while hi - lo > 1e-6:
+    while hi - lo > 1e-6 and round(lo, 5) != round(hi, 5):
         mid = 0.5 * (lo + hi)
         if spectrum_is_real(mid, L, tol):
             hi = mid

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,23 @@ def test_complex_newton_evaluates_each_point_once(monkeypatch):
     assert seen and len(set(seen)) == len(seen)
 
 
+def test_complex_newton_builds_pair_factors_once_per_point(monkeypatch):
+    built, points = [], []
+    pairs, defect = bethe._pair_arrays, bethe._cleared_defect
+    monkeypatch.setattr(bethe, "_pair_arrays", lambda *a: built.append(1) or pairs(*a))
+    monkeypatch.setattr(bethe, "_cleared_defect",
+                        lambda *a: points.append(1) or defect(*a))
+    k = solve_log_form(8, 0, 4.0).roots
+    F, _, f = bethe._cleared_defect(k, 8, 3.9)
+    built.clear()
+    bethe._cleared_jacobian(k, 8, f)
+    assert not built
+    points.clear()
+    rs = solve_complex(8, 0, 3.9, k)
+    # the Jacobians and the plain defect at convergence take the point's factors
+    assert rs.residual < 1e-10 and len(points) > 1 and len(built) == len(points)
+
+
 def test_log_form_critical_coupling_from_seed(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     rs = solve_log_form(1024, 0, U_CRITICAL)
@@ -311,6 +329,39 @@ def _ref_log_form_residual_and_jacobian(k, L, U, Q):
     np.fill_diagonal(kern_i, 0.0)
     J = J + 2 * c[None, :] * kern_i
     return g, J
+
+
+@pytest.mark.parametrize("M", [63, 65, 200])
+def test_log_form_row_blocks_match_reference(M):
+    # sizes that are no multiple of the row block; the Jacobian's column b
+    # is filled from row b's pair denominators
+    k = np.sort(np.random.default_rng(M).uniform(-np.pi, np.pi, M))
+    Q = np.arange(M) - (M - 1) / 2
+    for L, U in ((M, U_CRITICAL), (M + 3, 5.0)):
+        new = bethe._log_form_residual_and_jacobian(k, L, U, Q)
+        ref = _ref_log_form_residual_and_jacobian(k, L, U, Q)
+        assert all(np.array_equal(a, b) for a, b in zip(new, ref))
+
+
+@pytest.mark.parametrize("M", [63, 65, 200])
+def test_defect_row_blocks_match_reference(M):
+    rng = np.random.default_rng(M)
+    k = rng.uniform(-np.pi, np.pi, M) + 1j * rng.normal(0.0, 0.1, M)
+    rs = BetheRootSet(M + 3, 3, 4.5, k)
+    assert np.array_equal(bethe_defect(rs), _ref_bethe_defect(rs))
+
+
+def test_log_form_memory_below_three_dense_arrays():
+    L = 1024
+    solve_log_form(L, 0, 5.0)  # the counting table is cached from here on
+    tracemalloc.start()
+    try:
+        solve_log_form(L, 0, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Jacobian and the accepted trial's; seven dense arrays before row blocks
+    assert peak < 3 * L * L * 8
 
 
 def _ref_counting_function(k, U, s, ws):
@@ -540,12 +591,12 @@ def test_pair_product_kernel_matches_loop_reference(case):
     else:
         assert np.array_equal(bethe_defect(rs), ref)
 
-    F, scale = bethe._cleared_defect(k, L, U)
+    F, scale, f = bethe._cleared_defect(k, L, U)
     F_ref, scale_ref = _ref_cleared_defect(k, L, U)
     assert np.all(np.abs(F - F_ref) <= 1e-14 * scale_ref)
     assert np.all(np.abs(scale - scale_ref) <= 1e-14 * scale_ref)
 
-    J = bethe._cleared_jacobian(k, L, U)
+    J = bethe._cleared_jacobian(k, L, f)
     J_ref = _ref_cleared_jacobian(k, L, U)
     assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
 

@@ -538,6 +538,25 @@ def test_transfer_matrix_is_shift_at_regular_point():
         assert np.max(np.abs(T - S)) < 1e-13
 
 
+def _ref_transfer_matrix(lam, mu, L, n):
+    """The transfer matrix gathered from the two monodromy halves by 2-D fancy
+    indexing, the reference for the flat gathers of `build_transfer_matrix`."""
+    A, B = lattice.monodromy_halves(lam, mu, L)
+    hi, lo = np.divmod(sector_basis(L, n).codes, 3 ** (L - L // 2))
+    return sum(A[a, :, c][hi[:, None], hi] * B[c, :, a][lo[:, None], lo]
+               for a in range(3) for c in range(3))
+
+
+@pytest.mark.parametrize("U", [4.5, -1.3])
+def test_transfer_matrix_flat_gather_matches_2d_gather(U, rng):
+    par = CurveParams(U)
+    lam, mu = sample_points(par, 2, rng)
+    for L in range(1, 8):
+        for n in range(-L, L + 1):
+            T = build_transfer_matrix(lam, mu, L, n).matrix.toarray()
+            assert T.tobytes() == _ref_transfer_matrix(lam, mu, L, n).tobytes(), (L, n)
+
+
 def test_transfer_matrix_vacuum_value(rng):
     from genus5chain.rmatrix import weights
 
@@ -614,6 +633,30 @@ def test_spectrum_is_real_matches_all_sector_spectra():
             lo, hi = (lo, mid) if whole(mid, L) else (mid, hi)
         for d in (1e-6, 3e-7):
             whole(lo - d, L), whole(hi + d, L)
+
+
+def _ref_reality_threshold(L, bracket):
+    """The bisection run down to 1e-6 whatever the rounded ends."""
+    lo, hi = bracket
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if lattice.spectrum_is_real(mid, L) else (mid, hi)
+    return round(0.5 * (lo + hi), 5)
+
+
+@pytest.mark.parametrize("bracket", [(2.5, 3.45), (2.45, 3.6), (2.6, 3.44), (2.95, 3.35)])
+def test_reality_threshold_stops_once_the_rounded_ends_agree(bracket, monkeypatch):
+    probes = []
+    inner = lattice.spectrum_is_real
+    monkeypatch.setattr(lattice, "spectrum_is_real",
+                        lambda U, L, tol=lattice._REAL_TOL: probes.append(U) or inner(U, L, tol))
+    for L in (4, 5, 6, 7):
+        probes.clear()
+        found = lattice.reality_threshold(L, bracket=bracket)
+        bisected = len(probes) - 2  # the first two probes check the bracket ends
+        probes.clear()
+        assert found == _ref_reality_threshold(L, bracket)
+        assert bisected < len(probes)
 
 
 def test_reality_threshold_bad_bracket():
