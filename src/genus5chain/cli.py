@@ -22,6 +22,7 @@ from .errors import (
     Genus5Error,
     InsufficientData,
     MapSingular,
+    NoConvergence,
     WrongCoupling,
 )
 from .rmatrix import ybe_residual
@@ -362,7 +363,10 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except Genus5Error as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        last = ""
+        if isinstance(exc, NoConvergence) and exc.residual is not None:
+            last = f" (last residual {exc.residual:.3g})"
+        print(f"numerical failure: {exc}{last}", file=sys.stderr)
         return 1
     if isinstance(result, tuple):
         header, rows = result

@@ -17,12 +17,13 @@ by the reflection symmetry about k = 2 pi/3, squares to zero).  The gap is
 
 which reduces to U/2 - sqrt(3) once rho vanishes.
 
-D sees k only through s, which is invariant under k -> 4 pi/3 - k, so the sigma
-solve folds reflected node pairs onto N/2 nodes.  D is symmetric bit for bit, so
-it stores only D's lower triangle, row after row: (N/2)(N/2 + 1)/2 floats, which
-BLAS reads as the packed upper triangle (column-major) in `dspmv`.  The rho
-solve keeps all N nodes in a dense kernel: a fold would build in the collapse
-and the nilpotency it checks.
+The drive 2 cos(k - pi/6) is odd under k -> 4 pi/3 - k, and the integral sees
+k' only through s', which is even, so the sigma iteration operator squares to
+zero too: sigma is one kernel application to the uniform start.  D sees k only
+through s, so the sigma solve folds reflected node pairs onto N/2 nodes and
+applies D in one pass over its lower triangle in row blocks; no kernel is
+stored.  The rho solve keeps all N nodes in a dense kernel: a fold would build
+in the collapse and the nilpotency it checks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dspmv
 
 from .curve import SQRT3, critical_side
 from .errors import KernelSingular, NoConvergence
@@ -54,13 +54,6 @@ class DensityGrid:
     def norm(self) -> float:
         """Quadrature of the density over the period."""
         return float(np.sum(self.weights * self.values))
-
-
-def kernel_F(sign: int, x, y):
-    """F+-(x, y) = sin(x - pi/6) +- sin(y - pi/6)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return np.sin(x - np.pi / 6) + sign * np.sin(y - np.pi / 6)
 
 
 def _grid(U: float, N: int, k0: float):
@@ -94,25 +87,29 @@ def _denominator_rows(U: float, si: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.reciprocal(den, out=den)
 
 
-def _inverse_denominator(U: float, s: np.ndarray) -> np.ndarray:
-    """D(s_i, s_j) for j <= i, row after row in one flat array of n(n + 1)/2 floats.
+def _apply_denominator(U: float, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """D(s, s) v in one pass over D's lower triangle; no kernel is stored.
 
     Rows are built in blocks of _ROW_BLOCK against the columns up to the
-    block's last row.  The entries checked for a vanishing 1/D hold the
-    values of the stored ones, which by symmetry are all of D's values.
+    block's last row: a block gives its own rows, and by symmetry its
+    transpose gives the columns above.  Each entry of D is built once, and
+    the entries checked for a vanishing 1/D are all of D's values.
     """
-    n = len(s)
-    out = np.empty(n * (n + 1) // 2)
-    for i0 in range(0, n, _ROW_BLOCK):
-        i1 = min(i0 + _ROW_BLOCK, n)
+    out = np.empty(len(s))
+    for i0 in range(0, len(s), _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, len(s))
         rows = _denominator_rows(U, s[i0:i1], s[:i1])
-        for i in range(i0, i1):
-            out[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] = rows[i - i0, :i + 1]
+        out[i0:i1] = rows @ v[:i1]
+        out[:i0] += v[i0:i1] @ rows[:, :i0]
     return out
 
 
 def _anderson_step(x_hist, g_hist):
-    """Anderson mixing over the stored history (type-II, small window)."""
+    """Anderson mixing over the stored history (type-II, small window).
+
+    No solver calls it since sigma is one step; `perfbench/speed.py` still
+    hooks it by name.
+    """
     m = len(x_hist)
     r_hist = [g - x for g, x in zip(g_hist, x_hist)]
     if m == 1:
@@ -129,36 +126,27 @@ def _anderson_step(x_hist, g_hist):
 
 
 def solve_sigma(U: float, N: int = 2048, k0: float = -np.pi) -> DensityGrid:
-    """Root density by fixed-point iteration with Anderson mixing over the
-    last five iterates, until an update moves it by less than 1e-13.
+    """Root density sigma = (1 + drive K(1/(2 pi))) / (2 pi), one kernel
+    application to the uniform start, which is the fixed point.
 
+    One more step adds drive K(drive g(s)) for some g, which vanishes with
+    the pair sums of the quadrature-weighted drive; NoConvergence is raised,
+    with their largest magnitude as `residual`, if one exceeds 1e-14.
     Valid for U >= 2*sqrt(3), down to 1e-12 below it.  The normalization
-    of the result is checked by the caller (it is not imposed); iteration
-    starts from the uniform density 1/(2 pi).
+    of the result is checked by the caller (it is not imposed).
     """
     if critical_side(U) < 0:
         raise ValueError(f"density equation requires U >= 2*sqrt(3), got U={U}")
     nodes, w, pair = _grid(U, N, k0)
-    s = np.bincount(pair, np.sin(nodes - np.pi / 6)) / np.bincount(pair)
-    D = _inverse_denominator(U, s)
-    col = U - 2 * SQRT3 * s  # the kernel is D diag(col)
     drive = 2.0 * np.cos(nodes - np.pi / 6)
-    sigma = np.full(N, 1.0 / (2 * np.pi))
-    x_hist, g_hist = [], []
-    for _ in range(400):
-        Kf = dspmv(len(s), 1.0, D, col * np.bincount(pair, w * sigma))
-        g = (1.0 + drive * Kf[pair]) / (2 * np.pi)
-        delta = float(np.max(np.abs(g - sigma)))
-        if delta < 1e-13:
-            return DensityGrid(k0, N, U, nodes, w, g, "sigma")
-        x_hist.append(sigma)
-        g_hist.append(g)
-        if len(x_hist) > 5:
-            x_hist.pop(0)
-            g_hist.pop(0)
-        sigma = _anderson_step(x_hist, g_hist)
-    raise NoConvergence(f"sigma iteration stalled at delta={delta:.2e}", last=sigma,
-                        residual=delta)
+    defect = float(np.max(np.abs(np.bincount(pair, w * drive))))
+    if defect > 1e-14:
+        raise NoConvergence(f"drive pair sums reach {defect:.2e}; sigma is not one step",
+                            residual=defect)
+    s = np.bincount(pair, np.sin(nodes - np.pi / 6)) / np.bincount(pair)
+    # the kernel is D diag(U - 2 sqrt(3) s) on the pair sums
+    Kf = _apply_denominator(U, s, (U - 2 * SQRT3 * s) * np.bincount(pair, w / (2 * np.pi)))
+    return DensityGrid(k0, N, U, nodes, w, (1.0 + drive * Kf[pair]) / (2 * np.pi), "sigma")
 
 
 def bulk_energy(grid: DensityGrid) -> float:

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from genus5chain import lattice
+from genus5chain import lattice, thermo
 from genus5chain.cli import main
+from genus5chain.errors import NoConvergence
 from genus5chain.tables import extrapolate_gap, fit_threshold
 
 
@@ -311,6 +312,18 @@ def test_thermo_singular_grid_is_numerical_failure(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("residual, tail", [(3.25e-9, " (last residual 3.25e-09)"), (None, "")])
+def test_numerical_failure_shows_the_last_residual(residual, tail, monkeypatch, capsys):
+    def fail(U, N, k0):
+        raise NoConvergence("sigma stalled", last=np.zeros(N), residual=residual)
+
+    monkeypatch.setattr(thermo, "solve_sigma", fail)
+    assert main(["thermo", "--U", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: sigma stalled{tail}\n"
+    assert captured.out == ""
+
+
 def test_density_profile_refusal(capsys):
     assert main(["density-profile", "--U", "1"]) == 2
 
@@ -393,7 +406,7 @@ def test_reality_threshold_refuses_large_l(capsys):
 
 
 def test_reality_threshold_accepts_l8(monkeypatch, capsys):
-    from genus5chain import lattice
+    from genus5chain import lattice, thermo
 
     monkeypatch.setattr(lattice, "reality_threshold", lambda L, tol, bracket: 3.34602)
     code, out = run(["reality-threshold", "--L", "8"], capsys)

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import dspmv
 
 from genus5chain import bethe, refdata, thermo
 from genus5chain.curve import U_CRITICAL
-from genus5chain.errors import KernelSingular
+from genus5chain.errors import KernelSingular, NoConvergence
 from genus5chain.thermo import (
     bulk_energy,
     gap,
-    kernel_F,
     solve_rho,
     solve_sigma,
 )
@@ -20,12 +18,19 @@ from genus5chain.thermo import (
 SQRT3 = np.sqrt(3.0)
 
 
+def _kernel_F(sign: int, x, y):
+    """F+-(x, y) = sin(x - pi/6) +- sin(y - pi/6)."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return np.sin(x - np.pi / 6) + sign * np.sin(y - np.pi / 6)
+
+
 def test_kernel_basics():
-    assert kernel_F(-1, 0.7, 0.7) == 0
+    assert _kernel_F(-1, 0.7, 0.7) == 0
     top = np.pi / 6 + np.pi / 2
-    assert abs(kernel_F(+1, top, top) - 2.0) < 1e-15
+    assert abs(_kernel_F(+1, top, top) - 2.0) < 1e-15
     x, y = 0.3, 1.1
-    assert abs(kernel_F(+1, x, y) + kernel_F(-1, x, y) - 2 * np.sin(x - np.pi / 6)) < 1e-15
+    assert abs(_kernel_F(+1, x, y) + _kernel_F(-1, x, y) - 2 * np.sin(x - np.pi / 6)) < 1e-15
 
 
 def test_sigma_solution_values():
@@ -54,8 +59,8 @@ def _dense_sigma_reference(U, N, k0):
     """The unfolded N x N sigma kernel on the solver's grid, built from F+-,
     and the exact fixed point of its quadrature equation."""
     nodes, w, _ = thermo._grid(U, N, k0)
-    fm = kernel_F(-1, nodes[:, None], nodes[None, :])
-    fp = kernel_F(+1, nodes[:, None], nodes[None, :])
+    fm = _kernel_F(-1, nodes[:, None], nodes[None, :])
+    fp = _kernel_F(+1, nodes[:, None], nodes[None, :])
     K = (U + SQRT3 * fm - SQRT3 * fp) / (fm * fm + (U - SQRT3 * fp) ** 2) * w[None, :]
     drive = 2.0 * np.cos(nodes - np.pi / 6)
     sigma = np.linalg.solve(2 * np.pi * np.eye(N) - drive[:, None] * K, np.ones(N))
@@ -82,38 +87,82 @@ def test_folded_sigma_matches_dense_reference():
 
 
 def test_sigma_memory_below_folded_kernel_bound():
-    # the packed kernel holds (N/2)(N/2 + 1)/2 floats; one dense (N/2) x (N/2)
-    # kernel alone reaches the bound
-    N = 4096
+    # no kernel is stored: one block of _ROW_BLOCK rows is 2 MB at N = 8192,
+    # where a packed triangle of the folded kernel takes 67 MB
     tracemalloc.start()
     try:
-        solve_sigma(U_CRITICAL, N=N)
+        solve_sigma(U_CRITICAL, N=8192)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (N // 2) ** 2 * 8
+    assert peak < 10 * 2**20
 
 
 @settings(max_examples=100, deadline=None)
 @given(s=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=200),
        U=st.floats(U_CRITICAL, 10.0), seed=st.integers(0, 2**32 - 1))
-def test_packed_denominator_is_the_dense_lower_triangle(s, U, seed):
-    s = np.sort(s)
-    n = len(s)
+def test_row_block_application_is_the_dense_product(s, U, seed):
+    s = np.array(s)
+    x = np.random.default_rng(seed).standard_normal(len(s))
     try:
         D = thermo._denominator_rows(U, s, s)
     except KernelSingular:
         with pytest.raises(KernelSingular):
-            thermo._inverse_denominator(U, s)
+            thermo._apply_denominator(U, s, x)
         return
-    assert np.array_equal(D, D.T)
-    packed = thermo._inverse_denominator(U, s)
-    assert packed.shape == (n * (n + 1) // 2,)
-    for i in range(n):
-        assert np.array_equal(packed[i * (i + 1) // 2:(i + 1) * (i + 2) // 2], D[i, :i + 1])
-    x = np.random.default_rng(seed).standard_normal(n)
     scale = np.max(np.abs(D) @ np.abs(x))
-    assert np.max(np.abs(dspmv(n, 1.0, packed, x) - D @ x)) <= 1e-14 * scale
+    assert np.max(np.abs(thermo._apply_denominator(U, s, x) - D @ x)) <= 1e-14 * scale
+
+
+def _folded_kernel(U, N):
+    """The solver's folded grid and drive, with f -> K f and f -> |K| |f| as
+    dense products: K is D diag(U - 2 sqrt(3) s) on the pair sums of the weighted f."""
+    nodes, w, pair = thermo._grid(U, N, -np.pi)
+    s = np.bincount(pair, np.sin(nodes - np.pi / 6)) / np.bincount(pair)
+    D = thermo._denominator_rows(U, s, s)
+    col = U - 2 * SQRT3 * s
+    drive = 2.0 * np.cos(nodes - np.pi / 6)
+    return (s, pair, drive, lambda f: D @ (col * np.bincount(pair, w * f)),
+            lambda f: np.abs(D) @ (np.abs(col) * np.bincount(pair, w * np.abs(f))))
+
+
+@pytest.mark.parametrize("U", [U_CRITICAL, 4.0, 5.0])
+def test_kernel_annihilates_drive_times_functions_of_s(U):
+    # relative to the uncancelled sum |K| |f|: at 2 sqrt(3), D's near-singular
+    # entries (D (U - 2 sqrt(3) s) up to 2.4e5) lift the rounding-level pair
+    # sums of the drive to an absolute 4e-13
+    s, pair, drive, K, absK = _folded_kernel(U, 2048)
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        g = drive * np.polynomial.chebyshev.chebval(s, rng.standard_normal(8))[pair]
+        assert np.max(np.abs(K(g))) <= 1e-14 * np.max(absK(g))
+    # the uniform start is not annihilated: sigma is one application away from it
+    one = np.ones(len(pair))
+    assert np.max(np.abs(K(one))) > 0.5 * np.max(absK(one))
+
+
+@pytest.mark.parametrize("N", [256, 2048])
+@pytest.mark.parametrize("U", [U_CRITICAL, 4.0, 5.0])
+def test_one_more_step_leaves_sigma(U, N):
+    # not held at (2 sqrt(3), 8192): there D's near-singular entries amplify
+    # the rounding of 1 + drive K sigma, and one more step moves sigma by 1.9e-13
+    _, pair, drive, K, _ = _folded_kernel(U, N)
+    sigma = solve_sigma(U, N=N).values
+    step = (1.0 + drive * K(sigma)[pair]) / (2 * np.pi)
+    assert np.max(np.abs(step - sigma)) <= 1e-13
+
+
+def test_sigma_refuses_a_drive_that_does_not_cancel(monkeypatch):
+    grid = thermo._grid
+
+    def skewed(U, N, k0):
+        nodes, w, pair = grid(U, N, k0)
+        return nodes, w * (1 + 1e-6 * (np.arange(N) % 2)), pair
+
+    monkeypatch.setattr(thermo, "_grid", skewed)
+    with pytest.raises(NoConvergence) as info:
+        solve_sigma(5.0, N=256)
+    assert info.value.residual > 1e-14
 
 
 def test_sigma_grid_refinement_stable():
