@@ -24,15 +24,13 @@ import numpy as np
 
 from . import curve as curve_mod
 from . import thermo
-from .curve import SQRT3, CurveParams, CurvePoint, critical_side, zw_map
+from .curve import EPS, SQRT3, CurveParams, CurvePoint, critical_side, zw_map
 from .errors import (
     JacobianSingular,
     NoConvergence,
     NonRealDrift,
     PoleHit,
 )
-
-_E3 = np.exp(1j * np.pi / 3)
 
 ACCEPT_RESIDUAL = 1e-10
 # a scattering or eigenvalue denominator below this is a pole
@@ -90,10 +88,6 @@ def _pair_arrays(t: np.ndarray, a: complex, c: complex, rows: slice = slice(None
     return f
 
 
-def _momentum_pairs(k: np.ndarray, U: float):
-    return _pair_arrays(np.sin(k - np.pi / 6), _E3, 0.5j * U)
-
-
 def _ratio_products(f: np.ndarray, what: str) -> np.ndarray:
     """prod_i num[j, i] / den[j, i] for each row of the factors f; PoleHit(what)
     when a denominator is below _POLE_TOL."""
@@ -114,7 +108,7 @@ def _blocked_ratio_products(t: np.ndarray, a: complex, c: complex, what: str) ->
 def bethe_defect(rs: BetheRootSet) -> np.ndarray:
     """Residual of each momentum-form equation; zero on-shell."""
     k = np.asarray(rs.roots, dtype=complex)
-    prods = _blocked_ratio_products(np.sin(k - np.pi / 6), _E3, 0.5j * rs.U, _PAIR_POLE)
+    prods = _blocked_ratio_products(np.sin(k - np.pi / 6), EPS, 0.5j * rs.U, _PAIR_POLE)
     return np.exp(1j * k * rs.L) - prods
 
 
@@ -131,23 +125,17 @@ def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
 # real logarithmic form
 
 
-def _pair_phase(sa: np.ndarray, sb: np.ndarray, U: float):
-    """Pair phase arctan[(s_a - s_b) / D] with D = sqrt(3)(s_a + s_b) - U, rows a and
-    columns b, with its numerator s_a - s_b and D."""
-    num = sa[:, None] - sb[None, :]
-    den = SQRT3 * (sa[:, None] + sb[None, :]) - U
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.arctan(num / den), num, den
-
-
 def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float):
-    """`_pair_phase`, its s_a-derivative kern = (2 sqrt(3) s_b - U) / q and their
-    denominator q = (s_a - s_b)^2 + D^2.  q is symmetric bit for bit, so for
-    sa = sb, rows of the s_b-derivative -kern.T come from the same q."""
-    at, q, den = _pair_phase(sa, sb, U)
-    q *= q  # the numerator's square, in place
-    q += den * den
+    """Pair phase at = arctan[(s_a - s_b) / D] of `thermo._pair_terms`, rows a and columns
+    b, its s_a-derivative kern = (2 sqrt(3) s_b - U) / q and q = (s_a - s_b)^2 + D^2.
+    q is symmetric bit for bit, so for sa = sb, rows of the s_b-derivative
+    -kern.T come from the same q."""
+    q, den = thermo._pair_terms(U, sa, sb)
     with np.errstate(divide="ignore", invalid="ignore"):
+        at = np.arctan(q / den)
+        q *= q
+        den *= den
+        q += den
         return at, (2 * SQRT3 * sb - U) / q, q
 
 
@@ -194,12 +182,7 @@ def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
     """
     at, kern, _ = _phase_kernel(np.sin(k - np.pi / 6), s, U)  # -kern is the sigma kernel
     sigma = (1.0 - 2 * np.cos(k - np.pi / 6) * (kern @ ws)) / (2 * np.pi)
-    return _counting_value(k, at, ws), sigma
-
-
-def _counting_value(k: np.ndarray, at: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Z(k) from the pair phases `at` of the momenta k against the sigma nodes."""
-    return k / (2 * np.pi) - at @ ws / np.pi
+    return k / (2 * np.pi) - at @ ws / np.pi, sigma
 
 
 @lru_cache(maxsize=64)
@@ -215,7 +198,7 @@ def _counting_table(U: float):
     s = np.sin(grid.nodes - np.pi / 6)
     ws = grid.weights * grid.values
     t = grid.nodes[0] + (np.pi / _SEED_NODES) * np.arange(2 * _SEED_NODES + 1)
-    Z = _counting_value(t, _pair_phase(np.sin(t - np.pi / 6), s, U)[0], ws)
+    Z = _counting_function(t, U, s, ws)[0]
     return t, np.maximum.accumulate(Z), s, ws
 
 
@@ -347,7 +330,7 @@ def _min_distance(k: np.ndarray) -> float:
 
 def _cleared_defect(k: np.ndarray, L: int, U: float):
     """Pole-free residual exp(i k_j L) prod den - prod num, with row scales and
-    the stacked pair factors of `_momentum_pairs`, which `_cleared_jacobian`
+    the stacked momentum-form pair factors, which `_cleared_jacobian`
     and the plain defect at convergence take from here.
 
     Near string formation the scattering denominators pinch zeros, which
@@ -355,7 +338,7 @@ def _cleared_defect(k: np.ndarray, L: int, U: float):
     through those couplings.  The returned scale per row is the magnitude
     sum of the two competing terms, for relative convergence tests.
     """
-    f = _momentum_pairs(k, U)
+    f = _pair_arrays(np.sin(k - np.pi / 6), EPS, 0.5j * U)
     t2, d = np.multiply.reduce(f, axis=2)
     t1 = np.exp(1j * k * L) * d
     return t1 - t2, np.abs(t1) + np.abs(t2) + 1.0, f
@@ -374,7 +357,7 @@ def _products_but_one(a: np.ndarray) -> np.ndarray:
 def _cleared_jacobian(k: np.ndarray, L: int, f: np.ndarray) -> np.ndarray:
     """J[j, i] = d/dk_i of the cleared residual of row j, from the pair factors
     f of `_cleared_defect`.  With c = cos(k - pi/6), factor (j, i) has d/dk_j
-    num = c_j/e3, den = c_j e3 and d/dk_i num = -c_i e3, den = -c_i/e3; each
+    num = c_j/eps, den = c_j eps and d/dk_i num = -c_i eps, den = -c_i/eps; each
     term carries the product of the other factors."""
     M = len(k)
     c = np.cos(k - np.pi / 6)
@@ -384,8 +367,8 @@ def _cleared_jacobian(k: np.ndarray, L: int, f: np.ndarray) -> np.ndarray:
     P = own[1].copy()  # the whole off-diagonal product of each den row
     own[...] = 0.0
     nsum, dsum = prods.sum(axis=2)
-    J = E[:, None] * (-c / _E3) * prods[1] + (c * _E3) * prods[0]
-    J.reshape(-1)[::M + 1] = 1j * L * E * P + c * (E * _E3 * dsum - nsum / _E3)
+    J = E[:, None] * (-c / EPS) * prods[1] + (c * EPS) * prods[0]
+    J.reshape(-1)[::M + 1] = 1j * L * E * P + c * (E * EPS * dsum - nsum / EPS)
     return J
 
 

@@ -233,21 +233,25 @@ def samples(text: str) -> int:
     return n
 
 
-def _finite(text: str, what: str) -> float:
+def _finite(text: str, what: str, bound: float = np.inf) -> float:
     x = float(text)
     if not np.isfinite(x):
         raise argparse.ArgumentTypeError(f"need a finite {what}, got {text}")
+    if abs(x) > bound:
+        raise argparse.ArgumentTypeError(f"need a finite {what} within +-{bound:g}, got {text}")
     return x
 
 
 def coupling(text: str) -> float:
-    """A coupling `--U` or `--u-start`: refused unless finite, as a usage error (exit 2)."""
-    return _finite(text, "coupling")
+    """A coupling `--U` or `--u-start`: refused unless finite and within +-1e100 (above
+    ~7e137 `eig` returns rescaled levels), as a usage error (exit 2)."""
+    return _finite(text, "coupling", 1e100)
 
 
 def grid_start(text: str) -> float:
-    """A density-grid start `--k0`: refused unless finite, as a usage error (exit 2)."""
-    return _finite(text, "grid start")
+    """A density-grid start `--k0`: refused unless finite and within +-100 (from ~3000 the
+    grid loses the reflection symmetry of sigma), as a usage error (exit 2)."""
+    return _finite(text, "grid start", 100.0)
 
 
 def tolerance(text: str) -> float:

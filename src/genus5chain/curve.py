@@ -5,7 +5,9 @@ The curve in affine coordinates (x, y) is
     C(x, y) = (x^2 + y^2/eps) (x^2 + eps y^2)^2
               + U sqrt(eps) x y (x^2 + eps y^2) - x^2 + y^2 = 0,
 
-with eps = exp(+-i pi/3).  The pair
+with eps = exp(+-i pi/3).  The chain's branch eps = exp(+i pi/3) and its
+square root are `EPS` and `SQRT_EPS`, the only place the package writes them;
+the other branch takes their conjugates.  The pair
 
     Z = x (x^2 + eps y^2) / (eps y),   W = y (x^2 + eps y^2) / (eps x)
 
@@ -27,6 +29,8 @@ from .errors import MapSingular, WrongCoupling
 
 SQRT3 = np.sqrt(3.0)
 U_CRITICAL = 2.0 * SQRT3
+EPS = complex(np.exp(1j * np.pi / 3))
+SQRT_EPS = complex(np.exp(1j * np.pi / 6))
 
 # numerical zero for map/denominator checks
 _ZERO_TOL = 1e-12
@@ -47,13 +51,11 @@ class CurveParams:
 
     @property
     def eps(self) -> complex:
-        sign = 1.0 if self.eps_sign == "plus" else -1.0
-        return complex(np.exp(sign * 1j * np.pi / 3))
+        return EPS if self.eps_sign == "plus" else EPS.conjugate()
 
     @property
     def sqrt_eps(self) -> complex:
-        sign = 1.0 if self.eps_sign == "plus" else -1.0
-        return complex(np.exp(sign * 1j * np.pi / 6))
+        return SQRT_EPS if self.eps_sign == "plus" else SQRT_EPS.conjugate()
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eig
 
-from .curve import CurvePoint
+from .curve import SQRT_EPS, CurvePoint
 from .errors import BracketInvalid, ConvergenceFailure
 from .rmatrix import r_matrix
 
@@ -42,9 +42,6 @@ _ID3 = np.eye(3, dtype=complex)
 # (Sz S+): apply S+ first, then Sz; raises only on the 0 -> +1 rung
 _SZSP = SZ @ SP
 
-_E_PLUS = np.exp(1j * np.pi / 6)
-_E_MINUS = np.exp(-1j * np.pi / 6)
-
 DENSE_LIMIT = 20000
 _DENSE_EIG_CUTOFF = 900  # dims above this use ARPACK in "lowest" mode
 _REAL_TOL = 1e-8  # |Im E| <= _REAL_TOL max(1, |Re E|) marks a reported level real
@@ -53,8 +50,8 @@ _LEVELS = 8  # levels solved in each sector that holds E0, to find the first exc
 
 # the U-independent hopping part of the bond and its on-site U/2 term
 _HOP = (
-    (-_E_PLUS / 2) * np.kron(SP, SM)
-    + (-_E_MINUS / 2) * np.kron(SM, SP)
+    (-SQRT_EPS / 2) * np.kron(SP, SM)
+    + (-SQRT_EPS.conjugate() / 2) * np.kron(SM, SP)
     + (1j / 2) * np.kron(_SZSP, SM)
     + (-1j / 2) * np.kron(SM, _SZSP)
 )

@@ -23,7 +23,8 @@ zero too: sigma is one kernel application to the uniform start.  D sees k only
 through s, so the sigma solve folds reflected node pairs onto N/2 nodes and
 applies D in one pass over its lower triangle in row blocks; no kernel is
 stored.  The rho solve keeps all N nodes in a dense kernel: a fold would build
-in the collapse and the nilpotency it checks.
+in the collapse and the nilpotency it checks.  D's pair terms s - s' and
+sqrt(3)(s + s') - U are formed only in `_pair_terms`, which `bethe` shares.
 """
 
 from __future__ import annotations
@@ -75,11 +76,22 @@ def _grid(U: float, N: int, k0: float):
     return nodes, np.full(N, h), np.abs((2 * np.arange(N) - j + N) % (2 * N) - N) // 2
 
 
+def _pair_terms(U: float, sa: np.ndarray, sb: np.ndarray):
+    """s_a - s_b and sqrt(3)(s_a + s_b) - U for rows a and columns b, each built in one
+    array; their ratio is the tangent of the pair phase, the sum of their squares 1/D."""
+    diff = sa[:, None] - sb
+    den = sa[:, None] + sb
+    den *= SQRT3
+    den -= U
+    return diff, den
+
+
 def _denominator_rows(U: float, si: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rows D(si, s) of the inverse denominator; raises KernelSingular where 1/D vanishes."""
-    den = si[:, None] - s
+    diff, den = _pair_terms(U, si, s)
     den *= den
-    den += (U - SQRT3 * (si[:, None] + s)) ** 2
+    diff *= diff
+    den += diff
     if np.min(den) < 1e-14:
         raise KernelSingular(
             f"kernel denominator vanishes on the grid at U={U}; refine N or move k0"
@@ -101,6 +113,7 @@ def _apply_denominator(U: float, s: np.ndarray, v: np.ndarray) -> np.ndarray:
         rows = _denominator_rows(U, s[i0:i1], s[:i1])
         out[i0:i1] = rows @ v[:i1]
         out[:i0] += v[i0:i1] @ rows[:, :i0]
+        del rows  # released before the next block is built
     return out
 
 

@@ -87,6 +87,11 @@ def test_chain_length_below_one_is_usage_error(argv, capsys):
     ["gap", "--U", "inf"],
     ["density-profile", "--U", "inf"],
     ["aba-verify", "--U", "1e999"],
+    # beyond 1e100, ed's eig returned rescaled levels and the Bethe pair
+    # denominators overflowed
+    ["ed", "--L", "4", "--U", "1e140", "--n", "0"],
+    ["bethe-solve", "--L", "4", "--U=-1e140"],
+    ["roots", "--L", "6", "--U", "3", "--u-start=1e140"],
 ])
 def test_non_finite_coupling_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -139,15 +144,23 @@ def test_branch_numbers_beyond_decidable_parity_are_refused(L, Q, code, err, cap
 
 
 @pytest.mark.parametrize("command", ["thermo", "gap", "density-profile"])
-@pytest.mark.parametrize("k0", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("k0", ["inf", "-inf", "nan", "1e300", "-1e4"])
 def test_non_finite_grid_start_is_usage_error(command, k0, capsys):
-    # a non-finite --k0 used to reach thermo._grid (an OverflowError traceback for inf)
+    # a non-finite --k0 used to reach thermo._grid (an OverflowError traceback
+    # for inf and 1e300); from |k0| ~ 3000 the nodes lose the reflection
+    # symmetry sigma relies on
     with pytest.raises(SystemExit) as exc:
         main([command, "--U", "5", "--N", "256", f"--k0={k0}"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
     assert "argument --k0: need a finite grid start" in captured.err
+
+
+@pytest.mark.parametrize("k0", ["100", "-100"])
+def test_grid_start_at_its_bound_is_accepted(k0, capsys):
+    assert main(["thermo", "--U", "5", "--N", "256", f"--k0={k0}"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 256
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf"])

@@ -160,6 +160,24 @@ def test_reflection_conjugates_hamiltonian(L, data, U):
 
 
 @settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 7), data=st.data(), U=st.floats(-6.0, 6.0))
+def test_spin_flip_maps_sector_to_its_mirror(L, data, U):
+    # F H_n F = H_{-n}^dagger for the spin flip F (labels 0 <-> 2) and
+    # (FP) H_n (FP) = H_{-n}^T with the site reflection P: the structure that
+    # the +-n mirroring of lowest_per_sector, spectrum_is_real and ed relies on
+    n = data.draw(st.integers(-L, L), label="n")
+    index = {s: i for i, s in enumerate(_tuple_states(L, -n))}
+    states = _tuple_states(L, n)
+    F = [index[tuple(2 - v for v in s)] for s in states]
+    FP = [index[tuple(2 - v for v in s[::-1])] for s in states]
+    H = build_hamiltonian(U, L, n).matrix.toarray()
+    mirror = build_hamiltonian(U, L, -n).matrix.toarray()
+    tol = 1e-15 * max(1.0, abs(U))
+    assert np.max(np.abs(H - mirror.conj().T[np.ix_(F, F)]), initial=0.0) <= tol
+    assert np.max(np.abs(H - mirror.T[np.ix_(FP, FP)]), initial=0.0) <= tol
+
+
+@settings(max_examples=40, deadline=None)
 @given(L=st.integers(2, 8), data=st.data(), U=st.floats(-6.0, 6.0))
 def test_real_blocks_are_isometry_products(L, data, U):
     n = data.draw(st.integers(-L, L), label="n")
