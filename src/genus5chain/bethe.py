@@ -471,7 +471,7 @@ def track_state(
                 k, u = rs_next.roots, u_next
                 step = min(du, step * 1.7)
                 continue
-        except (NoConvergence, JacobianSingular):
+        except NoConvergence:
             pass
         if step > du / 16:
             step /= 2
@@ -512,7 +512,7 @@ def _fuse_candidates(k: np.ndarray, L: int, n: int, u_next: float):
             trial[j] = mean - 1j * delta
             try:
                 cand = solve_complex(L, n, u_next, trial)
-            except (NoConvergence, JacobianSingular):
+            except NoConvergence:
                 continue
             if _max_move(k, cand.roots) > 0.6:
                 continue  # jumped to an unrelated branch

@@ -33,8 +33,6 @@ _PRECONDITION_ERRORS = (BracketInvalid, InsufficientData, MapSingular, WrongCoup
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.15g}"
-    if isinstance(x, complex):
-        return f"{x.real:.15g}{x.imag:+.15g}j"
     return str(x)
 
 
@@ -45,12 +43,8 @@ def _json_ready(obj):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return float(f"{float(obj):.15g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (np.complexfloating, complex)):
         return {"re": float(f"{obj.real:.15g}"), "im": float(f"{obj.imag:.15g}")}
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj]
     return obj
 
 

@@ -26,28 +26,21 @@ class PoleHit(Genus5Error):
 
 
 class NoConvergence(Genus5Error):
-    """Iterative solver failed to converge; `last` holds the final iterate."""
+    """A solver stopped short; `last`, `residual` and `diagnostics` hold what it carried."""
 
-    def __init__(self, message, last=None, residual=None):
+    def __init__(self, message, last=None, residual=None, diagnostics=None):
         super().__init__(message)
         self.last = last
         self.residual = residual
+        self.diagnostics = diagnostics or {}
 
 
 class NonRealDrift(Genus5Error):
     """Real-root Newton left the stable regime (roots collided or kernel flipped)."""
 
 
-class JacobianSingular(Genus5Error):
+class JacobianSingular(NoConvergence):
     """Newton Jacobian is numerically singular."""
-
-
-class ConvergenceFailure(Genus5Error):
-    """Eigenvalue iteration failed; `diagnostics` holds solver details."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class BracketInvalid(Genus5Error):

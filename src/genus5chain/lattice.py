@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eig
 
 from .curve import SQRT_EPS, CurvePoint
-from .errors import BracketInvalid, ConvergenceFailure
+from .errors import BracketInvalid, NoConvergence
 from .rmatrix import r_matrix
 
 SP = np.sqrt(2.0) * np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
@@ -210,10 +210,6 @@ def sector_basis(L: int, n: int) -> SectorBasis:
 
 
 sector_basis.cache_clear = _sectors.clear
-
-
-def sector_dimension(L: int, n: int) -> int:
-    return sector_basis(L, n).dim
 
 
 class LatticeOperator:
@@ -466,7 +462,7 @@ def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
     return tuple(blocks)
 
 
-def _map_back(L: int, n: int, Y: np.ndarray) -> np.ndarray:
+def _map_back(sector: SectorBasis, Y: np.ndarray) -> np.ndarray:
     """sum_m Q_m Y_m for the columns of Y, Y_m the rows of block m in the
     direct sum of the real blocks, without forming Q_m.
 
@@ -474,8 +470,8 @@ def _map_back(L: int, n: int, Y: np.ndarray) -> np.ndarray:
     unless momentum m admits r), state s = T^l r takes
     sum_m w^(m l) g[m, r] / sqrt(p_r): one FFT over m, then a gather.
     """
-    orb = sector_basis(L, n).orbits
-    g = np.zeros((L, len(orb.states), Y.shape[1]), dtype=complex)
+    orb = sector.orbits
+    g = np.zeros((sector.L, len(orb.states), Y.shape[1]), dtype=complex)
     start = 0
     for m, (col, d) in enumerate(zip(orb.column, orb.widths)):
         on = np.nonzero(col >= 0)[0]
@@ -617,7 +613,7 @@ def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> Spectr
     if mode == "lowest" and op.dim > max(_DENSE_EIG_CUTOFF, 3 * k + 2):
         try:
             return _lowest_arpack(op, k)
-        except ConvergenceFailure:
+        except NoConvergence:
             if op.dim > DENSE_LIMIT:
                 raise
             method = "dense-fallback"
@@ -642,15 +638,14 @@ def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
         except spla.ArpackNoConvergence as exc:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
-        vecs = _map_back(op.sector.L, op.sector.n, vecs)
+        vecs = _map_back(op.sector, vecs)
         Hv, norm = _apply_bonds(op.U, op.sector, vecs)
         res = np.linalg.norm(Hv - vecs * vals[None, :], axis=0)
         if np.all(res <= 1e-9 * max(1.0, norm)):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})")
         attempts.append(f"SR ncv={ncv}: residual {np.max(res):.2e}")
-    raise ConvergenceFailure(
-        f"lowest-eigenvalue iteration failed for dim {D}", diagnostics={"attempts": attempts}
-    )
+    raise NoConvergence(f"lowest-eigenvalue iteration failed for dim {D}",
+                        diagnostics={"attempts": attempts})
 
 
 @lru_cache(maxsize=4096)
@@ -694,7 +689,7 @@ def lowest_two_energies(U: float, L: int):
         for n in np.nonzero(lows <= top)[0]])
     above = vals[vals > top]
     if len(above) == 0:
-        raise ConvergenceFailure(
+        raise NoConvergence(
             f"no level above the ground state among the {_LEVELS} lowest per sector")
     return float(e0), float(above.min())
 

@@ -66,7 +66,7 @@ def _grid(label, reference, sizes, value):
     for L in sizes:
         row = [L]
         for key, ref in reference.items():
-            val = value(refdata.u_value(key), L)
+            val = value(refdata.U_KEYS[key], L)
             row += [val, abs(val - ref[L])]
         rows.append(row)
     return header, rows

@@ -100,7 +100,7 @@ def test_criterion_06_bethe_ed_equivalence():
     worst = 0.0
     for L in (4, 5, 6):
         for key in ("5", "2sqrt3"):
-            U = refdata.u_value(key)
+            U = refdata.U_KEYS[key]
             for n in range(0, L + 1):
                 e_bethe = bethe.energy(bethe.solve_log_form(L, n, U))
                 rep = lattice.diagonalize(lattice.build_hamiltonian(U, L, n), mode="full")
@@ -111,7 +111,7 @@ def test_criterion_06_bethe_ed_equivalence():
 def test_criterion_07_table2():
     worst_rows = 0.0
     for key in ("5", "4.5", "4", "2sqrt3"):
-        U = refdata.u_value(key)
+        U = refdata.U_KEYS[key]
         for L in (8, 12, 16, 24, 64):
             e = bethe.energy(bethe.solve_log_form(L, 0, U)) / L
             worst_rows = max(worst_rows, abs(e - refdata.TABLE2_ENERGY[key][L]))
@@ -130,7 +130,7 @@ def test_criterion_07_table2():
 def test_criterion_08_table3():
     worst = 0.0
     for key in ("5", "4.5", "4", "2sqrt3"):
-        U = refdata.u_value(key)
+        U = refdata.U_KEYS[key]
         for L in (4, 6, 8, 10, 12, 24):
             d = bethe.finite_size_gap(L, U)
             worst = max(worst, abs(d - refdata.TABLE3_GAP[key][L]))
@@ -151,7 +151,7 @@ def test_criterion_08_table3():
 def test_criterion_09_table4():
     worst = 0.0
     for key in ("3", "2", "1", "0"):
-        U = refdata.u_value(key)
+        U = refdata.U_KEYS[key]
         for L in range(4, 11):
             e0, e1 = lattice.lowest_two_energies(U, L)
             worst = max(worst, abs((e1 - e0) - refdata.TABLE4_GAP[key][L]))
@@ -162,7 +162,7 @@ def test_criterion_09_table4():
 def test_criterion_09_table4_heavy():
     worst = 0.0
     for key in ("3", "2", "1", "0"):
-        U = refdata.u_value(key)
+        U = refdata.U_KEYS[key]
         for L in (11, 12):
             e0, e1 = lattice.lowest_two_energies(U, L)
             worst = max(worst, abs((e1 - e0) - refdata.TABLE4_GAP[key][L]))
@@ -172,7 +172,7 @@ def test_criterion_09_table4_heavy():
 def test_criterion_10_table5_and_symmetry():
     worst_f0 = 0.0
     for key in ("4", "2sqrt3", "sqrt2", "1"):
-        U = refdata.u_value(key)
+        U = refdata.U_KEYS[key]
         for L in (4, 6, 8, 10):
             worst_f0 = max(worst_f0, abs(lattice.f0_per_site(U, L) - refdata.TABLE5_F0[key][L]))
     worst_e1 = 0.0

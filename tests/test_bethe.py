@@ -183,7 +183,7 @@ def test_log_form_ground_state_energies():
         ("5", 8), ("5", 12), ("4.5", 16), ("4", 12), ("2sqrt3", 12), ("2sqrt3", 24),
     ]
     for key, L in cases:
-        rs = solve_log_form(L, 0, refdata.u_value(key))
+        rs = solve_log_form(L, 0, refdata.U_KEYS[key])
         assert rs.residual < 1e-12
         assert abs(energy(rs) / L - refdata.TABLE2_ENERGY[key][L]) < 1e-11
 
@@ -469,7 +469,7 @@ def test_translation_sum_rule():
 def test_lowest_per_sector_matches_ed():
     for L in (4, 5):
         for key in ("5", "2sqrt3"):
-            U = refdata.u_value(key)
+            U = refdata.U_KEYS[key]
             for n in range(0, L + 1):
                 rs = solve_log_form(L, n, U)
                 rep = lattice.diagonalize(lattice.build_hamiltonian(U, L, n), mode="full")

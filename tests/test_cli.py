@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from genus5chain import lattice, thermo
-from genus5chain.cli import main
+from genus5chain import lattice, refdata, tables, thermo
+from genus5chain.cli import build_parser, main
 from genus5chain.errors import NoConvergence
 from genus5chain.tables import extrapolate_gap, fit_threshold
 
@@ -378,6 +381,17 @@ def test_fit_threshold_compute_refuses_long_scans(ls, monkeypatch, capsys):
     assert calls == []
 
 
+def test_fit_threshold_compute_fits_the_computed_thresholds(monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "reality_threshold", lambda L: refdata.TABLE1_REALITY[L])
+    code, out = run(["fit-threshold", "--compute", "--Ls", "4,5,6"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    pairs = [(L, refdata.TABLE1_REALITY[L]) for L in (4, 5, 6)]
+    u_inf, slope = fit_threshold(pairs)
+    assert data["points"] == [list(p) for p in pairs]
+    assert (data["U_infinity"], data["slope"]) == (float(f"{u_inf:.15g}"), float(f"{slope:.15g}"))
+
+
 def test_fit_threshold_refusal_names_the_heavy_command(capsys):
     assert main(["fit-threshold", "--compute", "--Ls", "4,5,9"]) == 2
     assert capsys.readouterr().err == (
@@ -455,6 +469,44 @@ def test_table_command_five(tmp_path):
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("heavy, sizes", [(False, [4, 5, 6, 7]), (True, [4, 5, 6, 7, 8, 9])])
+def test_table_one_rows(heavy, sizes, monkeypatch):
+    monkeypatch.setattr(lattice, "reality_threshold", lambda L: refdata.TABLE1_REALITY[L])
+    header, rows = tables.TABLES[1](heavy)
+    assert header == ["L", "threshold", "reference", "deviation"]
+    assert rows == [[L, refdata.TABLE1_REALITY[L], refdata.TABLE1_REALITY[L], 0.0] for L in sizes]
+
+
+@pytest.mark.parametrize("heavy, sizes", [(False, list(range(4, 11))), (True, list(range(4, 13)))])
+def test_table_four_rows(heavy, sizes, monkeypatch):
+    key_of = {u: key for key, u in refdata.U_KEYS.items()}
+    monkeypatch.setattr(lattice, "lowest_two_energies",
+                        lambda U, L: (0.0, refdata.TABLE4_GAP[key_of[U]][L]))
+    header, rows = tables.TABLES[4](heavy)
+    keys = list(refdata.TABLE4_GAP)
+    assert header == ["L"] + [f"{col}(U={key})" for key in keys for col in ("gap", "dev")]
+    assert [row[0] for row in rows[:-1]] == sizes
+    for row in rows[:-1]:
+        assert row[1::2] == [refdata.TABLE4_GAP[key][row[0]] for key in keys]
+        assert row[2::2] == [0.0] * len(keys)
+    extrap = [v for key in keys
+              for v in extrapolate_gap({L: refdata.TABLE4_GAP[key][L] for L in sizes})]
+    assert rows[-1] == ["extrapolated(method-dependent)"] + extrap
+
+
+def test_table_four_fails_without_a_level_above_the_ground_state(monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "lowest_per_sector", lambda U, L: np.full(L + 1, -1.0))
+    monkeypatch.setattr(lattice, "diagonalize",
+                        lambda op, mode, k: SimpleNamespace(eigenvalues=np.full(k, -1.0 + 0j)))
+    with pytest.raises(NoConvergence, match="no level above the ground state"):
+        lattice.lowest_two_energies(3.0, 4)
+    assert main(["table", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: no level above the ground state"
+                            " among the 8 lowest per sector\n")
+    assert captured.out == ""
+
+
 def test_table_bad_index(capsys):
     assert main(["table", "9"]) == 2
 
@@ -497,3 +549,15 @@ def test_extrapolate_gap_recovers_cubic_intercept():
     assert abs(value - 0.1) < 1e-12
     quadratic = np.polyfit(1.0 / ls, [gaps[int(L)] for L in ls], 2)[-1]
     assert err == pytest.approx(abs(value - quadratic), rel=1e-9)
+
+
+def test_cli_bytes_commands_parse():
+    # the byte-contract list of tools/cli_bytes.py must stay valid CLI input
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_bytes.py"
+    spec = importlib.util.spec_from_file_location("cli_bytes", path)
+    cli_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_bytes)
+    parser = build_parser()
+    for argv in cli_bytes.COMMANDS:
+        parser.parse_args(argv)
+    assert len({cli_bytes.name(argv) for argv in cli_bytes.COMMANDS}) == len(cli_bytes.COMMANDS)

@@ -212,6 +212,26 @@ def test_points_with_z_recover_prescribed_Z(rng):
             assert abs(zw_map(p).Z - Z) < 1e-9
 
 
+def test_points_with_z_polishes_a_candidate_off_tolerance(monkeypatch):
+    # about one algebraic candidate in 500 misses the tolerance before the Newton polish;
+    # the Jacobian is first evaluated at such a candidate
+    starts, jacobian = [], _ZWSystem.jacobian
+    monkeypatch.setattr(_ZWSystem, "jacobian",
+                        lambda self, x, y: starts.append((x, y)) or jacobian(self, x, y))
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        Z = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        par = CurveParams(rng.uniform(-8, 8), ("plus", "minus")[rng.integers(2)])
+        pts = points_with_Z(Z, par)
+        if starts:
+            break
+    system, (x0, y0) = _ZWSystem(Z, par), starts[0]
+    assert np.max(np.abs(system.value(x0, y0))) > 1e-12
+    polished = [p for p in pts if abs(p.x - x0) + abs(p.y - y0) < 1e-9]
+    assert len(polished) == 1
+    assert np.max(np.abs(system.value(polished[0].x, polished[0].y))) <= 1e-12
+
+
 @pytest.mark.parametrize("par", ALL_PARAMS)
 def test_zw_jacobian_matches_central_difference(par):
     rng = np.random.default_rng(7)

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from genus5chain import lattice, refdata
 from genus5chain.curve import CurveParams, CurvePoint, sample_points
-from genus5chain.errors import BracketInvalid, ConvergenceFailure
+from genus5chain.errors import BracketInvalid, NoConvergence
 from genus5chain.lattice import (
     build_hamiltonian,
     build_transfer_matrix,
     diagonalize,
     sector_basis,
-    sector_dimension,
     shift_operator,
 )
 
@@ -68,10 +67,10 @@ def _reference_hamiltonian(U, L, n):
 
 def test_sector_dimensions_and_completeness():
     for L in (3, 5, 6):
-        dims = [sector_dimension(L, n) for n in range(-L, L + 1)]
+        dims = [sector_basis(L, n).dim for n in range(-L, L + 1)]
         assert sum(dims) == 3**L
         for n in range(-L, L + 1):
-            assert sector_dimension(L, n) == _trinomial(L, n)
+            assert sector_basis(L, n).dim == _trinomial(L, n)
 
 
 def test_basis_is_lexicographic():
@@ -329,14 +328,14 @@ def test_bond_apply_matches_matrix():
 @given(L=st.integers(2, 8), data=st.data(), cols=st.integers(1, 3))
 def test_map_back_gather_matches_isometries(L, data, cols):
     n = data.draw(st.integers(-L, L), label="n")
-    dim = sector_dimension(L, n)
+    dim = sector_basis(L, n).dim
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
     Q = lattice.momentum_blocks(L, n)
     parts = np.split(Y, np.cumsum([Qm.shape[1] for Qm in Q])[:-1])
     ref = sum(Qm @ y for Qm, y in zip(Q, parts))
-    got = lattice._map_back(L, n, Y)
+    got = lattice._map_back(sector_basis(L, n), Y)
     assert got.shape == ref.shape == (dim, cols)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.abs(ref).max()
 
@@ -351,7 +350,7 @@ def test_arpack_residual_check_refuses_perturbed_vectors(monkeypatch):
     op = build_hamiltonian(0.5, 8, 0)  # dim 1107: above the dense cutoff
     full = diagonalize(op, mode="full")
     monkeypatch.setattr(spla, "eigs", perturbed)
-    with pytest.raises(ConvergenceFailure) as info:
+    with pytest.raises(NoConvergence) as info:
         lattice._lowest_arpack(op, 6)
     attempts = info.value.diagnostics["attempts"]
     assert len(attempts) == 2 and all("residual" in a for a in attempts)
@@ -482,7 +481,7 @@ def test_momentum_blocks_structure():
         for n in range(-L, L + 1):
             blocks = lattice.momentum_blocks(L, n)
             assert len(blocks) == L
-            assert sum(V.shape[1] for V in blocks) == sector_dimension(L, n)
+            assert sum(V.shape[1] for V in blocks) == sector_basis(L, n).dim
             H = build_hamiltonian(1.3, L, n).matrix
             tol = 1e-12 * abs(H).max()
             for m, V in enumerate(blocks):
@@ -691,7 +690,7 @@ def test_symmetry_check_table5_values():
 
 @pytest.mark.parametrize("key", ["4", "2sqrt3", "sqrt2", "1"])
 def test_table5_f0_matches_symmetry_check(key):
-    U = refdata.u_value(key)
+    U = refdata.U_KEYS[key]
     for L in (4, 6):
         assert lattice.f0_per_site(U, L) == lattice.symmetry_check_neg_u(L, U).f0_per_site
 
@@ -711,7 +710,7 @@ def test_spectral_antisymmetry():
 def test_table4_gap_small_sizes():
     for key in ("3", "0"):
         for L in (4, 5, 6):
-            e0, e1 = lattice.lowest_two_energies(refdata.u_value(key), L)
+            e0, e1 = lattice.lowest_two_energies(refdata.U_KEYS[key], L)
             assert abs((e1 - e0) - refdata.TABLE4_GAP[key][L]) < 1e-10
 
 

@@ -35,7 +35,7 @@ def test_kernel_basics():
 
 def test_sigma_solution_values():
     for key in ("5", "4.5", "4"):
-        grid = solve_sigma(refdata.u_value(key))
+        grid = solve_sigma(refdata.U_KEYS[key])
         assert abs(bulk_energy(grid) - refdata.TABLE2_ENERGY[key]["bulk"]) < 1e-10
         assert abs(grid.norm() - 1.0) < 1e-10
         assert np.all(grid.values > 0)
@@ -237,7 +237,7 @@ def test_nilpotency_defect_separates_nilpotent_operators():
 
 def test_finite_size_energies_approach_bulk():
     for key in ("5", "4.5", "4"):
-        U = refdata.u_value(key)
+        U = refdata.U_KEYS[key]
         rs = bethe.solve_log_form(1024, 0, U)
         e_bulk = bulk_energy(solve_sigma(U))
         assert abs(bethe.energy(rs) / 1024 - e_bulk) < 1e-9

@@ -1,0 +1,113 @@
+"""Record the `genus5` command line's bytes for a fixed list of commands, or
+compare two recordings.
+
+    python tools/cli_bytes.py DIR            # record every command into DIR
+    python tools/cli_bytes.py --compare A B  # list the commands whose bytes differ
+
+Each command runs in a fresh interpreter on the package under `src/` next to
+this script, with one BLAS thread, and leaves its stdout, stderr and exit
+code in DIR as `<name>.out`, `<name>.err` and `<name>.code`.  `--compare`
+exits 1 when any command differs.  The list covers every command and two
+numerical failures (`bethe-solve --L 4 --U 1` and the `roots` continuation
+at L = 8).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COMMANDS = [
+    ["table", "1"],
+    ["table", "2"],
+    ["table", "3"],
+    ["table", "4"],
+    ["table", "5"],
+    ["thermo", "--U", "5"],
+    ["thermo", "--U", "3.4641016151377544", "--N", "8192"],
+    ["gap", "--U", "4"],
+    ["gap", "--U", "3.6"],
+    ["gap", "--U", "3.4641016152"],
+    ["density-profile", "--U", "5", "--N", "512"],
+    ["bethe-solve", "--L", "64", "--U", "5"],
+    ["bethe-solve", "--L", "1024", "--U", "3.4641016151377544"],
+    ["bethe-solve", "--L", "128", "--n", "1", "--U", "4"],
+    ["bethe-solve", "--L", "4", "--U", "1"],
+    ["roots", "--L", "14", "--U", "3.3", "--mode", "continue", "--u-start", "3.4641016151"],
+    ["roots", "--L", "4", "--U", "-1"],
+    ["roots", "--L", "8", "--U", "3", "--mode", "continue", "--u-start", "3.4641016151"],
+    ["aba-verify"],
+    ["aba-verify", "--L", "6", "--m", "3", "--U", "4.5"],
+    ["ybe-check", "--U", "5", "--samples", "20"],
+    ["ybe-check", "--U", "-2", "--eps-sign", "minus", "--samples", "20"],
+    ["ed", "--L", "6", "--U", "4"],
+    ["ed", "--L", "8", "--U", "1", "--n", "1"],
+    ["ed", "--L", "10", "--U", "3", "--mode", "lowest"],
+    ["ed", "--L", "12", "--U", "1", "--n", "11", "--mode", "lowest", "--k", "3"],
+    ["symmetry-check", "--L", "6", "--U", "1.3"],
+    ["reality-threshold", "--L", "6"],
+    ["fit-threshold"],
+    ["fit-threshold", "--compute", "--Ls", "4,5,6"],
+    ["fit-threshold", "--data", "4:3.0,5:3.1,6:3.2"],
+]
+
+
+def name(argv: list[str]) -> str:
+    """The file stem of a command: its words joined by '_', other characters as '_'."""
+    return re.sub(r"[^\w.,:=+-]", "_", "_".join(argv))
+
+
+def _paths(out_dir: Path, argv: list[str]) -> list[Path]:
+    return [out_dir / (name(argv) + suffix) for suffix in (".out", ".err", ".code")]
+
+
+def record(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for argv in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "genus5chain.cli", *argv],
+                              capture_output=True, env=env, check=False)
+        for path, data in zip(_paths(out_dir, argv),
+                              (done.stdout, done.stderr, f"{done.returncode}\n".encode())):
+            path.write_bytes(data)
+        print(f"{done.returncode}  {' '.join(argv)}")
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    """The commands whose stdout, stderr or exit code differ between a and b,
+    a missing file counting as a difference."""
+
+    def recorded(out_dir, argv):
+        return [p.read_bytes() if p.is_file() else None for p in _paths(out_dir, argv)]
+
+    return [" ".join(argv) for argv in COMMANDS
+            if None in (got := recorded(a, argv)) or got != recorded(b, argv)]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("dir", nargs="?", type=Path, help="directory to record into")
+    p.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                   help="compare two recorded directories")
+    args = p.parse_args(argv)
+    if (args.dir is None) == (args.compare is None):
+        p.error("give either DIR or --compare A B")
+    if args.dir is not None:
+        record(args.dir)
+        return 0
+    diff = differing(*args.compare)
+    for cmd in diff:
+        print(cmd)
+    print(f"{len(diff)} of {len(COMMANDS)} commands differ", file=sys.stderr)
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
