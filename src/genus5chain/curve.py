@@ -34,7 +34,8 @@ SQRT_EPS = complex(np.exp(1j * np.pi / 6))
 
 # numerical zero for map/denominator checks
 _ZERO_TOL = 1e-12
-# curve residual |C| that fibre and Z-prescribed points are polished to
+# curve residual |C| that fibre and Z-prescribed points are polished to; for
+# Z-prescribed points, relative to the size of the terms (`_scaled_defect`)
 _POLISH_TOL = 1e-12
 
 
@@ -241,14 +242,24 @@ class _ZWSystem:
         )
 
 
+def _scaled_defect(F: np.ndarray, x: complex, y: complex) -> float:
+    """Largest of |C| and |Z-constraint| over the size of their terms: C has
+    degree six and the constraint degree three, so with m = max(1, |x|, |y|)
+    their rounding floors grow as m^6 and m^3."""
+    m = max(1.0, abs(x), abs(y))
+    return max(abs(F[0]) / m**6, abs(F[1]) / m**3)
+
+
 def points_with_Z(Z: complex, params: CurveParams) -> list[CurvePoint]:
     """Curve points whose zw_map has the prescribed Z coordinate.
 
     Candidates are built algebraically: W from the cubic (a quadratic in W),
     then A^2 = eps^2 Z W and x/y = eps Z / A fix (x, y) up to the overall
     sign.  Each candidate is polished by a 2x2 Newton iteration on
-    (C = 0, Z-constraint = 0) and the list is sorted by curve residual,
-    then lexicographically, so the choice is deterministic.
+    (C = 0, Z-constraint = 0) until both are below 1e-12 times the size of
+    their terms, which is 1e-12 itself while |x|, |y| <= 1; the list is
+    sorted by curve residual, then lexicographically, so the choice is
+    deterministic.
     """
     eps = params.eps
     seps = params.sqrt_eps
@@ -271,7 +282,7 @@ def points_with_Z(Z: complex, params: CurveParams) -> list[CurvePoint]:
     for x, y in cands:
         for _ in range(60):
             F = system.value(x, y)
-            if max(abs(F[0]), abs(F[1])) < _POLISH_TOL:
+            if _scaled_defect(F, x, y) < _POLISH_TOL:
                 break
             try:
                 dx, dy = np.linalg.solve(system.jacobian(x, y), F)
@@ -279,7 +290,7 @@ def points_with_Z(Z: complex, params: CurveParams) -> list[CurvePoint]:
                 break
             x, y = x - dx, y - dy
         F = system.value(x, y)
-        if max(abs(F[0]), abs(F[1])) <= _POLISH_TOL and abs(x) > _ZERO_TOL and abs(y) > _ZERO_TOL:
+        if _scaled_defect(F, x, y) <= _POLISH_TOL and abs(x) > _ZERO_TOL and abs(y) > _ZERO_TOL:
             polished.append(CurvePoint(params, complex(x), complex(y)))
     polished.sort(key=lambda p: (p.residual(), p.x.real, p.x.imag, p.y.real, p.y.imag))
     # drop near-duplicates

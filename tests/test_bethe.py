@@ -290,6 +290,50 @@ def test_complex_newton_builds_pair_factors_once_per_point(monkeypatch):
     assert rs.residual < 1e-10 and len(points) > 1 and len(built) == len(points)
 
 
+def _count_solves(monkeypatch):
+    """Jacobians built, and (converged, failed) solve_complex calls."""
+    jacobians, outcomes = [], []
+    jac, solve = bethe._cleared_jacobian, bethe.solve_complex
+    monkeypatch.setattr(bethe, "_cleared_jacobian", lambda *a: jacobians.append(1) or jac(*a))
+
+    def counted(*a):
+        try:
+            rs = solve(*a)
+        except NoConvergence:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return rs
+
+    monkeypatch.setattr(bethe, "solve_complex", counted)
+    return jacobians, outcomes
+
+
+@pytest.mark.parametrize("args, kw, calls, failed, most_jacobians", [
+    # without the secant predictor and the stall exit: 450 and 709 Jacobians
+    ((14, 0, U_CRITICAL, U_CRITICAL - 0.2), {"du": 0.02}, 41, 19, 300),
+    ((4, 0, 5.0, 0.0), {}, 127, 16, 600),
+])
+def test_continuation_predictor_keeps_the_path_with_fewer_jacobians(
+        monkeypatch, args, kw, calls, failed, most_jacobians):
+    jacobians, outcomes = _count_solves(monkeypatch)
+    track_state(*args, **kw)
+    assert (len(outcomes), outcomes.count(False)) == (calls, failed)
+    assert len(jacobians) <= most_jacobians
+
+
+def test_complex_newton_stops_a_stalled_run(monkeypatch):
+    jacobians, _ = _count_solves(monkeypatch)
+    rng = np.random.default_rng(38)
+    init = rng.uniform(-np.pi, np.pi, 6) + 1j * rng.normal(scale=0.3, size=6)
+    with pytest.raises(NoConvergence, match="complex Newton stalled") as info:
+        solve_complex(6, 0, 2.0, init)
+    # without the stall exit the line search gives up only after 55 Jacobians,
+    # at the same defect
+    assert len(jacobians) <= 11
+    assert info.value.residual > 0.1 and info.value.last is not None
+
+
 def test_log_form_critical_coupling_from_seed(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     rs = solve_log_form(1024, 0, U_CRITICAL)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -337,6 +338,16 @@ def test_numerical_failure_shows_the_last_residual(residual, tail, monkeypatch, 
     assert main(["thermo", "--U", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"numerical failure: sigma stalled{tail}\n"
+    assert captured.out == ""
+
+
+def test_stuck_continuation_shows_the_last_residual(capsys):
+    code = main(["roots", "--L", "8", "--U", "3", "--mode", "continue",
+                 "--u-start", "3.4641016151"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("numerical failure: continuation stuck at U=")
+    assert re.search(r" \(last residual [0-9.e+-]+\)\n$", captured.err)
     assert captured.out == ""
 
 

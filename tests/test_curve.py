@@ -213,14 +213,15 @@ def test_points_with_z_recover_prescribed_Z(rng):
 
 
 def test_points_with_z_polishes_a_candidate_off_tolerance(monkeypatch):
-    # about one algebraic candidate in 500 misses the tolerance before the Newton polish;
-    # the Jacobian is first evaluated at such a candidate
+    # algebraic candidates next to the regular point (1, 0), which |Z| of a few
+    # hundred reaches, can miss the tolerance before the Newton polish; the
+    # Jacobian is first evaluated at such a candidate
     starts, jacobian = [], _ZWSystem.jacobian
     monkeypatch.setattr(_ZWSystem, "jacobian",
                         lambda self, x, y: starts.append((x, y)) or jacobian(self, x, y))
     rng = np.random.default_rng(1)
     for _ in range(2000):
-        Z = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        Z = 10 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(-np.pi, np.pi))
         par = CurveParams(rng.uniform(-8, 8), ("plus", "minus")[rng.integers(2)])
         pts = points_with_Z(Z, par)
         if starts:
@@ -230,6 +231,27 @@ def test_points_with_z_polishes_a_candidate_off_tolerance(monkeypatch):
     polished = [p for p in pts if abs(p.x - x0) + abs(p.y - y0) < 1e-9]
     assert len(polished) == 1
     assert np.max(np.abs(system.value(polished[0].x, polished[0].y))) <= 1e-12
+
+
+def test_points_with_z_keeps_points_far_from_the_origin():
+    # seeded draws of Z on the unit circle: draws 1000 and 1444 each have four
+    # points with |x| ~ 10 and ~ 38, whose curve residual stalls at 7e-12 and
+    # 2e-9 under rounding; an absolute 1e-12 tolerance dropped them
+    rng = np.random.default_rng(1)
+    draws = {}
+    for i in range(1445):
+        Z = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        par = CurveParams(rng.uniform(-8, 8), ("plus", "minus")[rng.integers(2)])
+        if i in (1000, 1444):
+            draws[i] = Z, par
+    for Z, par in draws.values():
+        pts = points_with_Z(Z, par)
+        assert len(pts) == 8
+        assert max(max(abs(p.x), abs(p.y)) for p in pts) > 9
+        for p in pts:
+            size = max(1.0, abs(p.x), abs(p.y)) ** 6
+            assert p.residual() <= 1e-12 * size
+            assert abs(zw_map(p).Z - Z) < 1e-12
 
 
 @pytest.mark.parametrize("par", ALL_PARAMS)

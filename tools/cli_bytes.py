@@ -7,9 +7,9 @@ compare two recordings.
 Each command runs in a fresh interpreter on the package under `src/` next to
 this script, with one BLAS thread, and leaves its stdout, stderr and exit
 code in DIR as `<name>.out`, `<name>.err` and `<name>.code`.  `--compare`
-exits 1 when any command differs.  The list covers every command and two
-numerical failures (`bethe-solve --L 4 --U 1` and the `roots` continuation
-at L = 8).
+exits 1 when any command differs.  The list covers every command and four
+numerical failures (`bethe-solve --L 4 --U 1` and the `roots` continuations
+from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ COMMANDS = [
     ["roots", "--L", "14", "--U", "3.3", "--mode", "continue", "--u-start", "3.4641016151"],
     ["roots", "--L", "4", "--U", "-1"],
     ["roots", "--L", "8", "--U", "3", "--mode", "continue", "--u-start", "3.4641016151"],
+    ["roots", "--L", "8", "--U", "1", "--mode", "continue", "--u-start", "3.4641016151"],
+    ["roots", "--L", "12", "--U", "2.5", "--mode", "continue", "--u-start", "3.4641016151"],
     ["aba-verify"],
     ["aba-verify", "--L", "6", "--m", "3", "--U", "4.5"],
     ["ybe-check", "--U", "5", "--samples", "20"],
