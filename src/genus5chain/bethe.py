@@ -245,7 +245,8 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     one M x M Jacobian is held for the whole solve.
 
     Reliable for U >= 2*sqrt(3); below that range real roots destabilize
-    and the solve raises NonRealDrift when two momenta collide.
+    and the solve raises NonRealDrift, a NoConvergence, when two momenta
+    collide.
     """
     if Q is None:
         Q = ground_state_quantum_numbers(L, n)
@@ -291,7 +292,8 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
             g, _ = _log_form_residual_and_jacobian(k, L, U, Qa, J)
         # the closest pair of momenta are neighbours once sorted
         if M > 1 and np.min(np.diff(np.sort(k))) < 1e-9:
-            raise NonRealDrift(f"momenta collided at U={U}, L={L}, n={n}: real roots unstable")
+            raise NonRealDrift(f"momenta collided at U={U}, L={L}, n={n}: real roots unstable",
+                               last=k)
         last_step = scale * np.max(np.abs(step))
         # a step that rounds back to k would be solved again and again
         if last_step < 1e-13 or stalled:

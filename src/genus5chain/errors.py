@@ -35,7 +35,7 @@ class NoConvergence(Genus5Error):
         self.diagnostics = diagnostics or {}
 
 
-class NonRealDrift(Genus5Error):
+class NonRealDrift(NoConvergence):
     """Real-root Newton left the stable regime (roots collided or kernel flipped)."""
 
 

@@ -82,11 +82,10 @@ class SectorBasis:
     binary search.
 
     The rest is built on first use and lives as long as the sector: its
-    translation orbits (`orbits`), its real blocks at U = 0 as one CSR
-    direct sum (`kept`) and the index arrays of its bond terms
-    (`bond_terms`, `row_moduli`).  `sector_basis` hands out one object per
-    (L, n) and holds the sectors of one L only, so a caller that walks L
-    upward releases each L before it builds the next.
+    translation orbits (`orbits`) and its real blocks at U = 0 as one CSR
+    direct sum (`kept`), and nothing else.  `sector_basis` hands out one
+    object per (L, n) and holds the sectors of one L only, so a caller that
+    walks L upward releases each L before it builds the next.
     """
 
     L: int
@@ -116,32 +115,6 @@ class SectorBasis:
         """The direct sum of the real blocks of H(0) and the on-site counts
         (`_kept_blocks`), for the chain Hamiltonian only."""
         return _kept_blocks(self)
-
-    @cached_property
-    def bond_terms(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-        """Every term of the L periodic bonds that some U makes nonzero as
-        (rows, cols, e): bond entry e = 9 r + c takes the states `cols` to the
-        states `rows`, one to one, as int32 indices found once through `rank`.
-        Bond by bond, then by bond column c and row r.  The terms of one
-        (bond, c) share `cols`, and an on-site term (r = c) has rows = cols;
-        the sector n = 0 of L = 10 keeps 0.9 MB of them."""
-        terms = []
-        for src, target, r, c in _bond_walk(self.codes, self.L, _BOND_ROWS):
-            terms.append((src if r == c else self.rank(target).astype(np.int32), src, 9 * r + c))
-        return tuple(terms)
-
-    @cached_property
-    def row_moduli(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per state, the sum of the moduli of the hopping terms that reach
-        it and its number of on-site terms, the `bond_terms` whose rows are
-        their cols."""
-        hop, onsite = np.zeros(self.dim), np.zeros(self.dim)
-        for rows, cols, e in self.bond_terms:
-            if rows is cols:
-                onsite[rows] += 1
-            else:
-                hop[rows] += abs(_HOP.flat[e])
-        return hop, onsite
 
 
 def _digits(codes: np.ndarray, L: int) -> np.ndarray:
@@ -195,7 +168,7 @@ def sector_basis(L: int, n: int) -> SectorBasis:
     """The magnetization-n sector of L sites, one object per (L, n).
 
     Only the sectors of the last L asked for are held: asking for another
-    L releases them, with their orbits, blocks and bond indices, and
+    L releases them, with their orbits and blocks, and
     `sector_basis.cache_clear()` releases them all.
     """
     if (L, n) not in _sectors:
@@ -232,10 +205,8 @@ class _ChainHamiltonian(LatticeOperator):
     The blocks come from one place, the sector's kept B_m(0) and on-site
     counts C_m (`SectorBasis.kept`): block m of H(U) is B_m(0) + (U/2) diag(C_m),
     in every sector kept as one CSR direct sum.  That sum is ARPACK's
-    operator, and the dense blocks of `real_blocks` are filled from its
-    rows.  The ARPACK residuals apply H(U) bond by bond on the codes
-    (`_apply_bonds`), through the sector's kept int32 term indices, so no
-    solve ranks codes.
+    operator and the one its residuals are checked on, and the dense blocks
+    of `real_blocks` are filled from its rows.
     """
 
     def __init__(self, U: float, sector: SectorBasis):
@@ -255,26 +226,12 @@ class _ChainHamiltonian(LatticeOperator):
 
 
 def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and flat bond index of every bond term (`SectorBasis.bond_terms`)."""
-    rows, cols, entry = zip(*((t, s, np.full(len(s), e)) for t, s, e in basis.bond_terms))
+    """Row, column and flat bond index 9 r + c of every term of the L periodic
+    bonds that some U makes nonzero (`_bond_walk`), the pattern of `matrix`."""
+    walk = _bond_walk(basis.codes, basis.L, _BOND_ROWS)
+    rows, cols, entry = zip(*((basis.rank(target), src, np.full(len(src), 9 * r + c))
+                              for src, target, r, c in walk))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(entry)
-
-
-def _apply_bonds(U: float, basis: SectorBasis, V: np.ndarray) -> tuple[np.ndarray, float]:
-    """H(U) V and the row-sum norm of H(U), bond term by bond term on the
-    codes, without a CSR H.  Terms of at most 1e-15 are left out, as in
-    `matrix`.  For L >= 3 only the on-site terms, which share a sign, meet
-    on one entry of H, so a row sum of |H| is the state's sum of hopping
-    moduli plus |U|/2 per on-site term (`SectorBasis.row_moduli`).
-    """
-    bond = bond_hamiltonian(U).ravel()
-    out = np.zeros(V.shape, dtype=complex)
-    for rows, cols, e in basis.bond_terms:
-        if abs(bond[e]) > 1e-15:
-            out[rows] += bond[e] * V[cols]
-    hop, onsite = basis.row_moduli
-    u = abs(U / 2) if abs(U / 2) > 1e-15 else 0.0
-    return out, float((hop + u * onsite).max(initial=0.0))
 
 
 def build_hamiltonian(U: float, L: int, n: int) -> _ChainHamiltonian:
@@ -446,8 +403,9 @@ def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
     momentum m admits, with entries w^(m l) / sqrt(p) on the codes T^l r,
     l < p, and W_m (`_orbit_tables`) makes Q_mᴴ H Q_m real for an operator
     with P H P = conj(H).  Together the blocks form a unitary that
-    block-diagonalizes every operator commuting with the shift.  The
-    solvers use the same entries without forming Q_m (`_map_back`).
+    block-diagonalizes every operator commuting with the shift.  No solver
+    forms Q_m: the tests use them as the reference that joins the blocks
+    to the whole sector.
     """
     basis = sector_basis(L, n)
     orb = basis.orbits
@@ -460,26 +418,6 @@ def momentum_blocks(L: int, n: int) -> tuple[sp.csr_matrix, ...]:
         vals = np.concatenate([phase * orb.own[m, r], phase * orb.other[m, r]])
         blocks.append(sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, d)))
     return tuple(blocks)
-
-
-def _map_back(sector: SectorBasis, Y: np.ndarray) -> np.ndarray:
-    """sum_m Q_m Y_m for the columns of Y, Y_m the rows of block m in the
-    direct sum of the real blocks, without forming Q_m.
-
-    With g[m, r] = W_m[r, r] Y_m[col r] + W_m[r, r~] Y_m[col r~] (zero
-    unless momentum m admits r), state s = T^l r takes
-    sum_m w^(m l) g[m, r] / sqrt(p_r): one FFT over m, then a gather.
-    """
-    orb = sector.orbits
-    g = np.zeros((sector.L, len(orb.states), Y.shape[1]), dtype=complex)
-    start = 0
-    for m, (col, d) in enumerate(zip(orb.column, orb.widths)):
-        on = np.nonzero(col >= 0)[0]
-        g[m, on] = (orb.own[m, on, None] * Y[start + col[on]]
-                    + orb.other[m, on, None] * Y[start + col[orb.mirror[on]]])
-        start += d
-    G = np.fft.fft(g, axis=0)  # G[l] = sum_m g[m] w^(m l), w = exp(-2 pi i / L)
-    return G[orb.shift, orb.rep] / np.sqrt(orb.period[orb.rep])[:, None]
 
 
 def _monodromy(R4: np.ndarray, k: int) -> np.ndarray:
@@ -600,8 +538,10 @@ def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> Spectr
     mode="full" returns every eigenvalue, by dense LAPACK per block.
     mode="lowest" returns the k >= 1 smallest-real-part eigenvalues: from the
     block spectrum up to _DENSE_EIG_CUTOFF states, from ARPACK on the direct
-    sum of the blocks above, and from the block spectrum again
-    ("dense-fallback") when ARPACK fails on up to DENSE_LIMIT states.
+    sum of the blocks above, its residuals checked on that sum
+    (`_lowest_arpack`), and from the block spectrum again ("dense-fallback")
+    when ARPACK fails on up to DENSE_LIMIT states.  No solve builds the CSR H
+    or a Q_m.
     """
     if mode == "full" and op.dim > DENSE_LIMIT:
         raise ValueError(f"full diagonalization capped at dim {DENSE_LIMIT}, got {op.dim}")
@@ -624,11 +564,13 @@ def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> Spectr
 
 
 def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
-    """ARPACK's real nonsymmetric mode on the direct sum of the chain
-    Hamiltonian's real momentum blocks; eigenvectors mapped back through the
-    Q_m (`_map_back`), and each residual checked against H applied bond by
-    bond (`_apply_bonds`)."""
+    """ARPACK's real nonsymmetric mode on the direct sum B(U) of the chain
+    Hamiltonian's real momentum blocks, each Ritz pair (lam, y) accepted when
+    |B y - lam y| <= 1e-9 max(1, |B|_inf).  The blocks come from a unitary
+    Q = [Q_0 .. Q_{L-1}] (`momentum_blocks`) with H Q = Q B, so this is the
+    residual of the eigenvector Q y of H itself."""
     D, B = op.dim, op.sector.kept.real_sum(op.U)
+    bound = 1e-9 * max(1.0, spla.norm(B, np.inf))
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
     for ncv in (max(40, 4 * k), max(90, 8 * k)):
@@ -638,10 +580,8 @@ def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
         except spla.ArpackNoConvergence as exc:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")
             continue
-        vecs = _map_back(op.sector, vecs)
-        Hv, norm = _apply_bonds(op.U, op.sector, vecs)
-        res = np.linalg.norm(Hv - vecs * vals[None, :], axis=0)
-        if np.all(res <= 1e-9 * max(1.0, norm)):
+        res = np.linalg.norm(B @ vecs - vecs * vals[None, :], axis=0)
+        if np.all(res <= bound):
             return _make_report(op.sector, vals, f"arpack-sr(ncv={ncv})")
         attempts.append(f"SR ncv={ncv}: residual {np.max(res):.2e}")
     raise NoConvergence(f"lowest-eigenvalue iteration failed for dim {D}",

@@ -40,6 +40,7 @@ from .errors import KernelSingular, NoConvergence
 # U = 2*sqrt(3); grids are phased so nodes sit symmetrically around it
 K_SINGULAR = 2.0 * np.pi / 3.0
 _ROW_BLOCK = 64
+_RHO_MAX_N = 8192  # the rho kernel is N x N floats, 512 MiB at this N
 
 
 @dataclass
@@ -184,10 +185,13 @@ def solve_rho(U: float, N: int = 1024, k0: float = -np.pi) -> tuple[DensityGrid,
     falls below 1e-12 or an update moves it by less than 1e-13.  The unit
     start is annihilated in one step, so it cannot show that the operator
     squares to zero; the defect checks that on a seeded random vector with
-    two matrix-vector products.  Refuses U within 1e-12 above 2*sqrt(3) too.
+    two matrix-vector products.  Refuses U within 1e-12 above 2*sqrt(3) too,
+    and N above 8192 before the kernel is allocated.
     """
     if critical_side(U) <= 0:
         raise ValueError(f"back-flow equation requires U > 2*sqrt(3), got U={U}")
+    if N > _RHO_MAX_N:
+        raise ValueError(f"the back-flow kernel stores N x N floats; N={N} exceeds {_RHO_MAX_N}")
     nodes, w, _ = _grid(U, N, k0)
     s = np.sin(nodes - np.pi / 6)
     K = np.empty((N, N))

@@ -199,7 +199,7 @@ def test_log_form_gap_values():
 
 
 def test_log_form_below_range_raises():
-    with pytest.raises((NonRealDrift, NoConvergence)):
+    with pytest.raises(NoConvergence):
         solve_log_form(14, 0, 2.8)
 
 

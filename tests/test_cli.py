@@ -167,6 +167,14 @@ def test_grid_start_at_its_bound_is_accepted(k0, capsys):
     assert json.loads(capsys.readouterr().out)["N"] == 256
 
 
+def test_gap_refuses_grid_beyond_kernel_bound(capsys):
+    # the rho kernel holds N x N floats: N = 10**6 would ask for 8 TB
+    assert main(["gap", "--U", "5", "--N", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:") and "N=1000000 exceeds 8192" in captured.err
+
+
 @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf"])
 def test_bad_reality_tolerance_is_usage_error(tol, capsys):
     # these were refused as "predicate does not change sign", blaming the bracket

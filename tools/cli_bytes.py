@@ -50,6 +50,7 @@ COMMANDS = [
     ["ybe-check", "--U", "-2", "--eps-sign", "minus", "--samples", "20"],
     ["ed", "--L", "6", "--U", "4"],
     ["ed", "--L", "8", "--U", "1", "--n", "1"],
+    ["ed", "--L", "8", "--U", "1", "--n", "0", "--mode", "lowest"],
     ["ed", "--L", "10", "--U", "3", "--mode", "lowest"],
     ["ed", "--L", "12", "--U", "1", "--n", "11", "--mode", "lowest", "--k", "3"],
     ["symmetry-check", "--L", "6", "--U", "1.3"],
