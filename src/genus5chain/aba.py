@@ -30,7 +30,7 @@ import numpy as np
 
 from .bethe import BetheRootSet, curve_points_for_roots, eigenvalue_lambda
 from .curve import CurveParams, CurvePoint
-from .errors import DegenerateRoots, ZeroVector
+from .errors import Singular
 from .lattice import _code_spins, build_transfer_matrix, monodromy_halves, sector_basis
 from .rmatrix import phase_shift, weights
 
@@ -71,7 +71,7 @@ def _check_distinct(points: list[CurvePoint]):
             if (
                 abs(points[i].x - points[j].x) + abs(points[i].y - points[j].y) < 1e-10
             ):
-                raise DegenerateRoots(f"rapidities {i} and {j} coincide")
+                raise Singular(f"rapidities {i} and {j} coincide")
 
 
 def build_phi(points: list[CurvePoint], mu: CurvePoint, L: int) -> np.ndarray:
@@ -127,7 +127,7 @@ def state_sector(phi: np.ndarray, L: int) -> int:
     a 1e-10 share of the norm lies outside it."""
     total = float(np.linalg.norm(phi))
     if total < 1e-13:
-        raise ZeroVector("state vector vanished")
+        raise Singular("state vector vanished")
     codes = np.flatnonzero(phi)
     weight = np.bincount(_code_spins(codes, L) + L, weights=np.abs(phi[codes]) ** 2,
                          minlength=2 * L + 1)
@@ -149,7 +149,7 @@ def eigenstate_residual(
         mu = CurvePoint(lam_spectator.params, 1.0, 0.0)
     norm = np.linalg.norm(phi)
     if norm < 1e-13:
-        raise ZeroVector("cannot test a vanishing eigenvector")
+        raise Singular("cannot test a vanishing eigenvector")
     n = state_sector(phi, L)
     T = build_transfer_matrix(lam_spectator, mu, L, n).matrix
     lam_val = eigenvalue_lambda(lam_spectator, rs)
@@ -164,7 +164,7 @@ def exchange_symmetry_check(lam1: CurvePoint, lam2: CurvePoint, mu: CurvePoint, 
     theta = phase_shift(lam1, lam2)
     denom = np.linalg.norm(phi_12)
     if denom < 1e-13:
-        raise ZeroVector("phi_2 vanished")
+        raise Singular("phi_2 vanished")
     return float(np.linalg.norm(phi_12 - theta * phi_21) / denom)
 
 

@@ -25,12 +25,7 @@ import numpy as np
 from . import curve as curve_mod
 from . import thermo
 from .curve import EPS, SQRT3, CurveParams, CurvePoint, critical_side, zw_map
-from .errors import (
-    JacobianSingular,
-    NoConvergence,
-    NonRealDrift,
-    PoleHit,
-)
+from .errors import NoConvergence, Singular
 
 ACCEPT_RESIDUAL = 1e-10
 # a scattering or eigenvalue denominator below this is a pole
@@ -89,10 +84,10 @@ def _pair_arrays(t: np.ndarray, a: complex, c: complex, rows: slice = slice(None
 
 
 def _ratio_products(f: np.ndarray, what: str) -> np.ndarray:
-    """prod_i num[j, i] / den[j, i] for each row of the factors f; PoleHit(what)
+    """prod_i num[j, i] / den[j, i] for each row of the factors f; Singular(what)
     when a denominator is below _POLE_TOL."""
     if f[1].size and np.min(np.abs(f[1])) < _POLE_TOL:
-        raise PoleHit(what)
+        raise Singular(what)
     return np.prod(f[0] / f[1], axis=-1)
 
 
@@ -245,8 +240,7 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     one M x M Jacobian is held for the whole solve.
 
     Reliable for U >= 2*sqrt(3); below that range real roots destabilize
-    and the solve raises NonRealDrift, a NoConvergence, when two momenta
-    collide.
+    and the solve raises NoConvergence when two momenta collide.
     """
     if Q is None:
         Q = ground_state_quantum_numbers(L, n)
@@ -273,7 +267,7 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
         try:
             step = np.linalg.solve(J, g)
         except np.linalg.LinAlgError as exc:
-            raise JacobianSingular(f"log-form Jacobian singular at U={U}, L={L}") from exc
+            raise NoConvergence(f"log-form Jacobian singular at U={U}, L={L}") from exc
         scale, stalled = 1.0, False
         gnorm = np.max(np.abs(g))
         for _ in range(40):
@@ -292,8 +286,8 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
             g, _ = _log_form_residual_and_jacobian(k, L, U, Qa, J)
         # the closest pair of momenta are neighbours once sorted
         if M > 1 and np.min(np.diff(np.sort(k))) < 1e-9:
-            raise NonRealDrift(f"momenta collided at U={U}, L={L}, n={n}: real roots unstable",
-                               last=k)
+            raise NoConvergence(f"momenta collided at U={U}, L={L}, n={n}: real roots unstable",
+                                last=k)
         last_step = scale * np.max(np.abs(step))
         # a step that rounds back to k would be solved again and again
         if last_step < 1e-13 or stalled:
@@ -417,7 +411,7 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
                 with np.errstate(over="ignore", invalid="ignore"):
                     plain = np.exp(1j * k * L) - _ratio_products(f, _PAIR_POLE)
                 rs.residual = float(np.max(np.abs(plain))) if len(plain) else 0.0
-            except PoleHit:
+            except Singular:
                 # exactly pole-pinched (isolated couplings during string
                 # formation): the ratio form is unevaluable, keep the
                 # relative cleared residual instead
@@ -436,7 +430,7 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
-            raise JacobianSingular("complex-form Jacobian singular") from exc
+            raise NoConvergence("complex-form Jacobian singular") from exc
         scale, improved = 1.0, False
         for _ in range(55):
             trial = _wrap(k - scale * step)
@@ -590,7 +584,7 @@ def eigenvalue_lambda(lam: CurvePoint, rs: BetheRootSet) -> complex:
     params = lam.params
     eps = params.eps
     seps = params.sqrt_eps
-    zp = zw_map(lam)  # raises MapSingular at x = 0 or y = 0
+    zp = zw_map(lam)  # refuses x = 0 or y = 0 with a ValueError
     Z, W = zp.Z, zp.W
     Zi = rs.z_values
     x, y = lam.x, lam.y
@@ -601,7 +595,7 @@ def eigenvalue_lambda(lam: CurvePoint, rs: BetheRootSet) -> complex:
     s_den = eps * t - ti / eps + rs.U * seps
     for name, arr in (("1 - Z_i/Z", d1), ("W Z_i - 1", d3), ("scattering", s_den)):
         if len(arr) and np.min(np.abs(arr)) < _POLE_TOL:
-            raise PoleHit(f"eigenvalue denominator {name} vanishes")
+            raise Singular(f"eigenvalue denominator {name} vanishes")
     base = (y / (eps * x)) * (eps + Zi / W) / d1
     s_ratio = (t / eps - eps * ti - rs.U * seps) / s_den
     term1 = np.prod(base)

@@ -2,9 +2,10 @@
 
 Every command is deterministic for a fixed configuration (seeds included),
 writes UTF-8 text with LF line endings and 15 significant digits, and uses
-exit status 0 on success, 2 on a precondition refusal and 1 on a numerical
-failure.  A command returns either a JSON payload or a CSV `(header, rows)`
-pair, and `main` writes it to stdout or to `--out`.
+exit status 0 on success, 2 on a precondition refusal (a `ValueError`) and
+1 on a numerical failure (a `Genus5Error`).  A command returns either a JSON
+payload or a CSV `(header, rows)` pair, and `main` writes it to stdout or to
+`--out`.
 """
 
 from __future__ import annotations
@@ -17,17 +18,8 @@ import numpy as np
 
 from . import aba, bethe, lattice, refdata, tables, thermo
 from .curve import SQRT3, U_CRITICAL, CurveParams, CurvePoint, critical_side, sample_points
-from .errors import (
-    BracketInvalid,
-    Genus5Error,
-    InsufficientData,
-    MapSingular,
-    NoConvergence,
-    WrongCoupling,
-)
+from .errors import Genus5Error, NoConvergence
 from .rmatrix import ybe_residual
-
-_PRECONDITION_ERRORS = (BracketInvalid, InsufficientData, MapSingular, WrongCoupling, ValueError)
 
 
 def _fmt(x) -> str:
@@ -248,6 +240,16 @@ def grid_start(text: str) -> float:
     return _finite(text, "grid start", 100.0)
 
 
+def sigma_nodes(text: str) -> int:
+    """A density-grid size `--N` of `thermo` and `density-profile`: refused above 8192,
+    the largest grid of any table, as a usage error (exit 2), since the sigma solve
+    takes time quadratic in N."""
+    N = int(text)
+    if N > 8192:
+        raise argparse.ArgumentTypeError(f"need at most 8192 grid nodes, got {N}")
+    return N
+
+
 def tolerance(text: str) -> float:
     """A reality tolerance `--tol`: refused unless finite and non-negative, as a
     usage error (exit 2), so a bad value is not blamed on the bracket."""
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("thermo", help="bulk ground-state energy from the density equation")
     q.add_argument("--U", type=coupling, required=True)
-    q.add_argument("--N", type=int, default=2048)
+    q.add_argument("--N", type=sigma_nodes, default=2048)
     q.add_argument("--k0", type=grid_start, default=-np.pi)
     q.set_defaults(func=cmd_thermo)
 
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("density-profile", help="CSV of the root density sigma(k)")
     q.add_argument("--U", type=coupling, required=True)
-    q.add_argument("--N", type=int, default=2048)
+    q.add_argument("--N", type=sigma_nodes, default=2048)
     q.add_argument("--k0", type=grid_start, default=-np.pi)
     q.set_defaults(func=cmd_density_profile)
 
@@ -357,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
-    except _PRECONDITION_ERRORS as exc:
+    except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except Genus5Error as exc:

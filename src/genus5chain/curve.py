@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MapSingular, WrongCoupling
-
 SQRT3 = np.sqrt(3.0)
 U_CRITICAL = 2.0 * SQRT3
 EPS = complex(np.exp(1j * np.pi / 3))
@@ -141,7 +139,7 @@ def solve_points(x: complex, params: CurveParams) -> list[CurvePoint]:
 def zw_map(p: CurvePoint) -> EllipticPoint:
     """Image (Z, W) of a curve point; singular at x = 0 or y = 0."""
     if abs(p.x) < _ZERO_TOL or abs(p.y) < _ZERO_TOL:
-        raise MapSingular(f"zw_map undefined at x={p.x}, y={p.y}")
+        raise ValueError(f"zw_map undefined at x={p.x}, y={p.y}")
     eps = p.params.eps
     A = p.x * p.x + eps * p.y * p.y
     return EllipticPoint(p.x * A / (eps * p.y), p.y * A / (eps * p.x), p.params)
@@ -160,7 +158,7 @@ def cubic_factor_residuals(x: complex, y: complex, params: CurveParams) -> tuple
     curve polynomial factorizes as C = C+ * C- (unit cofactor).
     """
     if critical_side(params.U) != 0:
-        raise WrongCoupling(f"factorization requires U = 2*sqrt(3), got U={params.U}")
+        raise ValueError(f"factorization requires U = 2*sqrt(3), got U={params.U}")
     eps = params.eps
     cp = x**3 + eps * x * x * y + eps * x * y * y - y**3 / eps - x + y
     cm = x**3 - eps * x * x * y + eps * x * y * y + y**3 / eps + x + y

@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eig
 
 from .curve import SQRT_EPS, CurvePoint
-from .errors import BracketInvalid, NoConvergence
+from .errors import NoConvergence
 from .rmatrix import r_matrix
 
 SP = np.sqrt(2.0) * np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
@@ -665,9 +665,9 @@ def reality_threshold(
     """
     lo, hi = bracket
     if not (lo < hi):
-        raise BracketInvalid(f"empty bracket {bracket}")
+        raise ValueError(f"empty bracket {bracket}")
     if spectrum_is_real(lo, L, tol) or not spectrum_is_real(hi, L, tol):
-        raise BracketInvalid(f"predicate does not change sign on {bracket} for L={L}")
+        raise ValueError(f"predicate does not change sign on {bracket} for L={L}")
     while hi - lo > 1e-6 and round(lo, 5) != round(hi, 5):
         mid = 0.5 * (lo + hi)
         if spectrum_is_real(mid, L, tol):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurvePoint
-from .errors import PhaseShiftSingular, WeightSingular
+from .errors import Singular
 
 _DENOM_TOL = 1e-13
 
@@ -56,11 +56,11 @@ def weights(p1: CurvePoint, p2: CurvePoint) -> RWeights:
     u2 = x2 * x2 + eps * y2 * y2
     m = x1 * x1 * x2 * x2 - eps * eps * y1 * y1 * y2 * y2
     if abs(u1) < _DENOM_TOL:
-        raise WeightSingular("x1^2 + eps*y1^2 vanishes")
+        raise Singular("x1^2 + eps*y1^2 vanishes")
     if abs(u2) < _DENOM_TOL:
-        raise WeightSingular("x2^2 + eps*y2^2 vanishes")
+        raise Singular("x2^2 + eps*y2^2 vanishes")
     if abs(m) < _DENOM_TOL:
-        raise WeightSingular("x1^2*x2^2 - eps^2*y1^2*y2^2 vanishes")
+        raise Singular("x1^2*x2^2 - eps^2*y1^2*y2^2 vanishes")
     a = x1 * x2 / u2 + eps * y1 * y2 / u1
     b = y1 * x2 / u2 - x1 * y2 / u1
     b_bar = eps * y1 * x2 / u1 - eps * x1 * y2 / u2
@@ -71,7 +71,7 @@ def weights(p1: CurvePoint, p2: CurvePoint) -> RWeights:
         + y1 * x2 * (x1 * y1 - eps * eps * x2 * y2) / m
     )
     if abs(a + f) < _DENOM_TOL:
-        raise WeightSingular("a + f vanishes")
+        raise Singular("a + f vanishes")
     g = (1.0 + eps * d * d - b * b_bar) / (a + f)
     # h, hbar are defined through a and f; keep the same floating expressions
     h = a + f / eps
@@ -158,5 +158,5 @@ def phase_shift(p1: CurvePoint, p2: CurvePoint) -> complex:
     """theta = (g f - eps d^2) / (a f); the two-body scattering phase."""
     w = weights(p1, p2)
     if abs(w.a * w.f) < _DENOM_TOL:
-        raise PhaseShiftSingular("a*f vanishes for this pair")
+        raise Singular("a*f vanishes for this pair")
     return (w.g * w.f - w.eps * w.d * w.d) / (w.a * w.f)

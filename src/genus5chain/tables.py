@@ -12,13 +12,12 @@ import numpy as np
 
 from . import bethe, lattice, refdata, thermo
 from .curve import critical_side
-from .errors import InsufficientData
 
 
 def fit_threshold(pairs) -> tuple[float, float]:
     """Least-squares fit U(L) = U_inf + a / L^2."""
     if len(pairs) < 3:
-        raise InsufficientData("threshold fit needs at least three (L, U) points")
+        raise ValueError("threshold fit needs at least three (L, U) points")
     ls = np.array([p[0] for p in pairs], dtype=float)
     us = np.array([p[1] for p in pairs], dtype=float)
     if not np.all(np.isfinite(us)):
@@ -26,7 +25,7 @@ def fit_threshold(pairs) -> tuple[float, float]:
     if np.any(ls < 1):
         raise ValueError("threshold fit needs lengths L >= 1")
     if len(np.unique(ls)) < 2:
-        raise InsufficientData("threshold fit needs at least two distinct lengths L")
+        raise ValueError("threshold fit needs at least two distinct lengths L")
     A = np.stack([np.ones_like(ls), ls**-2.0], axis=1)
     coef, *_ = np.linalg.lstsq(A, us, rcond=None)
     return float(coef[0]), float(coef[1])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import SQRT3, critical_side
-from .errors import KernelSingular, NoConvergence
+from .errors import NoConvergence, Singular
 
 # the sigma-kernel denominator vanishes only at k = k' = K_SINGULAR when
 # U = 2*sqrt(3); grids are phased so nodes sit symmetrically around it
@@ -88,13 +88,13 @@ def _pair_terms(U: float, sa: np.ndarray, sb: np.ndarray):
 
 
 def _denominator_rows(U: float, si: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows D(si, s) of the inverse denominator; raises KernelSingular where 1/D vanishes."""
+    """Rows D(si, s) of the inverse denominator; raises Singular where 1/D vanishes."""
     diff, den = _pair_terms(U, si, s)
     den *= den
     diff *= diff
     den += diff
     if np.min(den) < 1e-14:
-        raise KernelSingular(
+        raise Singular(
             f"kernel denominator vanishes on the grid at U={U}; refine N or move k0"
         )
     return np.reciprocal(den, out=den)

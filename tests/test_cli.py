@@ -10,7 +10,7 @@ import pytest
 
 from genus5chain import lattice, refdata, tables, thermo
 from genus5chain.cli import build_parser, main
-from genus5chain.errors import NoConvergence
+from genus5chain.errors import NoConvergence, Singular
 from genus5chain.tables import extrapolate_gap, fit_threshold
 
 
@@ -165,6 +165,22 @@ def test_non_finite_grid_start_is_usage_error(command, k0, capsys):
 def test_grid_start_at_its_bound_is_accepted(k0, capsys):
     assert main(["thermo", "--U", "5", "--N", "256", f"--k0={k0}"]) == 0
     assert json.loads(capsys.readouterr().out)["N"] == 256
+
+
+@pytest.mark.parametrize("argv", [["thermo", "--U", "5", "--N", "16384"],
+                                  ["density-profile", "--U", "5", "--N", "1000000"]])
+def test_sigma_grid_beyond_the_tables_is_usage_error(argv, monkeypatch, capsys):
+    # solve_sigma takes time quadratic in N: N = 10**6 would run for minutes
+    def never(U, N, k0):
+        raise AssertionError("solve_sigma called")
+
+    monkeypatch.setattr(thermo, "solve_sigma", never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --N: need at most 8192 grid nodes, got {argv[-1]}" in captured.err
 
 
 def test_gap_refuses_grid_beyond_kernel_bound(capsys):
@@ -337,15 +353,25 @@ def test_thermo_singular_grid_is_numerical_failure(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("residual, tail", [(3.25e-9, " (last residual 3.25e-09)"), (None, "")])
-def test_numerical_failure_shows_the_last_residual(residual, tail, monkeypatch, capsys):
+@pytest.mark.parametrize("error, code, err", [
+    pytest.param(NoConvergence("sigma stalled", residual=3.25e-9), 1,
+                 "numerical failure: sigma stalled (last residual 3.25e-09)",
+                 id="3.25e-09- (last residual 3.25e-09)"),
+    pytest.param(NoConvergence("sigma stalled"), 1, "numerical failure: sigma stalled",
+                 id="None-"),
+    pytest.param(Singular("x"), 1, "numerical failure: x", id="Singular"),
+    pytest.param(ValueError("x"), 2, "refused: x", id="ValueError"),
+])
+def test_numerical_failure_shows_the_last_residual(error, code, err, monkeypatch, capsys):
+    # the exception type alone decides the exit code; only NoConvergence
+    # carries a residual
     def fail(U, N, k0):
-        raise NoConvergence("sigma stalled", last=np.zeros(N), residual=residual)
+        raise error
 
     monkeypatch.setattr(thermo, "solve_sigma", fail)
-    assert main(["thermo", "--U", "5"]) == 1
+    assert main(["thermo", "--U", "5"]) == code
     captured = capsys.readouterr()
-    assert captured.err == f"numerical failure: sigma stalled{tail}\n"
+    assert captured.err == err + "\n"
     assert captured.out == ""
 
 

@@ -19,7 +19,6 @@ from genus5chain.curve import (
     y_polynomial_coeffs,
     zw_map,
 )
-from genus5chain.errors import MapSingular, WrongCoupling
 
 ALL_PARAMS = [
     CurveParams(u, s) for u in (0.0, 1.0, U_CRITICAL, 5.0, -5.0) for s in ("plus", "minus")
@@ -95,9 +94,9 @@ def test_zw_map_lands_on_cubic(rng):
 
 def test_zw_map_singular_cases():
     par = CurveParams(2.0)
-    with pytest.raises(MapSingular):
+    with pytest.raises(ValueError, match="zw_map undefined"):
         zw_map(CurvePoint(par, 1.0, 0.0))
-    with pytest.raises(MapSingular):
+    with pytest.raises(ValueError, match="zw_map undefined"):
         zw_map(CurvePoint(par, 0.0, 1.0))
 
 
@@ -128,7 +127,7 @@ def test_factorization_cofactor_is_unity(rng):
 
 
 def test_cubic_factors_require_critical_coupling():
-    with pytest.raises(WrongCoupling):
+    with pytest.raises(ValueError, match="requires U = 2"):
         cubic_factor_residuals(1.0, 0.0, CurveParams(3.0))
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from genus5chain import lattice, refdata
 from genus5chain.curve import CurveParams, CurvePoint, sample_points
-from genus5chain.errors import BracketInvalid, NoConvergence
+from genus5chain.errors import NoConvergence
 from genus5chain.lattice import (
     build_hamiltonian,
     build_transfer_matrix,
@@ -658,7 +658,7 @@ def test_reality_threshold_stops_once_the_rounded_ends_agree(bracket, monkeypatc
 
 
 def test_reality_threshold_bad_bracket():
-    with pytest.raises(BracketInvalid):
+    with pytest.raises(ValueError, match="predicate does not change sign"):
         lattice.reality_threshold(4, bracket=(3.2, 3.45))  # both sides already real
 
 

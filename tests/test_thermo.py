@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from genus5chain import bethe, refdata, thermo
 from genus5chain.curve import U_CRITICAL
-from genus5chain.errors import KernelSingular, NoConvergence
+from genus5chain.errors import NoConvergence, Singular
 from genus5chain.thermo import (
     bulk_energy,
     gap,
@@ -47,11 +47,9 @@ def test_sigma_rejects_subcritical_coupling():
 
 
 def test_kernel_singular_when_node_hits_singularity():
-    from genus5chain.errors import KernelSingular
-
     # placing k0 exactly one grid step below 2*pi/3 forces a node onto the
     # singular point of the critical-coupling kernel
-    with pytest.raises(KernelSingular):
+    with pytest.raises(Singular, match="kernel denominator vanishes"):
         solve_sigma(U_CRITICAL, N=256, k0=2 * np.pi / 3 - 2 * np.pi / 256)
 
 
@@ -107,8 +105,8 @@ def test_row_block_application_is_the_dense_product(s, U, seed):
     x = np.random.default_rng(seed).standard_normal(len(s))
     try:
         D = thermo._denominator_rows(U, s, s)
-    except KernelSingular:
-        with pytest.raises(KernelSingular):
+    except Singular:
+        with pytest.raises(Singular, match="kernel denominator vanishes"):
             thermo._apply_denominator(U, s, x)
         return
     scale = np.max(np.abs(D) @ np.abs(x))

@@ -7,9 +7,12 @@ compare two recordings.
 Each command runs in a fresh interpreter on the package under `src/` next to
 this script, with one BLAS thread, and leaves its stdout, stderr and exit
 code in DIR as `<name>.out`, `<name>.err` and `<name>.code`.  `--compare`
-exits 1 when any command differs.  The list covers every command and four
-numerical failures (`bethe-solve --L 4 --U 1` and the `roots` continuations
-from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12).
+exits 1 when any command differs.  The list covers every command, five
+numerical failures (`bethe-solve --L 4 --U 1`, the `roots` continuations
+from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12, and a
+`thermo` grid with a node on the kernel pole) and two refusals (a
+`reality-threshold` bracket without a sign change and a `fit-threshold`
+with two points).
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ COMMANDS = [
     ["fit-threshold"],
     ["fit-threshold", "--compute", "--Ls", "4,5,6"],
     ["fit-threshold", "--data", "4:3.0,5:3.1,6:3.2"],
+    ["reality-threshold", "--L", "4", "--bracket", "3.3,3.45"],
+    ["fit-threshold", "--data", "4:3.0,5:3.1"],
+    ["thermo", "--U", "3.4641016151377544", "--N", "256", "--k0", "2.069851409787025"],
 ]
 
 
