@@ -29,24 +29,20 @@ from itertools import combinations
 import numpy as np
 
 from .bethe import BetheRootSet, curve_points_for_roots, eigenvalue_lambda
-from .curve import CurveParams, CurvePoint
+from .curve import CurvePoint
 from .errors import Singular
 from .lattice import _code_spins, build_transfer_matrix, monodromy_halves, sector_basis
 from .rmatrix import phase_shift, weights
 
 
-def monodromy_apply(i: int, j: int, lam: CurvePoint, mu: CurvePoint, L: int,
+def monodromy_apply(i: int, j: int, halves: tuple[np.ndarray, np.ndarray],
                     vec: np.ndarray) -> np.ndarray:
-    """Action of T_ij on a full-space vector or on the columns of a matrix."""
-    if vec.shape[0] != 3**L:
-        raise ValueError(f"expected {3**L} rows for L={L}, got {vec.shape[0]}")
-    return _apply_halves(i, j, monodromy_halves(lam, mu, L), vec)
-
-
-def _apply_halves(i: int, j: int, halves: tuple[np.ndarray, np.ndarray],
-                  vec: np.ndarray) -> np.ndarray:
-    """T_ij from the factors (A, B) of `lattice.monodromy_halves`, applied to `vec`."""
+    """T_ij from the factors (A, B) of `lattice.monodromy_halves`, applied to a
+    full-space vector or to the columns of a matrix."""
     A, B = halves
+    rows = A.shape[1] * B.shape[1]
+    if vec.shape[0] != rows:
+        raise ValueError(f"expected {rows} rows, got {vec.shape[0]}")
     # columns first; each is a matrix over the (hi, lo) half-chain codes
     V = vec.reshape(A.shape[1], B.shape[1], -1).transpose(2, 0, 1)
     out = sum(A[i - 1, :, c] @ V @ B[c, :, j - 1].T for c in range(3))
@@ -103,7 +99,7 @@ def build_phi(points: list[CurvePoint], mu: CurvePoint, L: int) -> np.ndarray:
 def _phi_step(lam1: CurvePoint, halves1: tuple, rest: list, phi_rest: np.ndarray, drops: list,
               mu: CurvePoint, L: int) -> np.ndarray:
     """T_12(lam1) phi(rest) - T_13(lam1) sum_j c_j phi(rest without its j-th point)."""
-    out = _apply_halves(1, 2, halves1, phi_rest)
+    out = monodromy_apply(1, 2, halves1, phi_rest)
     if not rest:
         return out
     correction = np.zeros_like(out)
@@ -119,7 +115,7 @@ def _phi_step(lam1: CurvePoint, halves1: tuple, rest: list, phi_rest: np.ndarray
             if pos_k < pos_j:
                 coeff *= phase_shift(lam_k, lam_j)
         correction += coeff * drops[pos_j]
-    return out - _apply_halves(1, 3, halves1, correction)
+    return out - monodromy_apply(1, 3, halves1, correction)
 
 
 def state_sector(phi: np.ndarray, L: int) -> int:
@@ -141,20 +137,15 @@ def eigenstate_residual(
     phi: np.ndarray,
     lam_spectator: CurvePoint,
     rs: BetheRootSet,
-    mu: CurvePoint | None = None,
+    mu: CurvePoint,
 ) -> float:
     """Relative defect || T(lam) phi - Lambda(lam) phi || / || phi ||."""
     L = rs.L
-    if mu is None:
-        mu = CurvePoint(lam_spectator.params, 1.0, 0.0)
-    norm = np.linalg.norm(phi)
-    if norm < 1e-13:
-        raise Singular("cannot test a vanishing eigenvector")
     n = state_sector(phi, L)
     T = build_transfer_matrix(lam_spectator, mu, L, n).matrix
     lam_val = eigenvalue_lambda(lam_spectator, rs)
     sub = phi[sector_basis(L, n).codes]
-    return float(np.linalg.norm(T @ sub - lam_val * sub) / norm)
+    return float(np.linalg.norm(T @ sub - lam_val * sub) / np.linalg.norm(phi))
 
 
 def exchange_symmetry_check(lam1: CurvePoint, lam2: CurvePoint, mu: CurvePoint, L: int) -> float:
@@ -168,9 +159,6 @@ def exchange_symmetry_check(lam1: CurvePoint, lam2: CurvePoint, mu: CurvePoint, 
     return float(np.linalg.norm(phi_12 - theta * phi_21) / denom)
 
 
-def on_shell_eigenvector(rs: BetheRootSet, mu: CurvePoint | None = None) -> np.ndarray:
+def on_shell_eigenvector(rs: BetheRootSet, mu: CurvePoint) -> np.ndarray:
     """phi_m built from curve-point representatives of a solved root set."""
-    params = CurveParams(rs.U)
-    if mu is None:
-        mu = CurvePoint(params, 1.0, 0.0)
     return build_phi(curve_points_for_roots(rs), mu, rs.L)

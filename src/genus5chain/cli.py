@@ -210,6 +210,27 @@ def sites(text: str) -> int:
     return L
 
 
+def _sites_at_most(text: str, most: int) -> int:
+    L = sites(text)
+    if L > most:
+        raise argparse.ArgumentTypeError(f"need at most {most} sites, got {L}")
+    return L
+
+
+def sector_sites(text: str) -> int:
+    """A chain length `--L` of `ed` and `symmetry-check`: refused above 14 sites as a
+    usage error (exit 2), since a sector's fold grows about threefold per site and
+    peaks at 837 MB at L = 14, n = 0."""
+    return _sites_at_most(text, 14)
+
+
+def aba_sites(text: str) -> int:
+    """A chain length `--L` of `aba-verify`: refused above 13 sites as a usage error
+    (exit 2), since the two half-chain monodromy factors take
+    9 (9^floor(L/2) + 9^ceil(L/2)) complex numbers, 765 MB at L = 13."""
+    return _sites_at_most(text, 13)
+
+
 def samples(text: str) -> int:
     """A sample count `--samples`: refused below one as a usage error (exit 2),
     since a check over no samples passes without testing anything."""
@@ -274,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_ybe_check)
 
     q = sub.add_parser("ed", help="exact diagonalization of the chain")
-    q.add_argument("--L", type=sites, required=True)
+    q.add_argument("--L", type=sector_sites, required=True)
     q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--n", type=int, default=None, help="sector (all when omitted)")
     q.add_argument("--mode", choices=["full", "lowest"], default="full")
@@ -289,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_reality_threshold)
 
     q = sub.add_parser("symmetry-check", help="spectral relations between H(U) and H(-U)")
-    q.add_argument("--L", type=sites, required=True)
+    q.add_argument("--L", type=sector_sites, required=True)
     q.add_argument("--U", type=coupling, required=True)
     q.set_defaults(func=cmd_symmetry_check)
 
@@ -339,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_fit_threshold)
 
     q = sub.add_parser("aba-verify", help="eigenvector-construction consistency checks")
-    q.add_argument("--L", type=sites, default=4)
+    q.add_argument("--L", type=aba_sites, default=4)
     q.add_argument("--U", type=coupling, default=5.0)
     q.add_argument("--m", type=int, default=2)
     q.add_argument("--seed", type=int, default=11)

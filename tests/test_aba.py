@@ -31,7 +31,8 @@ def test_trace_identity(par, mu0, rng):
     L, n = 4, 2
     basis = lattice.sector_basis(L, n)
     units = np.eye(3**L)[:, basis.codes]
-    total = sum(monodromy_apply(i, i, lam, mu0, L, units) for i in (1, 2, 3))[basis.codes]
+    halves = lattice.monodromy_halves(lam, mu0, L)
+    total = sum(monodromy_apply(i, i, halves, units) for i in (1, 2, 3))[basis.codes]
     T = lattice.build_transfer_matrix(lam, mu0, L, n).matrix.toarray()
     assert np.max(np.abs(total - T)) < 1e-12 * max(1.0, np.max(np.abs(T)))
 
@@ -43,12 +44,13 @@ def test_vacuum_triangularity_random_pairs(par, rng):
         lam, mu = sample_points(par, 2, rng)
         av, bv, fv = vacuum_values(lam, mu, L)
         scale = max(1.0, abs(av), abs(bv), abs(fv))
+        halves = lattice.monodromy_halves(lam, mu, L)
         for (i, j), expect in (((1, 1), av), ((2, 2), bv), ((3, 3), fv)):
-            out = monodromy_apply(i, j, lam, mu, L, v0)
+            out = monodromy_apply(i, j, halves, v0)
             defect = out - expect * v0 if i == j else out
             assert np.max(np.abs(defect)) < 1e-12 * scale
         for i, j in ((2, 1), (3, 1), (3, 2)):
-            out = monodromy_apply(i, j, lam, mu, L, v0)
+            out = monodromy_apply(i, j, halves, v0)
             assert np.max(np.abs(out)) < 1e-12 * scale
 
 
@@ -68,6 +70,22 @@ def test_phi_builds_monodromy_factors_once_per_rapidity(par, mu0, monkeypatch):
     pts = sample_points(par, 3, np.random.default_rng(7))  # leaves the shared rng's draws alone
     build_phi(pts, mu0, 4)
     assert builds == pts[::-1]  # once each, the first point's last
+
+
+@pytest.mark.parametrize("m, applications", [(1, 1), (2, 3), (3, 6)])
+def test_phi_applies_every_block_through_monodromy_apply(par, mu0, monkeypatch, m, applications):
+    # T_12 for each of the 2^(m-1) phis, T_13 for each phi with a tail
+    calls = []
+    apply = aba.monodromy_apply
+
+    def counted(i, j, halves, vec):
+        calls.append((i, j))
+        return apply(i, j, halves, vec)
+
+    monkeypatch.setattr(aba, "monodromy_apply", counted)
+    pts = sample_points(par, m, np.random.default_rng(7))  # leaves the shared rng's draws alone
+    build_phi(pts, mu0, 4)
+    assert len(calls) == applications
 
 
 def test_phi_sector_bookkeeping(par, mu0, rng):
@@ -133,8 +151,8 @@ def test_exchange_fails_off_curve(par, mu0, rng):
     assert exchange_symmetry_check(lam1_off, lam2, mu0, 4) > 1e-4
 
 
-def test_zero_vector_guard(par, rng):
+def test_zero_vector_guard(par, mu0, rng):
     (lam,) = sample_points(par, 1, rng)
     rs = bethe.BetheRootSet(4, 3, par.U, np.array([0.5], dtype=complex))
-    with pytest.raises(Singular, match="vanishing eigenvector"):
-        eigenstate_residual(np.zeros(81, dtype=complex), lam, rs)
+    with pytest.raises(Singular, match="state vector vanished"):
+        eigenstate_residual(np.zeros(81, dtype=complex), lam, rs, mu0)

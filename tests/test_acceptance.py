@@ -223,11 +223,12 @@ def test_criterion_12_eigenvector_construction():
         a, b = sample_points(par, 2, rng)
         av, bv, fv = aba.vacuum_values(a, b, L)
         scale = max(1.0, abs(av), abs(bv), abs(fv))
+        halves = lattice.monodromy_halves(a, b, L)
         for (i, j), expect in (((1, 1), av), ((2, 2), bv), ((3, 3), fv)):
-            out = aba.monodromy_apply(i, j, a, b, L, v0)
+            out = aba.monodromy_apply(i, j, halves, v0)
             worst_vac = max(worst_vac, float(np.max(np.abs(out - expect * v0))) / scale)
         for i, j in ((2, 1), (3, 1), (3, 2)):
-            out = aba.monodromy_apply(i, j, a, b, L, v0)
+            out = aba.monodromy_apply(i, j, halves, v0)
             worst_vac = max(worst_vac, float(np.max(np.abs(out))) / scale)
     pa, pb = sample_points(par, 2, rng)
     exch = aba.exchange_symmetry_check(pa, pb, mu0, L)

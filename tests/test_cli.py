@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from genus5chain import lattice, refdata, tables, thermo
+from genus5chain import aba, lattice, refdata, tables, thermo
 from genus5chain.cli import build_parser, main
 from genus5chain.errors import NoConvergence, Singular
 from genus5chain.tables import extrapolate_gap, fit_threshold
@@ -225,6 +225,32 @@ def test_ybe_check_refuses_no_samples(count, capsys):
 def test_two_site_commands_refuse_one_site(argv, capsys):
     assert main(argv) == 2
     assert "need at least two sites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["aba-verify", "--L", "14"], 13),
+    (["ed", "--L", "15", "--U", "1"], 14),
+    (["symmetry-check", "--L", "16", "--U", "1"], 14),
+])
+def test_chain_lengths_beyond_memory_are_usage_errors(argv, most, monkeypatch, capsys):
+    # the half-chain factors take 1.4 GB at L = 14; a sector's fold ~2.5 GB at L = 15
+    def never(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    monkeypatch.setattr(lattice, "build_hamiltonian", never)
+    monkeypatch.setattr(aba, "build_phi", never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --L: need at most {most} sites, got {argv[2]}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["aba-verify", "--L", "13"], ["ed", "--L", "14", "--U", "1"],
+                                  ["symmetry-check", "--L", "14", "--U", "1"]])
+def test_chain_lengths_at_their_bound_parse(argv):
+    assert build_parser().parse_args(argv).L == int(argv[2])
 
 
 @pytest.mark.parametrize("argv", [

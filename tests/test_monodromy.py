@@ -53,11 +53,12 @@ def _check_against_reference(L, sectors, lam, mu, rng):
         ref = _ref_transfer_matrix(lam, mu, L, n)
         assert np.max(np.abs(T - ref)) <= 1e-13 * np.max(np.abs(ref)), (L, n)
     R4 = r_matrix(lam, mu).reshape(3, 3, 3, 3)
+    halves = lattice.monodromy_halves(lam, mu, L)
     for shape in ((3**L,), (3**L, 3)):
         vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
-                out = monodromy_apply(i, j, lam, mu, L, vec)
+                out = monodromy_apply(i, j, halves, vec)
                 ref = _ref_apply_block(i - 1, j - 1, R4, L, vec)
                 assert out.shape == vec.shape
                 assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), (L, i, j, shape)
@@ -87,8 +88,8 @@ def test_monodromy_kernel_matches_per_site_reference_l8(rng):
 
 def test_monodromy_apply_rejects_wrong_length(rng):
     par = CurveParams(5.0)
-    lam, mu = sample_points(par, 2, rng)
+    halves = lattice.monodromy_halves(*sample_points(par, 2, rng), 4)
     with pytest.raises(ValueError, match="expected 81 rows"):
-        monodromy_apply(1, 2, lam, mu, 4, np.ones(2 * 3**4, dtype=complex))
+        monodromy_apply(1, 2, halves, np.ones(2 * 3**4, dtype=complex))
     with pytest.raises(ValueError, match="expected 81 rows"):
-        monodromy_apply(1, 2, lam, mu, 4, np.ones((27, 3), dtype=complex))
+        monodromy_apply(1, 2, halves, np.ones((27, 3), dtype=complex))

@@ -7,7 +7,8 @@ compare two recordings.
 Each command runs in a fresh interpreter on the package under `src/` next to
 this script, with one BLAS thread, and leaves its stdout, stderr and exit
 code in DIR as `<name>.out`, `<name>.err` and `<name>.code`.  `--compare`
-exits 1 when any command differs.  The list covers every command, five
+exits 1 when any command differs.  The list covers every command, the
+m = 3 eigenvector recursion at L = 8 (`aba-verify --L 8 --m 3`), five
 numerical failures (`bethe-solve --L 4 --U 1`, the `roots` continuations
 from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12, and a
 `thermo` grid with a node on the kernel pole) and two refusals (a
@@ -49,6 +50,7 @@ COMMANDS = [
     ["roots", "--L", "12", "--U", "2.5", "--mode", "continue", "--u-start", "3.4641016151"],
     ["aba-verify"],
     ["aba-verify", "--L", "6", "--m", "3", "--U", "4.5"],
+    ["aba-verify", "--L", "8", "--m", "3", "--U", "5"],
     ["ybe-check", "--U", "5", "--samples", "20"],
     ["ybe-check", "--U", "-2", "--eps-sign", "minus", "--samples", "20"],
     ["ed", "--L", "6", "--U", "4"],
