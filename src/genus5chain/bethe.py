@@ -579,27 +579,24 @@ def eigenvalue_lambda(lam: CurvePoint, rs: BetheRootSet) -> complex:
           + Z^{-L} prod_i [same factor] * S(Z, Z_i)
           + (W/Z)^L prod_i (y/x) (eps + Z Z_i) / (W Z_i - 1),
 
-    where S is the scattering ratio in the t = Z - eps/Z variables.
+    where S(Z, Z_i) is the scattering factor of `bethe_defect_z`, Z one more root.
     """
     params = lam.params
     eps = params.eps
-    seps = params.sqrt_eps
     zp = zw_map(lam)  # refuses x = 0 or y = 0 with a ValueError
     Z, W = zp.Z, zp.W
     Zi = rs.z_values
     x, y = lam.x, lam.y
     d1 = 1.0 - Zi / Z
     d3 = W * Zi - 1.0
-    t = Z - eps / Z
-    ti = Zi - eps / Zi
-    s_den = eps * t - ti / eps + rs.U * seps
+    t = np.concatenate(([Z - eps / Z], Zi - eps / Zi))
+    s_num, s_den = _pair_arrays(t, eps, -rs.U * params.sqrt_eps, slice(1))[:, 0, 1:]
     for name, arr in (("1 - Z_i/Z", d1), ("W Z_i - 1", d3), ("scattering", s_den)):
         if len(arr) and np.min(np.abs(arr)) < _POLE_TOL:
             raise Singular(f"eigenvalue denominator {name} vanishes")
     base = (y / (eps * x)) * (eps + Zi / W) / d1
-    s_ratio = (t / eps - eps * ti - rs.U * seps) / s_den
     term1 = np.prod(base)
-    term2 = Z ** (-rs.L) * np.prod(base * s_ratio)
+    term2 = Z ** (-rs.L) * np.prod(base * (s_num / s_den))
     term3 = (W / Z) ** rs.L * np.prod((y / x) * (eps + Z * Zi) / d3)
     return complex(x**rs.L * (term1 + term2 + term3))
 

@@ -231,6 +231,13 @@ def aba_sites(text: str) -> int:
     return _sites_at_most(text, 13)
 
 
+def bethe_sites(text: str) -> int:
+    """A chain length `--L` of `bethe-solve` and `roots`: refused above 4096 sites as a
+    usage error (exit 2), since the log-form Jacobian and its LAPACK copy grow as L^2,
+    147 MB traced at L = 4096 and about 1.1 GB at L = 8192."""
+    return _sites_at_most(text, 4096)
+
+
 def samples(text: str) -> int:
     """A sample count `--samples`: refused below one as a usage error (exit 2),
     since a check over no samples passes without testing anything."""
@@ -315,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_symmetry_check)
 
     q = sub.add_parser("bethe-solve", help="real logarithmic-form solve")
-    q.add_argument("--L", type=sites, required=True)
+    q.add_argument("--L", type=bethe_sites, required=True)
     q.add_argument("--n", type=int, default=0)
     q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--Q", default=None, help="comma-separated branch numbers")
     q.set_defaults(func=cmd_bethe_solve)
 
     q = sub.add_parser("roots", help="root pattern with two-string classification")
-    q.add_argument("--L", type=sites, required=True)
+    q.add_argument("--L", type=bethe_sites, required=True)
     q.add_argument("--U", type=coupling, required=True)
     q.add_argument("--n", type=int, default=0)
     q.add_argument("--mode", choices=["auto", "log", "continue"], default="auto")

@@ -176,21 +176,16 @@ def critical_couplings() -> tuple[float, float]:
 
 
 def branch_points_z(params: CurveParams) -> np.ndarray:
-    """Roots of the quartic in Z over which the cubic's double cover branches.
+    """The four Z over which the cubic's double cover in W branches.
 
-    Viewing the cubic as a quadratic in W, the W-discriminant cleared of
-    denominators is (sqrt(eps)(Z^2 - eps) + U Z)^2 + 4 Z^2 / eps^2.
+    With s = (Z - eps/Z) / (2i sqrt(eps)) the cubic makes W - 1/(eps W) equal
+    -sqrt(eps) (U + 2i eps s), so W branches at s = (iU/2) conj(eps) -+ conj(eps)^2,
+    and each such s gives the two roots of Z^2 - 2i sqrt(eps) s Z - eps = 0.
     """
-    eps = params.eps
-    seps = params.sqrt_eps
-    U = params.U
-    # expand (seps Z^2 + U Z - seps*eps)^2 + (4/eps^2) Z^2
-    a4 = seps * seps
-    a3 = 2 * seps * U
-    a2 = U * U - 2 * seps * seps * eps + 4 / (eps * eps)
-    a1 = -2 * U * seps * eps
-    a0 = seps * seps * eps * eps
-    return np.roots([a4, a3, a2, a1, a0])
+    eps_bar = params.eps.conjugate()
+    half_b = 1j * params.sqrt_eps * (0.5j * params.U * eps_bar - np.array([1, -1]) * eps_bar**2)
+    root = np.sqrt(half_b * half_b + params.eps)
+    return np.concatenate((half_b + root, half_b - root))
 
 
 def sample_points(params: CurveParams, n: int, rng: np.random.Generator) -> list[CurvePoint]:

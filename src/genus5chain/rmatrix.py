@@ -131,26 +131,22 @@ def nonzero_positions() -> set[tuple[int, int]]:
     }
 
 
-def _embed(R9: np.ndarray, which: str) -> np.ndarray:
-    """Lift a two-site R onto C^3 x C^3 x C^3 acting on the named pair."""
-    T = R9.reshape(3, 3, 3, 3)
-    I3 = np.eye(3)
-    if which == "12":
-        out = np.einsum("abcd,ef->abecdf", T, I3)
-    elif which == "13":
-        out = np.einsum("abcd,ef->aebcfd", T, I3)
-    elif which == "23":
-        out = np.einsum("abcd,ef->eabfcd", T, I3)
-    else:
-        raise ValueError(which)
-    return out.reshape(27, 27)
+_CODES = np.arange(27).reshape(3, 3, 3)  # triple-space code 9 s1 + 3 s2 + s3
+# R13 and R23 are R12 with the codes of (s1, s2, s3) read as (s1, s3, s2) and (s2, s3, s1)
+_SWAP_23 = np.ix_(*2 * [_CODES.transpose(0, 2, 1).ravel()])
+_CYCLE = np.ix_(*2 * [_CODES.transpose(2, 0, 1).ravel()])
+
+
+def _on_12(R9: np.ndarray) -> np.ndarray:
+    """Lift a two-site R onto C^3 x C^3 x C^3, acting on spaces 1 and 2."""
+    return np.einsum("abcd,ef->abecdf", R9.reshape(3, 3, 3, 3), np.eye(3)).reshape(27, 27)
 
 
 def ybe_residual(p1: CurvePoint, p2: CurvePoint, p3: CurvePoint) -> float:
     """Max-norm defect of R12 R13 R23 - R23 R13 R12 on the triple space."""
-    R12 = _embed(r_matrix(p1, p2), "12")
-    R13 = _embed(r_matrix(p1, p3), "13")
-    R23 = _embed(r_matrix(p2, p3), "23")
+    R12 = _on_12(r_matrix(p1, p2))
+    R13 = _on_12(r_matrix(p1, p3))[_SWAP_23]
+    R23 = _on_12(r_matrix(p2, p3))[_CYCLE]
     return float(np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
 
 

@@ -105,6 +105,19 @@ def test_state_sector_rejects_mixed_state(par, mu0, rng):
         state_sector(mixed, L)
 
 
+@pytest.mark.parametrize("leak, refused", [(1e-6, False), (1e-4, True)])
+def test_state_sector_refuses_weight_beyond_a_share_in_another_sector(leak, refused):
+    # basis state 0 (all spins 1) lies in sector L, state 1 in sector L - 1; the leak
+    # carries a share leak^2 / 2 of the norm off sector L, against the bound 1e-10
+    phi = np.zeros(3**4, dtype=complex)
+    phi[:2] = 1.0, leak
+    if refused:
+        with pytest.raises(ValueError, match="not supported on a single sector"):
+            state_sector(phi, 4)
+    else:
+        assert state_sector(phi, 4) == 4
+
+
 def test_state_sector_rejects_zero_vector():
     with pytest.raises(Singular, match="state vector vanished"):
         state_sector(np.zeros(3**4, dtype=complex), 4)

@@ -480,6 +480,47 @@ def test_eigenvalue_lambda_pole_hit(rng):
         eigenvalue_lambda(lam, rs)
 
 
+def _hand_typed_lambda(lam, rs):
+    """Lambda with the scattering factor S(Z, Z_i) written out in t = Z - eps/Z."""
+    from genus5chain.curve import zw_map
+
+    eps, seps = lam.params.eps, lam.params.sqrt_eps
+    zp = zw_map(lam)
+    Z, W, Zi, x, y = zp.Z, zp.W, rs.z_values, lam.x, lam.y
+    t, ti = Z - eps / Z, Zi - eps / Zi
+    s_ratio = (t / eps - eps * ti - rs.U * seps) / (eps * t - ti / eps + rs.U * seps)
+    base = (y / (eps * x)) * (eps + Zi / W) / (1.0 - Zi / Z)
+    term3 = (W / Z) ** rs.L * np.prod((y / x) * (eps + Z * Zi) / (W * Zi - 1.0))
+    return complex(x**rs.L * (np.prod(base) + Z ** (-rs.L) * np.prod(base * s_ratio) + term3))
+
+
+def test_eigenvalue_lambda_scattering_matches_hand_typed_formula():
+    # numpy rounds eps * t_i and t_i * eps apart in the last bit, and S's numerator
+    # cancels, so the two orders of the same formula differ by up to 1.8e-14 here
+    par = CurveParams(5.0)
+    spectators = sample_points(par, 20, np.random.default_rng(34))
+    for rs in (solve_log_form(8, 2, 5.0), solve_log_form(12, 1, 5.0)):
+        for lam in spectators:
+            expected = _hand_typed_lambda(lam, rs)
+            assert abs(eigenvalue_lambda(lam, rs) - expected) <= 1e-13 * abs(expected)
+
+
+def test_eigenvalue_lambda_scattering_pole_hit():
+    from genus5chain.curve import points_with_Z, zw_map
+
+    par = CurveParams(5.0)
+    eps, seps = par.eps, par.sqrt_eps
+    rs = BetheRootSet(4, 3, 5.0, np.array([0.7], dtype=complex))
+    Zi = complex(rs.z_values[0])
+    # the spectator's t = Z - eps/Z where eps t - t_i/eps + U sqrt(eps) = 0; on the
+    # sheet W = 1/Z_i the pole W Z_i - 1 is hit first, so take the other sheet
+    t = ((Zi - eps / Zi) / eps - 5.0 * seps) / eps
+    Z = (t + np.sqrt(t * t + 4 * eps)) / 2
+    lam = max(points_with_Z(Z, par), key=lambda p: abs(zw_map(p).W * Zi - 1))
+    with pytest.raises(Singular, match="eigenvalue denominator scattering vanishes"):
+        eigenvalue_lambda(lam, rs)
+
+
 def test_momentum_z_form_consistency():
     rs = solve_log_form(8, 0, 5.0)
     fk = bethe_defect(rs)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from genus5chain import aba, lattice, refdata, tables, thermo
+from genus5chain import aba, bethe, lattice, refdata, tables, thermo
 from genus5chain.cli import build_parser, main
 from genus5chain.errors import NoConvergence, Singular
 from genus5chain.tables import extrapolate_gap, fit_threshold
@@ -231,14 +231,19 @@ def test_two_site_commands_refuse_one_site(argv, capsys):
     (["aba-verify", "--L", "14"], 13),
     (["ed", "--L", "15", "--U", "1"], 14),
     (["symmetry-check", "--L", "16", "--U", "1"], 14),
+    (["bethe-solve", "--L", "4097", "--U", "5"], 4096),
+    (["roots", "--L", "4097", "--U", "5"], 4096),
 ])
 def test_chain_lengths_beyond_memory_are_usage_errors(argv, most, monkeypatch, capsys):
-    # the half-chain factors take 1.4 GB at L = 14; a sector's fold ~2.5 GB at L = 15
+    # the half-chain factors take 1.4 GB at L = 14; a sector's fold ~2.5 GB at L = 15;
+    # the log-form Jacobian and its copy about 1.1 GB at L = 8192
     def never(*args, **kwargs):
         raise AssertionError("solver called")
 
     monkeypatch.setattr(lattice, "build_hamiltonian", never)
     monkeypatch.setattr(aba, "build_phi", never)
+    monkeypatch.setattr(bethe, "solve_log_form", never)
+    monkeypatch.setattr(bethe, "track_state", never)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
@@ -248,7 +253,9 @@ def test_chain_lengths_beyond_memory_are_usage_errors(argv, most, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv", [["aba-verify", "--L", "13"], ["ed", "--L", "14", "--U", "1"],
-                                  ["symmetry-check", "--L", "14", "--U", "1"]])
+                                  ["symmetry-check", "--L", "14", "--U", "1"],
+                                  ["bethe-solve", "--L", "4096", "--U", "5"],
+                                  ["roots", "--L", "4096", "--U", "5"]])
 def test_chain_lengths_at_their_bound_parse(argv):
     assert build_parser().parse_args(argv).L == int(argv[2])
 
@@ -315,6 +322,13 @@ def test_ed_mirrors_minus_n_from_n(capsys, monkeypatch):
     assert json.loads(out)["sectors"] == {"-1": sectors["1"]}
     assert main(["ed", "--L", "7", "--U", "1", "--n", "-8"]) == 2
     assert "sector n=-8 out of range" in capsys.readouterr().err
+
+
+def test_ed_refuses_a_sector_above_the_chain(capsys):
+    assert main(["ed", "--L", "6", "--U", "1", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refused: sector n=7 out of range for L=6" in captured.err
 
 
 @pytest.mark.parametrize("L", ["4", "8"])  # block and ARPACK sizes

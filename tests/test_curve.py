@@ -159,6 +159,58 @@ def test_critical_couplings_values():
     assert hi == pytest.approx(3.464101, abs=1e-6)
 
 
+def _quartic_coeffs(u_val, par):
+    """The cubic's W-discriminant (sqrt(eps)(Z^2 - eps) + U Z)^2 + 4 Z^2 / eps^2,
+    expanded in Z, on the eps branch of par."""
+    eps, seps = par.eps, par.sqrt_eps
+    return [
+        seps * seps,
+        2 * seps * u_val,
+        u_val * u_val - 2 * seps * seps * eps + 4 / (eps * eps),
+        -2 * u_val * seps * eps,
+        seps * seps * eps * eps,
+    ]
+
+
+U_GRID = np.round(np.arange(-1200, 1201) * 0.01, 2)  # U in [-12, 12], step 0.01
+
+
+def _s_of(Z, par):
+    return (Z - par.eps / Z) / (2j * par.sqrt_eps)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_branch_points_match_the_expanded_quartic(sign):
+    worst = 0.0
+    for U in U_GRID:
+        par = CurveParams(float(U), sign)
+        got, ref = branch_points_z(par), np.roots(_quartic_coeffs(U, par))
+        dist = np.abs(got[:, None] - ref[None, :])
+        worst = max(worst, dist.min(axis=0).max(), dist.min(axis=1).max())
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_w_branch_point_meets_the_band_edge_only_at_the_critical_couplings(sign):
+    # s = +-1 are where Z branches, the ends of the real-momentum band
+    for U in [*U_GRID, -U_CRITICAL, U_CRITICAL]:
+        par = CurveParams(float(U), sign)
+        s = _s_of(branch_points_z(par), par)
+        closest = np.abs(s[:, None] - np.array([1.0, -1.0])[None, :]).min()
+        assert (closest < 1e-12) == (abs(U) == U_CRITICAL), U
+
+
+def test_gap_is_the_distance_from_a_w_branch_point_to_the_band_edge():
+    from genus5chain.thermo import gap
+
+    for U in [*np.linspace(U_CRITICAL, 12.0, 200), 3.6, 4.0, 5.0, 8.0]:
+        par = CurveParams(float(U))
+        distance = np.abs(_s_of(branch_points_z(par), par) - 1.0).min()
+        assert abs(distance - (U / 2 - np.sqrt(3))) < 1e-13
+        if U in (3.6, 4.0, 5.0, 8.0):
+            assert abs(distance - gap(U).value) < 1e-12
+
+
 def _branch_discriminant(U):
     r = branch_points_z(CurveParams(float(np.real(U)) if abs(np.imag(U)) < 1e-30 else U))
     return np.prod([(r[i] - r[j]) ** 2 for i in range(4) for j in range(i + 1, 4)])
@@ -172,20 +224,8 @@ def test_critical_coupling_matches_discriminant_scan():
     u = grid[int(np.argmin(vals))]
 
     def disc(u_complex):
-        par = CurveParams(0.0)  # placeholder; build coefficients directly
-        r = np.roots(_quartic_coeffs(u_complex))
+        r = np.roots(_quartic_coeffs(u_complex, CurveParams(0.0)))
         return np.prod([(r[i] - r[j]) ** 2 for i in range(4) for j in range(i + 1, 4)])
-
-    def _quartic_coeffs(u_val):
-        eps = np.exp(1j * np.pi / 3)
-        seps = np.exp(1j * np.pi / 6)
-        return [
-            seps * seps,
-            2 * seps * u_val,
-            u_val * u_val - 2 * seps * seps * eps + 4 / (eps * eps),
-            -2 * u_val * seps * eps,
-            seps * seps * eps * eps,
-        ]
 
     z = complex(u)
     for _ in range(80):

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 from itertools import product
 
 import numpy as np
@@ -594,6 +595,14 @@ def test_lowest_mode_matches_dense():
     assert low.method == "dense"
     full = diagonalize(op, mode="full")
     assert np.array_equal(np.sort(low.eigenvalues.real), np.sort(full.eigenvalues.real)[:4])
+
+
+def test_diagonalize_refuses_unknown_mode_and_large_full_solve():
+    with pytest.raises(ValueError, match="unknown mode 'partial'"):
+        diagonalize(build_hamiltonian(1.0, 4, 0), mode="partial")
+    # only the dimension is read before the refusal, so a stand-in carries it
+    with pytest.raises(ValueError, match=f"capped at dim {lattice.DENSE_LIMIT}, got 20001"):
+        diagonalize(SimpleNamespace(dim=lattice.DENSE_LIMIT + 1), mode="full")
 
 
 def test_lowest_mode_arpack_path():

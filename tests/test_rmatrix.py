@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from genus5chain import rmatrix
 from genus5chain.curve import CurveParams, CurvePoint, U_CRITICAL, sample_points, solve_points
 from genus5chain.errors import Singular
 from genus5chain.rmatrix import (
@@ -80,6 +81,31 @@ def test_ybe_on_curve(par, rng):
         p1, p2, p3 = sample_points(par, 3, rng)
         worst = max(worst, ybe_residual(p1, p2, p3))
     assert worst < 1e-10
+
+
+def _einsum_ybe_residual(R12, R13, R23):
+    """The residual with each two-site R lifted by its own index string."""
+    I3 = np.eye(3)
+
+    def lift(R, spec):
+        return np.einsum(spec, R.reshape(3, 3, 3, 3), I3).reshape(27, 27)
+
+    A = lift(R12, "abcd,ef->abecdf")
+    B = lift(R13, "abcd,ef->aebcfd")
+    C = lift(R23, "abcd,ef->eabfcd")
+    return float(np.max(np.abs(A @ B @ C - C @ B @ A)))
+
+
+def test_ybe_residual_relabels_codes_exactly(par, regular, monkeypatch):
+    # three matrices that are no R-matrices, so the residual is O(1) and any
+    # misplaced entry shows
+    gen = np.random.default_rng(34)
+    mats = [gen.normal(size=(9, 9)) + 1j * gen.normal(size=(9, 9)) for _ in range(3)]
+    served = iter(mats)
+    monkeypatch.setattr(rmatrix, "r_matrix", lambda p, q: next(served))
+    got = ybe_residual(regular, regular, regular)
+    assert got > 1.0
+    assert got == _einsum_ybe_residual(*mats)
 
 
 def test_ybe_coincident_points(par, rng):

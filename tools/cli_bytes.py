@@ -8,7 +8,8 @@ Each command runs in a fresh interpreter on the package under `src/` next to
 this script, with one BLAS thread, and leaves its stdout, stderr and exit
 code in DIR as `<name>.out`, `<name>.err` and `<name>.code`.  `--compare`
 exits 1 when any command differs.  The list covers every command, the
-m = 3 eigenvector recursion at L = 8 (`aba-verify --L 8 --m 3`), five
+m = 3 eigenvector recursion at L = 8 (`aba-verify --L 8 --m 3`), the
+Yang-Baxter check on the degenerate curve (`ybe-check --U 2 sqrt(3)`), five
 numerical failures (`bethe-solve --L 4 --U 1`, the `roots` continuations
 from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12, and a
 `thermo` grid with a node on the kernel pole) and two refusals (a
@@ -53,6 +54,7 @@ COMMANDS = [
     ["aba-verify", "--L", "8", "--m", "3", "--U", "5"],
     ["ybe-check", "--U", "5", "--samples", "20"],
     ["ybe-check", "--U", "-2", "--eps-sign", "minus", "--samples", "20"],
+    ["ybe-check", "--U", "3.4641016151377544", "--samples", "20"],
     ["ed", "--L", "6", "--U", "4"],
     ["ed", "--L", "8", "--U", "1", "--n", "1"],
     ["ed", "--L", "8", "--U", "1", "--n", "0", "--mode", "lowest"],
