@@ -46,6 +46,8 @@ DENSE_LIMIT = 20000
 _DENSE_EIG_CUTOFF = 900  # dims above this use ARPACK in "lowest" mode
 _REAL_TOL = 1e-8  # |Im E| <= _REAL_TOL max(1, |Re E|) marks a reported level real
 _LEVELS = 8  # levels solved in each sector that holds E0, to find the first excitation E1
+# lowest mode's largest k: ARPACK's second basis at L = 14, n = 0 (616,227 x 8k) stays under 1 GB
+_MAX_LOWEST_K = 24
 
 
 # the U-independent hopping part of the bond and its on-site U/2 term
@@ -536,7 +538,7 @@ def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> Spectr
     H commutes with the shift and has P H P = conj(H) for the site
     reflection P, so each block Q_mᴴ H Q_m (`momentum_blocks`) is real.
     mode="full" returns every eigenvalue, by dense LAPACK per block.
-    mode="lowest" returns the k >= 1 smallest-real-part eigenvalues: from the
+    mode="lowest" returns the 1 <= k <= 24 smallest-real-part eigenvalues: from the
     block spectrum up to _DENSE_EIG_CUTOFF states, from ARPACK on the direct
     sum of the blocks above, its residuals checked on that sum
     (`_lowest_arpack`), and from the block spectrum again ("dense-fallback")
@@ -549,8 +551,10 @@ def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> Spectr
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "lowest" and k < 1:
         raise ValueError(f"lowest mode needs k >= 1, got {k}")
+    if mode == "lowest" and k > _MAX_LOWEST_K:
+        raise ValueError(f"lowest mode needs k <= {_MAX_LOWEST_K}, got {k}")
     method = "dense"
-    if mode == "lowest" and op.dim > max(_DENSE_EIG_CUTOFF, 3 * k + 2):
+    if mode == "lowest" and op.dim > _DENSE_EIG_CUTOFF:
         try:
             return _lowest_arpack(op, k)
         except NoConvergence:
@@ -563,6 +567,12 @@ def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> Spectr
     return _make_report(op.sector, vals, method)
 
 
+def _krylov_sizes(k: int) -> tuple[int, int]:
+    """ARPACK's Krylov sizes ncv for k levels, first and second attempt: scipy's
+    default max(20, 2k + 1), which is 20 for every k <= 9, then max(90, 8k)."""
+    return max(20, 2 * k + 1), max(90, 8 * k)
+
+
 def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
     """ARPACK's real nonsymmetric mode on the direct sum B(U) of the chain
     Hamiltonian's real momentum blocks, each Ritz pair (lam, y) accepted when
@@ -573,7 +583,7 @@ def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
     bound = 1e-9 * max(1.0, spla.norm(B, np.inf))
     v0 = np.ones(D) / np.sqrt(D)
     attempts = []
-    for ncv in (max(40, 4 * k), max(90, 8 * k)):
+    for ncv in _krylov_sizes(k):
         try:
             vals, vecs = spla.eigs(B, k=k, which="SR", ncv=min(ncv, D - 1), tol=1e-12,
                                    maxiter=8000, v0=v0)

@@ -341,6 +341,18 @@ def test_ed_lowest_mode_refuses_nonpositive_k(L, k, capsys):
     assert "k >= 1" in captured.err
 
 
+def test_ed_lowest_mode_refuses_k_above_24_before_arpack(capsys, monkeypatch):
+    def no_eigs(*args, **kwargs):
+        raise AssertionError("ARPACK called")
+
+    monkeypatch.setattr(lattice.spla, "eigs", no_eigs)
+    code = main(["ed", "--L", "8", "--U", "1", "--n", "0", "--mode", "lowest", "--k", "25"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "k <= 24" in captured.err
+
+
 def test_bethe_solve_command(tmp_path, capsys):
     out_file = tmp_path / "roots.json"
     code = main(["bethe-solve", "--L", "8", "--n", "0", "--U", "5", "--out", str(out_file)])

@@ -507,13 +507,26 @@ def test_arpack_lowest_matches_block_spectrum(U, n):
     # H Q = Q B with Q unitary: the residual of a Ritz pair of the block sum B,
     # solved as _lowest_arpack solves it, is that of x = sum_m Q_m y_m under H
     B, H = op.sector.kept.real_sum(U), op.matrix
-    vals, Y = spla.eigs(B, k=6, which="SR", ncv=40, tol=1e-12, maxiter=8000,
-                        v0=np.ones(op.dim) / np.sqrt(op.dim))
+    vals, Y = spla.eigs(B, k=6, which="SR", ncv=lattice._krylov_sizes(6)[0], tol=1e-12,
+                        maxiter=8000, v0=np.ones(op.dim) / np.sqrt(op.dim))
     Q = lattice.momentum_blocks(8, n)
     X = sum(Qm @ y for Qm, y in zip(Q, np.split(Y, np.cumsum([Qm.shape[1] for Qm in Q])[:-1])))
     on_blocks = np.linalg.norm(B @ Y - Y * vals, axis=0)
     on_sector = np.linalg.norm(H @ X - X * vals, axis=0)
     assert np.max(np.abs(on_blocks - on_sector)) <= 1e-13 * max(1.0, spla.norm(H, np.inf))
+
+
+@pytest.mark.parametrize("n", [0, 1])  # dims 3139 and 2907
+@pytest.mark.parametrize("U", [20.0, -20.0])  # at U = 20 the lowest n = 1 level is in block m = 1
+def test_first_krylov_space_finds_the_lowest_levels(U, n):
+    # the residual check accepts any eigenpair: the levels must be the block spectrum's lowest
+    op = build_hamiltonian(U, 9, n)
+    full = np.sort(diagonalize(op, mode="full").eigenvalues.real)
+    for k in (1, lattice._LEVELS):
+        low = diagonalize(op, mode="lowest", k=k)
+        assert low.method == "arpack-sr(ncv=20)"
+        got = np.sort(low.eigenvalues.real)
+        assert np.max(np.abs(got - full[:k])) <= 1e-10 * max(1.0, abs(full[0]))
 
 
 def test_arpack_keeps_low_conjugate_pair():

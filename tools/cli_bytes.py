@@ -9,12 +9,14 @@ this script, with one BLAS thread, and leaves its stdout, stderr and exit
 code in DIR as `<name>.out`, `<name>.err` and `<name>.code`.  `--compare`
 exits 1 when any command differs.  The list covers every command, the
 m = 3 eigenvector recursion at L = 8 (`aba-verify --L 8 --m 3`), the
-Yang-Baxter check on the degenerate curve (`ybe-check --U 2 sqrt(3)`), five
+Yang-Baxter check on the degenerate curve (`ybe-check --U 2 sqrt(3)`), an
+ARPACK solve for k = 12 levels, whose first Krylov space is larger than 20
+(`ed --L 9 --n 1 --mode lowest --k 12`), five
 numerical failures (`bethe-solve --L 4 --U 1`, the `roots` continuations
 from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12, and a
-`thermo` grid with a node on the kernel pole) and two refusals (a
-`reality-threshold` bracket without a sign change and a `fit-threshold`
-with two points).
+`thermo` grid with a node on the kernel pole) and three refusals (a
+`reality-threshold` bracket without a sign change, a `fit-threshold`
+with two points and `ed --mode lowest --k 25`).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ COMMANDS = [
     ["ed", "--L", "8", "--U", "1", "--n", "0", "--mode", "lowest"],
     ["ed", "--L", "10", "--U", "3", "--mode", "lowest"],
     ["ed", "--L", "12", "--U", "1", "--n", "11", "--mode", "lowest", "--k", "3"],
+    ["ed", "--L", "9", "--U", "2", "--n", "1", "--mode", "lowest", "--k", "12"],
     ["symmetry-check", "--L", "6", "--U", "1.3"],
     ["reality-threshold", "--L", "6"],
     ["fit-threshold"],
@@ -67,6 +70,7 @@ COMMANDS = [
     ["fit-threshold", "--data", "4:3.0,5:3.1,6:3.2"],
     ["reality-threshold", "--L", "4", "--bracket", "3.3,3.45"],
     ["fit-threshold", "--data", "4:3.0,5:3.1"],
+    ["ed", "--L", "8", "--U", "1", "--n", "0", "--mode", "lowest", "--k", "25"],
     ["thermo", "--U", "3.4641016151377544", "--N", "256", "--k0", "2.069851409787025"],
 ]
 
