@@ -555,7 +555,13 @@ def _fuse_candidates(k: np.ndarray, L: int, n: int, u_next: float):
 
 def energy(rs: BetheRootSet):
     """E = -sum 2 cos(k_j + pi/6) + n U / 2; real when the imaginary part
-    is at rounding level, complex otherwise."""
+    is at rounding level, complex otherwise.
+
+    E is -d log Lambda/dt at the regular point plus L U/4, as H is of the
+    transfer matrix (`lattice`), with t = sqrt(eps) y.  Near that point the
+    first term of `eigenvalue_lambda` dominates: each root's factor gives
+    -2 cos(k_j + pi/6) - U/2 and x^L gives L U/4, so the L - n roots and the
+    constant sum to the formula above."""
     e = -np.sum(2 * np.cos(rs.roots + np.pi / 6)) + rs.n * rs.U / 2.0
     if abs(e.imag) < 1e-10 * max(1.0, abs(e.real)):
         return float(e.real)

@@ -1,18 +1,27 @@
 """Spin-1 chain and transfer matrix on L periodic sites, per magnetization sector.
 
-The chain Hamiltonian (eps = exp(+i pi/3) branch) is
+The chain Hamiltonian is the log derivative of the transfer matrix
+T(lam, mu), the auxiliary-space trace of R_{01}(lam, mu) ... R_{0L}(lam, mu)
+(`build_transfer_matrix`), at the regular point p0 = (x, y) = (1, 0) of the
+curve's eps = exp(+i pi/3) branch:
+
+    H(U) = -T(p0, p0)^-1 dT(lam, p0)/dt |_{lam = p0} + L U/4,
+
+with t = sqrt(eps) y the local parameter on the curve through p0.  Since
+R(p0, p0) is the swap of the two spaces, T(p0, p0) is the shift and H is a
+sum of one two-site density per bond, `rmatrix.bond_density`, so the
+operator order and the chain orientation follow from R.  The density's
+U-part (U/4)(Sz_j^2 + Sz_{j+1}^2) telescopes on the ring, and each bond
+carries the density at U = 0 with U/2 (Sz)^2 on its right site
+(`bond_hamiltonian`).  In spin-1 ladder operators, with (Sz S+) applying S+
+first,
 
     H(U) = sum_j { -exp(+i pi/6)/2 S+_j S-_{j+1} - exp(-i pi/6)/2 S-_j S+_{j+1}
                    + i/2 (Sz S+)_j S-_{j+1} - i/2 S-_j (Sz S+)_{j+1}
                    + U/2 (Sz_j)^2 },
 
-with spin-1 ladder operators and (Sz S+) the matrix product applying S+
-first.  The operator ordering and chain orientation are pinned by two
-facts checked in the tests: H commutes with the transfer matrix built
-from the same R-matrix, and on the constructed eigenvectors it takes the
-value -sum 2 cos(k_j + pi/6) + n U/2 at the same momenta that enter the
-transfer-matrix eigenvalue.  (The site-reflected variant has an identical
-spectrum but fails both checks.)
+and on the Bethe states it takes the value -sum 2 cos(k_j + pi/6) + n U/2
+(`bethe.energy`), the same log derivative of the transfer-matrix eigenvalue.
 
 H is not Hermitian: complex eigenvalues appear in conjugate pairs, while
 low-lying levels stay real, and above a size-dependent coupling the whole
@@ -30,17 +39,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eig
 
-from .curve import SQRT_EPS, CurvePoint
+from .curve import CurveParams, CurvePoint
 from .errors import NoConvergence
-from .rmatrix import r_matrix
-
-SP = np.sqrt(2.0) * np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-SM = np.sqrt(2.0) * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
-SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
-_ID3 = np.eye(3, dtype=complex)
-
-# (Sz S+): apply S+ first, then Sz; raises only on the 0 -> +1 rung
-_SZSP = SZ @ SP
+from .rmatrix import bond_density, r_matrix
 
 DENSE_LIMIT = 20000
 _DENSE_EIG_CUTOFF = 900  # dims above this use ARPACK in "lowest" mode
@@ -50,22 +51,23 @@ _LEVELS = 8  # levels solved in each sector that holds E0, to find the first exc
 _MAX_LOWEST_K = 24
 
 
-# the U-independent hopping part of the bond and its on-site U/2 term
-_HOP = (
-    (-SQRT_EPS / 2) * np.kron(SP, SM)
-    + (-SQRT_EPS.conjugate() / 2) * np.kron(SM, SP)
-    + (1j / 2) * np.kron(_SZSP, SM)
-    + (-1j / 2) * np.kron(SM, _SZSP)
-)
-_ONSITE = np.kron(_ID3, SZ @ SZ)
+# the U-independent hopping part of the bond: the R-matrix's bond density at U = 0
+_HOP = bond_density(CurveParams(0.0))
+# the on-site U/2 term's count of spins +-1 (label != 1) on the bond's right site
+_ONSITE = np.diag((np.arange(9) % 3 != 1).astype(float))
 # per bond column c, the rows r of the entries that some U makes nonzero
-_BOND_ROWS = [np.nonzero((np.abs(_HOP[:, c]) > 1e-15) | (_ONSITE[:, c] != 0))[0] for c in range(9)]
+_BOND_ROWS = [np.flatnonzero((_HOP[:, c] != 0) | (_ONSITE[:, c] != 0)) for c in range(9)]
 # per bond column c, the rows r of the entries of the hopping part
-_HOP_ROWS = [np.nonzero(np.abs(_HOP[:, c]) > 1e-15)[0] for c in range(9)]
+_HOP_ROWS = [np.flatnonzero(_HOP[:, c]) for c in range(9)]
 
 
 def bond_hamiltonian(U: float) -> np.ndarray:
-    """Two-site operator; the on-site U-term is attached to the right site."""
+    """Two-site operator of bond (j, j + 1): the R-matrix's bond density with
+    its U-part (U/4)(Sz_j^2 + Sz_{j+1}^2) telescoped onto the right site,
+
+        bond_density(U) = bond_hamiltonian(U) + (U/4)(Sz_j^2 - Sz_{j+1}^2),
+
+    so the bonds of a ring sum to the same H(U)."""
     return _HOP + (U / 2) * _ONSITE
 
 
@@ -569,7 +571,9 @@ def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> Spectr
 
 def _krylov_sizes(k: int) -> tuple[int, int]:
     """ARPACK's Krylov sizes ncv for k levels, first and second attempt: scipy's
-    default max(20, 2k + 1), which is 20 for every k <= 9, then max(90, 8k)."""
+    default max(20, 2k + 1), which is 20 for every k <= 9, then max(90, 8k).
+    With k <= _MAX_LOWEST_K = 24 neither exceeds 192, below every sector
+    that ARPACK solves (more than _DENSE_EIG_CUTOFF = 900 states)."""
     return max(20, 2 * k + 1), max(90, 8 * k)
 
 
@@ -585,7 +589,7 @@ def _lowest_arpack(op: _ChainHamiltonian, k: int) -> SpectrumReport:
     attempts = []
     for ncv in _krylov_sizes(k):
         try:
-            vals, vecs = spla.eigs(B, k=k, which="SR", ncv=min(ncv, D - 1), tol=1e-12,
+            vals, vecs = spla.eigs(B, k=k, which="SR", ncv=ncv, tol=1e-12,
                                    maxiter=8000, v0=v0)
         except spla.ArpackNoConvergence as exc:
             attempts.append(f"SR ncv={ncv}: no convergence ({exc})")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurvePoint
+from .curve import CurveParams, CurvePoint
 from .errors import Singular
 
 _DENOM_TOL = 1e-13
@@ -34,16 +34,11 @@ class RWeights:
     b: complex
     b_bar: complex
     d: complex
+    eps_d: complex  # eps * d, the weight of R's two eps d slots
     f: complex
     g: complex
     h: complex
     h_bar: complex
-    p1: CurvePoint
-    p2: CurvePoint
-
-    @property
-    def eps(self) -> complex:
-        return self.p1.params.eps
 
 
 def weights(p1: CurvePoint, p2: CurvePoint) -> RWeights:
@@ -72,39 +67,40 @@ def weights(p1: CurvePoint, p2: CurvePoint) -> RWeights:
     )
     if abs(a + f) < _DENOM_TOL:
         raise Singular("a + f vanishes")
-    g = (1.0 + eps * d * d - b * b_bar) / (a + f)
+    eps_d = eps * d
+    g = (1.0 + eps_d * d - b * b_bar) / (a + f)
     # h, hbar are defined through a and f; keep the same floating expressions
     h = a + f / eps
     h_bar = a + eps * f
-    return RWeights(a, b, b_bar, d, f, g, h, h_bar, p1, p2)
+    return RWeights(a, b, b_bar, d, eps_d, f, g, h, h_bar)
 
 
-def assemble_r(w: RWeights) -> np.ndarray:
+def assemble_r(w: RWeights, unit: float = 1.0) -> np.ndarray:
     """9x9 matrix on the ordered pair basis (s1, s2), s = 1..3 per space.
 
     Nineteen entries are populated; everything else is structurally zero,
     and every entry conserves the total spin of the pair under the labels
-    (+1, 0, -1) for (1, 2, 3).
+    (+1, 0, -1) for (1, 2, 3).  Four of them are the constant `unit`, which
+    is 0 when w holds the derivatives of the weights.
     """
-    eps = w.eps
     R = np.zeros((9, 9), dtype=complex)
     R[0, 0] = w.a
     R[1, 1] = w.b
-    R[1, 3] = 1.0
+    R[1, 3] = unit
     R[2, 2] = w.f
     R[2, 4] = w.d
     R[2, 6] = w.h
-    R[3, 1] = 1.0
+    R[3, 1] = unit
     R[3, 3] = w.b_bar
-    R[4, 2] = eps * w.d
+    R[4, 2] = w.eps_d
     R[4, 4] = w.g
     R[4, 6] = w.d
     R[5, 5] = w.b_bar
-    R[5, 7] = 1.0
+    R[5, 7] = unit
     R[6, 2] = w.h_bar
-    R[6, 4] = eps * w.d
+    R[6, 4] = w.eps_d
     R[6, 6] = w.f
-    R[7, 5] = 1.0
+    R[7, 5] = unit
     R[7, 7] = w.b
     R[8, 8] = w.a
     return R
@@ -114,12 +110,39 @@ def r_matrix(p1: CurvePoint, p2: CurvePoint) -> np.ndarray:
     return assemble_r(weights(p1, p2))
 
 
+_SWAP = np.arange(9).reshape(3, 3).T.ravel()  # pair code 3 s1 + s2 read as 3 s2 + s1
+
+
 def permutation_matrix() -> np.ndarray:
-    P = np.zeros((9, 9))
-    for a in range(3):
-        for b in range(3):
-            P[3 * a + b, 3 * b + a] = 1.0
-    return P
+    """P, the swap of the two three-state spaces; R(p, p) = P at every curve point p."""
+    return np.eye(9)[_SWAP]
+
+
+def bond_density(params: CurveParams) -> np.ndarray:
+    """The chain's two-site density -d/dt [R(lam, p0) P] at lam = p0, plus U/4,
+    on the curve branch of `params`.
+
+    p0 = (x, y) = (1, 0) is the regular point: R(p0, p0) = P, so the
+    transfer matrix T(lam, p0) is the shift at lam = p0, and summed over the
+    bonds this density is -T^-1 dT/dt + L U/4 (the trace identity of a
+    regular R-matrix).  The local parameter on the curve through p0 is
+    t = sqrt(eps) y; there dC/dx = 4 and dC/dy = U sqrt(eps), so
+    dx/dt = -U/4 and the weights' t-derivatives at (p0, p0) are
+
+        a' = h' = hbar' = -U/4,   g' = U/4,   f' = 0,
+        b' = d' = eps^(-1/2),     bbar' = (eps d)' = eps^(1/2),
+
+    the four unit entries being constant.  eps^(-1/2) is taken as the exact
+    conjugate of eps^(1/2), so the density keeps the site reflection
+    P B P = conj(B) to the last bit; on the eps-minus branch it is the
+    complex conjugate of the chain's.  U enters only on the diagonal.
+    """
+    U, s = params.U, params.sqrt_eps
+    w = RWeights(a=-U / 4, b=s.conjugate(), b_bar=s, d=s.conjugate(), eps_d=s, f=0.0,
+                 g=U / 4, h=-U / 4, h_bar=-U / 4)
+    B = -assemble_r(w, unit=0.0)[:, _SWAP]
+    B[np.diag_indices(9)] += U / 4
+    return B
 
 
 def nonzero_positions() -> set[tuple[int, int]]:
@@ -155,4 +178,4 @@ def phase_shift(p1: CurvePoint, p2: CurvePoint) -> complex:
     w = weights(p1, p2)
     if abs(w.a * w.f) < _DENOM_TOL:
         raise Singular("a*f vanishes for this pair")
-    return (w.g * w.f - w.eps * w.d * w.d) / (w.a * w.f)
+    return (w.g * w.f - w.eps_d * w.d) / (w.a * w.f)

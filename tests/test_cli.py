@@ -648,13 +648,37 @@ def test_extrapolate_gap_recovers_cubic_intercept():
     assert err == pytest.approx(abs(value - quadratic), rel=1e-9)
 
 
-def test_cli_bytes_commands_parse():
-    # the byte-contract list of tools/cli_bytes.py must stay valid CLI input
+def _cli_bytes():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_bytes.py"
     spec = importlib.util.spec_from_file_location("cli_bytes", path)
     cli_bytes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_bytes)
+    return cli_bytes
+
+
+def test_cli_bytes_commands_parse():
+    # the byte-contract list of tools/cli_bytes.py must stay valid CLI input
+    cli_bytes = _cli_bytes()
     parser = build_parser()
     for argv in cli_bytes.COMMANDS:
         parser.parse_args(argv)
     assert len({cli_bytes.name(argv) for argv in cli_bytes.COMMANDS}) == len(cli_bytes.COMMANDS)
+
+
+def test_cli_bytes_compare_reports_number_moves(tmp_path):
+    cli_bytes = _cli_bytes()
+    move = cli_bytes.largest_move
+    assert move(b'{"e1_relation": -1.5e-14, "L": 6}', b'{"e1_relation": 2.5e-14, "L": 6}') == 4e-14
+    assert move(b"arpack-sr(ncv=20) 0.25", b"arpack-sr(ncv=40) 0.25") == 20
+    assert move(b'{"e1_x": 1}', b'{"e2_x": 1}') is None  # digits inside a word are text
+    assert move(b"a 1.0", b"b 1.0") is None
+    argv = cli_bytes.COMMANDS[0]
+    for side, (out, code) in {"a": (b"x 1.0\n", b"0\n"), "b": (b"x 1.5\n", b"0\n"),
+                              "c": (b"x 1.0\n", b"1\n")}.items():
+        for path, data in zip(cli_bytes._paths(tmp_path / side, argv), (out, b"", code)):
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data)
+    assert cli_bytes.how_it_differs(tmp_path / "a", tmp_path / "a", argv) is None
+    assert cli_bytes.how_it_differs(tmp_path / "a", tmp_path / "b", argv) == "numbers only, largest move 0.5"
+    assert cli_bytes.how_it_differs(tmp_path / "a", tmp_path / "c", argv) == "exit code 0 -> 1"
+    assert cli_bytes.how_it_differs(tmp_path / "a", tmp_path / "d", argv) == "missing recording"

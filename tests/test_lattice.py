@@ -170,11 +170,11 @@ def test_spin_flip_maps_sector_to_its_mirror(L, data, U):
     states = _tuple_states(L, n)
     F = [index[tuple(2 - v for v in s)] for s in states]
     FP = [index[tuple(2 - v for v in s[::-1])] for s in states]
+    # the bond from the R-matrix keeps both maps exact
     H = build_hamiltonian(U, L, n).matrix.toarray()
     mirror = build_hamiltonian(U, L, -n).matrix.toarray()
-    tol = 1e-15 * max(1.0, abs(U))
-    assert np.max(np.abs(H - mirror.conj().T[np.ix_(F, F)]), initial=0.0) <= tol
-    assert np.max(np.abs(H - mirror.T[np.ix_(FP, FP)]), initial=0.0) <= tol
+    assert np.array_equal(H, mirror.conj().T[np.ix_(F, F)])
+    assert np.array_equal(H, mirror.T[np.ix_(FP, FP)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,11 +273,14 @@ def test_representative_blocks_match_csr_fold():
 
 @pytest.mark.parametrize("L", [6, 8])  # n = 0 has 141 and 1107 states
 def test_fold_refuses_terms_breaking_reflection(L, monkeypatch):
-    # without the -i/2 S-(Sz S+) term, the site-reflected partner of the
-    # +i/2 (Sz S+)S- term, P H P = conj(H) fails and the blocks keep
+    # the site reflection takes the bond entry (4, 6) to (4, 2) with its
+    # conjugate; without (4, 6), P H P = conj(H) fails and the blocks keep
     # imaginary parts
     sector_basis.cache_clear()
-    monkeypatch.setattr(lattice, "_HOP", lattice._HOP - (-1j / 2) * np.kron(lattice.SM, lattice._SZSP))
+    broken = lattice._HOP.copy()
+    assert broken[4, 6] == broken[4, 2].conjugate() != 0
+    broken[4, 6] = 0
+    monkeypatch.setattr(lattice, "_HOP", broken)
     try:
         with pytest.raises(ValueError, match="P H P = conj"):
             sector_basis(L, 0).kept

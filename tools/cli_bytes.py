@@ -7,7 +7,11 @@ compare two recordings.
 Each command runs in a fresh interpreter on the package under `src/` next to
 this script, with one BLAS thread, and leaves its stdout, stderr and exit
 code in DIR as `<name>.out`, `<name>.err` and `<name>.code`.  `--compare`
-exits 1 when any command differs.  The list covers every command, the
+prints each differing command with how it differs: its exit code, text
+beyond the numbers, or only numbers, with the largest absolute move between
+the numbers read in order.  It exits 1 when any command differs.
+
+The list covers every command, the
 m = 3 eigenvector recursion at L = 8 (`aba-verify --L 8 --m 3`), the
 Yang-Baxter check on the degenerate curve (`ybe-check --U 2 sqrt(3)`), an
 ARPACK solve for k = 12 levels, whose first Krylov space is larger than 20
@@ -97,15 +101,36 @@ def record(out_dir: Path) -> None:
         print(f"{done.returncode}  {' '.join(argv)}")
 
 
-def differing(a: Path, b: Path) -> list[str]:
-    """The commands whose stdout, stderr or exit code differ between a and b,
-    a missing file counting as a difference."""
+# a number not inside a word (the 1 of `e1_relation` is not one)
+_NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
-    def recorded(out_dir, argv):
-        return [p.read_bytes() if p.is_file() else None for p in _paths(out_dir, argv)]
 
-    return [" ".join(argv) for argv in COMMANDS
-            if None in (got := recorded(a, argv)) or got != recorded(b, argv)]
+def _recorded(out_dir: Path, argv: list[str]) -> list[bytes | None]:
+    return [p.read_bytes() if p.is_file() else None for p in _paths(out_dir, argv)]
+
+
+def largest_move(a: bytes, b: bytes) -> float | None:
+    """The largest absolute difference of the numbers of a and b, paired in
+    order, or None when the texts differ once every number is masked."""
+    if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
+        return None
+    return max((abs(float(x) - float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))),
+               default=0.0)
+
+
+def how_it_differs(a: Path, b: Path, argv: list[str]) -> str | None:
+    """How a command's recordings in a and b differ, or None if they are equal."""
+    got, want = _recorded(a, argv), _recorded(b, argv)
+    if got == want and None not in got:
+        return None
+    if None in got or None in want:
+        return "missing recording"
+    if got[2] != want[2]:
+        return f"exit code {got[2].decode().strip()} -> {want[2].decode().strip()}"
+    moves = [largest_move(x, y) for x, y in zip(got[:2], want[:2])]
+    if None in moves:
+        return "text differs"
+    return f"numbers only, largest move {max(moves):.2g}"
 
 
 def main(argv=None) -> int:
@@ -119,9 +144,9 @@ def main(argv=None) -> int:
     if args.dir is not None:
         record(args.dir)
         return 0
-    diff = differing(*args.compare)
-    for cmd in diff:
-        print(cmd)
+    diff = [(argv, how) for argv in COMMANDS if (how := how_it_differs(*args.compare, argv))]
+    for argv, how in diff:
+        print(f"{' '.join(argv)}: {how}")
     print(f"{len(diff)} of {len(COMMANDS)} commands differ", file=sys.stderr)
     return 1 if diff else 0
 
