@@ -120,14 +120,16 @@ def bethe_defect_z(rs: BetheRootSet) -> np.ndarray:
 # real logarithmic form
 
 
-def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float):
+def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float, kernel: bool = True):
     """Pair phase at = arctan[(s_a - s_b) / D] of `thermo._pair_terms`, rows a and columns
-    b, its s_a-derivative kern = (2 sqrt(3) s_b - U) / q and q = (s_a - s_b)^2 + D^2.
-    q is symmetric bit for bit, so for sa = sb, rows of the s_b-derivative
-    -kern.T come from the same q."""
+    b, its s_a-derivative kern = (2 sqrt(3) s_b - U) / q and q = (s_a - s_b)^2 + D^2
+    (None for both unless `kernel`).  q is symmetric bit for bit, so for sa = sb,
+    rows of the s_b-derivative -kern.T come from the same q."""
     q, den = thermo._pair_terms(U, sa, sb)
     with np.errstate(divide="ignore", invalid="ignore"):
         at = np.arctan(q / den)
+        if not kernel:
+            return at, None, None
         q *= q
         den *= den
         q += den
@@ -135,24 +137,28 @@ def _phase_kernel(sa: np.ndarray, sb: np.ndarray, U: float):
 
 
 def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarray,
-                                    J: np.ndarray | None = None):
+                                    J: np.ndarray | None = None, jacobian: bool = True):
     """Residual g_a = L k_a - 2 pi Q_a - 2 sum_b at[a, b] and its Jacobian
     J = diag(L - 2 c_a sum_b kern[a, b]) + 2 c_b kern[b, a], with the pair
     terms of a != b only, filled in blocks of thermo._ROW_BLOCK rows into J
-    when an M x M array is given."""
+    when an M x M array is given; the residual alone, with J None, unless
+    `jacobian`."""
     s = np.sin(k - np.pi / 6)
     c2 = 2 * np.cos(k - np.pi / 6)
     w = 2 * SQRT3 * s - U
     M = len(k)
     phase_sums = np.empty(M)
-    if J is None:
+    if J is None and jacobian:
         J = np.empty((M, M))
     for a0 in range(0, M, thermo._ROW_BLOCK):
         rows = slice(a0, a0 + thermo._ROW_BLOCK)
-        at, kern, q = _phase_kernel(s[rows], s, U)
-        own = (np.arange(len(q)), np.arange(a0, a0 + len(q)))
-        at[own] = kern[own] = 0.0
+        at, kern, q = _phase_kernel(s[rows], s, U, jacobian)
+        own = (np.arange(len(at)), np.arange(a0, a0 + len(at)))
+        at[own] = 0.0
         phase_sums[rows] = at.sum(axis=1)
+        if not jacobian:
+            continue
+        kern[own] = 0.0
         diag = L - c2[rows] * kern.sum(axis=1)
         del at, kern
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -163,7 +169,7 @@ def _log_form_residual_and_jacobian(k: np.ndarray, L: int, U: float, Q: np.ndarr
         # which holds +0.0 where the product is -0.0
         np.add(kern_t, 0.0, out=J[rows])
         J[rows][own] = diag
-    return L * k - 2 * np.pi * Q - 2 * phase_sums, J
+    return L * k - 2 * np.pi * Q - 2 * phase_sums, J if jacobian else None
 
 
 def _counting_function(k: np.ndarray, U: float, s: np.ndarray, ws: np.ndarray):
@@ -237,7 +243,9 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
     residual and Jacobian along, and a trial that rounds back to k ends the
     search, since every shorter step rounds back to k too.  Once a step is
     solved, each trial's Jacobian is written over the old one's array, so
-    one M x M Jacobian is held for the whole solve.
+    one M x M Jacobian is held for the whole solve.  A trial whose step is
+    below 1e-13 ends the iteration, accepted or not, so it is evaluated
+    for its residual alone.
 
     Reliable for U >= 2*sqrt(3); below that range real roots destabilize
     and the solve raises NoConvergence when two momenta collide.
@@ -269,26 +277,27 @@ def solve_log_form(L: int, n: int, U: float, Q: list | None = None) -> BetheRoot
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"log-form Jacobian singular at U={U}, L={L}") from exc
         scale, stalled = 1.0, False
-        gnorm = np.max(np.abs(g))
+        gnorm, smax = np.max(np.abs(g)), np.max(np.abs(step))
         for _ in range(40):
             trial = k - scale * step
             if np.array_equal(trial, k):
                 stalled = True
                 break
-            # J's step is solved: the trial's Jacobian overwrites it
-            gt, _ = _log_form_residual_and_jacobian(trial, L, U, Qa, J)
+            # J's step is solved: the trial's Jacobian overwrites it, unless
+            # a step this short ends the iteration and no Jacobian is read again
+            gt, _ = _log_form_residual_and_jacobian(trial, L, U, Qa, J, scale * smax >= 1e-13)
             if np.max(np.abs(gt)) < gnorm:
                 k, g = trial, gt
                 break
             scale /= 2
         else:
             k = k - scale * step
-            g, _ = _log_form_residual_and_jacobian(k, L, U, Qa, J)
+            g, _ = _log_form_residual_and_jacobian(k, L, U, Qa, J, scale * smax >= 1e-13)
         # the closest pair of momenta are neighbours once sorted
         if M > 1 and np.min(np.diff(np.sort(k))) < 1e-9:
             raise NoConvergence(f"momenta collided at U={U}, L={L}, n={n}: real roots unstable",
                                 last=k)
-        last_step = scale * np.max(np.abs(step))
+        last_step = scale * smax
         # a step that rounds back to k would be solved again and again
         if last_step < 1e-13 or stalled:
             break
@@ -318,16 +327,24 @@ def _cylinder_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _min_distance(k: np.ndarray) -> float:
+    """The closest pair's distance on the cylinder; inf for fewer than two roots."""
     M = len(k)
     if M < 2:
         return np.inf
-    return float(np.min(_cylinder_distances(k[:, None], k) + 2 * np.pi * np.eye(M)))
+    d = _cylinder_distances(k[:, None], k)
+    d.flat[::M + 1] = np.inf
+    return float(d.min())
+
+
+# an unconverged complex Newton iterate with two roots closer than this is
+# collapsing them (`solve_complex`)
+_COLLAPSE_DISTANCE = 1e-3
 
 
 def _cleared_defect(k: np.ndarray, L: int, U: float):
-    """Pole-free residual exp(i k_j L) prod den - prod num, with row scales and
-    the stacked momentum-form pair factors, which `_cleared_jacobian`
-    and the plain defect at convergence take from here.
+    """Pole-free residual exp(i k_j L) prod den - prod num, with row scales,
+    the stacked momentum-form pair factors and exp(i k_j L), which
+    `_cleared_jacobian` and the plain defect at convergence take from here.
 
     Near string formation the scattering denominators pinch zeros, which
     makes the ratio form ill-conditioned; the cleared form stays smooth
@@ -336,8 +353,9 @@ def _cleared_defect(k: np.ndarray, L: int, U: float):
     """
     f = _pair_arrays(np.sin(k - np.pi / 6), EPS, 0.5j * U)
     t2, d = np.multiply.reduce(f, axis=2)
-    t1 = np.exp(1j * k * L) * d
-    return t1 - t2, np.abs(t1) + np.abs(t2) + 1.0, f
+    E = np.exp(1j * k * L)
+    t1 = E * d
+    return t1 - t2, np.abs(t1) + np.abs(t2) + 1.0, f, E
 
 
 def _products_but_one(a: np.ndarray) -> np.ndarray:
@@ -350,14 +368,13 @@ def _products_but_one(a: np.ndarray) -> np.ndarray:
     return pre * suf
 
 
-def _cleared_jacobian(k: np.ndarray, L: int, f: np.ndarray) -> np.ndarray:
+def _cleared_jacobian(k: np.ndarray, L: int, f: np.ndarray, E: np.ndarray) -> np.ndarray:
     """J[j, i] = d/dk_i of the cleared residual of row j, from the pair factors
-    f of `_cleared_defect`.  With c = cos(k - pi/6), factor (j, i) has d/dk_j
-    num = c_j/eps, den = c_j eps and d/dk_i num = -c_i eps, den = -c_i/eps; each
-    term carries the product of the other factors."""
+    f and E = exp(i k L) of `_cleared_defect`.  With c = cos(k - pi/6), factor
+    (j, i) has d/dk_j num = c_j/eps, den = c_j eps and d/dk_i num = -c_i eps,
+    den = -c_i/eps; each term carries the product of the other factors."""
     M = len(k)
     c = np.cos(k - np.pi / 6)
-    E = np.exp(1j * k * L)
     prods = _products_but_one(f)
     own = prods.reshape(2, -1)[:, ::M + 1]
     P = own[1].copy()  # the whole off-diagonal product of each den row
@@ -374,13 +391,20 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
     The iteration runs on the pole-cleared residual, at most 150 steps, so
     string patterns that pinch a scattering pole remain reachable; the
     reported residual is the plain momentum-form defect, accepted up to
-    ACCEPT_RESIDUAL.  Momenta are kept wrapped to Re k in (-pi, pi];
-    iterates that collide two roots (distance below 1e-6 on the cylinder)
-    are rejected, since coincident momenta solve the equations only
-    spuriously.
+    ACCEPT_RESIDUAL.  Momenta are kept wrapped to Re k in (-pi, pi].
 
-    Each point is evaluated once: its pair factors serve its cleared defect,
-    its Jacobian and, at convergence, its plain defect.
+    Coincident momenta solve the equations only spuriously, so a run that
+    collapses two roots is stopped: an iterate whose relative cleared defect
+    is still above 1e-13 and whose closest pair of roots (on the cylinder)
+    lies below min(1e-3, pi / 2L), a quarter of the free spacing, raises
+    NoConvergence.  Every solve of the tests and the benchmark that converges
+    keeps its roots 2.1e-3 or more apart at every iterate, while a trial that
+    ends on coincident momenta passes below 1e-3 long before its defect
+    does.  A converged iterate is still rejected with two roots closer than
+    1e-6.
+
+    Each point is evaluated once: its pair factors and exp(i k L) serve its
+    cleared defect, its Jacobian and, at convergence, its plain defect.
 
     A run that stalls is stopped early: once the relative cleared defect has
     not fallen tenfold over the last 10 iterations, the solve raises
@@ -391,57 +415,56 @@ def solve_complex(L: int, n: int, U: float, init: np.ndarray) -> BetheRootSet:
     k = _wrap(np.asarray(init, dtype=complex))
     if len(k) != L - n:
         raise ValueError(f"expected {L - n} initial momenta, got {len(k)}")
-
-    def cleared(kk):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _cleared_defect(kk, L, U)
-
-    F, row_scale, f = cleared(k)
-    history = []  # the relative cleared defect of each iterate
-    for _ in range(150):
-        r = float((np.abs(F) / row_scale).max()) if len(F) else 0.0
-        history.append(r)
-        if not np.isfinite(F).all():
-            raise NoConvergence("defect overflowed", last=k)
-        if r < 1e-13:
-            if _min_distance(k) < 1e-6:
-                raise NoConvergence("converged to coincident momenta", last=k, residual=r)
-            rs = BetheRootSet(L, n, U, k)
+    collapsing = min(_COLLAPSE_DISTANCE, np.pi / (2 * L))
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, row_scale, f, E = _cleared_defect(k, L, U)
+        history = []  # the relative cleared defect of each iterate
+        for _ in range(150):
+            r = float((np.abs(F) / row_scale).max()) if len(F) else 0.0
+            history.append(r)
+            if not np.isfinite(F).all():
+                raise NoConvergence("defect overflowed", last=k)
+            if r < 1e-13:
+                if _min_distance(k) < 1e-6:
+                    raise NoConvergence("converged to coincident momenta", last=k, residual=r)
+                rs = BetheRootSet(L, n, U, k)
+                try:
+                    plain = E - _ratio_products(f, _PAIR_POLE)
+                    rs.residual = float(np.max(np.abs(plain))) if len(plain) else 0.0
+                except Singular:
+                    # exactly pole-pinched (isolated couplings during string
+                    # formation): the ratio form is unevaluable, keep the
+                    # relative cleared residual instead
+                    rs.residual = r
+                if rs.residual > ACCEPT_RESIDUAL:
+                    raise NoConvergence(
+                        "cleared form converged but the pole-pinched defect stays "
+                        f"{rs.residual:.2e}",
+                        last=k,
+                        residual=rs.residual,
+                    )
+                return rs
+            if _min_distance(k) < collapsing:
+                raise NoConvergence("Newton collapsing two roots", last=k, residual=r)
+            if len(history) > 10 and r > 0.1 * history[-11]:
+                raise NoConvergence(f"complex Newton stalled at defect {r:.2e}", last=k,
+                                    residual=r)
+            J = _cleared_jacobian(k, L, f, E)
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    plain = np.exp(1j * k * L) - _ratio_products(f, _PAIR_POLE)
-                rs.residual = float(np.max(np.abs(plain))) if len(plain) else 0.0
-            except Singular:
-                # exactly pole-pinched (isolated couplings during string
-                # formation): the ratio form is unevaluable, keep the
-                # relative cleared residual instead
-                rs.residual = r
-            if rs.residual > ACCEPT_RESIDUAL:
-                raise NoConvergence(
-                    "cleared form converged but the pole-pinched defect stays "
-                    f"{rs.residual:.2e}",
-                    last=k,
-                    residual=rs.residual,
-                )
-            return rs
-        if len(history) > 10 and r > 0.1 * history[-11]:
-            raise NoConvergence(f"complex Newton stalled at defect {r:.2e}", last=k, residual=r)
-        J = _cleared_jacobian(k, L, f)
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("complex-form Jacobian singular") from exc
-        scale, improved = 1.0, False
-        for _ in range(55):
-            trial = _wrap(k - scale * step)
-            Ft, st, ft = cleared(trial)
-            if np.isfinite(Ft).all() and (np.abs(Ft) / st).max() < r:
-                improved = True
-                break
-            scale /= 2
-        if not improved:
-            raise NoConvergence(f"line search stalled at defect {r:.2e}", last=k, residual=r)
-        k, F, row_scale, f = trial, Ft, st, ft  # the accepted trial is the next iterate
+                step = np.linalg.solve(J, F)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence("complex-form Jacobian singular") from exc
+            scale, improved = 1.0, False
+            for _ in range(55):
+                trial = _wrap(k - scale * step)
+                Ft, st, ft, Et = _cleared_defect(trial, L, U)
+                if np.isfinite(Ft).all() and (np.abs(Ft) / st).max() < r:
+                    improved = True
+                    break
+                scale /= 2
+            if not improved:
+                raise NoConvergence(f"line search stalled at defect {r:.2e}", last=k, residual=r)
+            k, F, row_scale, f, E = trial, Ft, st, ft, Et  # the accepted trial is the next iterate
     raise NoConvergence("complex Newton exceeded 150 iterations", last=k,
                         residual=float((np.abs(F) / row_scale).max()))
 

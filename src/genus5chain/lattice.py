@@ -46,7 +46,7 @@ from .rmatrix import bond_density, r_matrix
 DENSE_LIMIT = 20000
 _DENSE_EIG_CUTOFF = 900  # dims above this use ARPACK in "lowest" mode
 _REAL_TOL = 1e-8  # |Im E| <= _REAL_TOL max(1, |Re E|) marks a reported level real
-_LEVELS = 8  # levels solved in each sector that holds E0, to find the first excitation E1
+_LEVELS = 8  # most levels solved in a sector that holds E0, to find the first excitation E1
 # lowest mode's largest k: ARPACK's second basis at L = 14, n = 0 (616,227 x 8k) stays under 1 GB
 _MAX_LOWEST_K = 24
 
@@ -446,17 +446,32 @@ def monodromy_halves(lam: CurvePoint, mu: CurvePoint, L: int) -> tuple[np.ndarra
 
 def build_transfer_matrix(lam: CurvePoint, mu: CurvePoint, L: int, n: int) -> LatticeOperator:
     """Auxiliary-space trace of R_{01} ... R_{0L}, restricted to a sector,
-    assembled from the two factors of `monodromy_halves`: each factor's
-    (hi, hi') and (lo, lo') entries are gathered by one flat index each."""
+    assembled from the two factors of `monodromy_halves` by spin blocks.
+
+    The states whose first L//2 sites carry spin s are the full product of
+    the hi codes H_s of those sites and the lo codes Lo_s of the rest (spin
+    n - s), in Kronecker order.  R conserves spin, so A[a, :, c] takes hi
+    spin s' to s, and B[c, :, a] lo spin n - s' to n - s, only for
+    s' - s = c - a.  Block (s, s') of T is the sum of
+    kron(A[a, :, c][H_s, H_s'], B[c, :, a][Lo_s, Lo_s']) over those (a, c), in
+    the order of the full sum over a and c, whose other products are exact
+    zeros and leave every entry's bits as they are.
+    """
     if L < 1:
         raise ValueError("need at least one site")
     basis = sector_basis(L, n)
     A, B = monodromy_halves(lam, mu, L)
-    hi, lo = np.divmod(basis.codes, 3 ** (L - L // 2))
-    at_a = hi[:, None] * 3 ** (L // 2) + hi
-    at_b = lo[:, None] * 3 ** (L - L // 2) + lo
-    T = sum(A[a, :, c].ravel().take(at_a) * B[c, :, a].ravel().take(at_b)
-            for a in range(3) for c in range(3))
+    half = L // 2
+    spins = _code_spins(basis.codes // 3 ** (L - half), half)
+    groups = [(s, np.flatnonzero(spins == s), _sector_codes(half, s),
+               _sector_codes(L - half, n - s)) for s in np.unique(spins).tolist()]
+    T = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for s, rows, hi, lo in groups:
+        for s2, cols, hi2, lo2 in groups:
+            pairs = [(a, a + s2 - s) for a in range(3) if 0 <= a + s2 - s < 3]
+            if pairs:
+                T[np.ix_(rows, cols)] = sum(np.kron(A[a, :, c][np.ix_(hi, hi2)],
+                                                    B[c, :, a][np.ix_(lo, lo2)]) for a, c in pairs)
     return LatticeOperator(basis, sp.csr_matrix(T))
 
 
@@ -631,21 +646,32 @@ def lowest_two_energies(U: float, L: int):
 
     E0 and every sector's lowest level come from `lowest_per_sector`; only the
     sectors whose lowest level lies within the window of E0 are solved again
-    for their _LEVELS lowest.  A sector's other levels lie at or above its
+    (`_levels_reaching`).  A sector's other levels lie at or above its
     lowest, so E1 is the smallest level above the window among those levels
     and the other sectors' lowest levels.
     """
     lows = lowest_per_sector(U, L)
     e0 = lows.min()
     top = e0 + 1e-9 * max(1.0, abs(e0))
-    vals = np.concatenate([lows] + [
-        diagonalize(build_hamiltonian(U, L, int(n)), mode="lowest", k=_LEVELS).eigenvalues.real
-        for n in np.nonzero(lows <= top)[0]])
+    vals = np.concatenate([lows] + [_levels_reaching(U, L, int(n), top)
+                                    for n in np.nonzero(lows <= top)[0]])
     above = vals[vals > top]
     if len(above) == 0:
         raise NoConvergence(
             f"no level above the ground state among the {_LEVELS} lowest per sector")
     return float(e0), float(above.min())
+
+
+def _levels_reaching(U: float, L: int, n: int, top: float) -> np.ndarray:
+    """Real parts of sector n's k lowest levels, for k = 2, 4, .. _LEVELS, the
+    first k with a level above `top`: the smallest level above `top` is then
+    among them.  A sector with fewer than k levels has them all."""
+    k = 2
+    while True:
+        vals = diagonalize(build_hamiltonian(U, L, n), mode="lowest", k=k).eigenvalues.real
+        if k >= _LEVELS or len(vals) < k or np.any(vals > top):
+            return vals
+        k *= 2
 
 
 def spectrum_is_real(U: float, L: int, tol: float = _REAL_TOL) -> bool:

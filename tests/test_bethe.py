@@ -258,6 +258,16 @@ def test_log_form_evaluates_each_point_once(monkeypatch):
     assert len(calls) <= 15
 
 
+def test_log_form_last_step_builds_no_jacobian(monkeypatch):
+    jacobian = []
+    inner = bethe._log_form_residual_and_jacobian
+    monkeypatch.setattr(bethe, "_log_form_residual_and_jacobian",
+                        lambda *a: jacobian.append(a[5] if len(a) > 5 else True) or inner(*a))
+    solve_log_form(128, 0, 5.0)
+    # the start needs its Jacobian; the one step below 1e-13 ends the iteration
+    assert jacobian == [True, False]
+
+
 def test_complex_newton_evaluates_each_point_once(monkeypatch):
     seen = []
     inner = bethe._cleared_defect
@@ -274,9 +284,9 @@ def test_complex_newton_builds_pair_factors_once_per_point(monkeypatch):
     monkeypatch.setattr(bethe, "_cleared_defect",
                         lambda *a: points.append(1) or defect(*a))
     k = solve_log_form(8, 0, 4.0).roots
-    F, _, f = bethe._cleared_defect(k, 8, 3.9)
+    F, _, f, E = bethe._cleared_defect(k, 8, 3.9)
     built.clear()
-    bethe._cleared_jacobian(k, 8, f)
+    bethe._cleared_jacobian(k, 8, f, E)
     assert not built
     points.clear()
     rs = solve_complex(8, 0, 3.9, k)
@@ -314,6 +324,34 @@ def test_continuation_predictor_keeps_the_path_with_fewer_jacobians(
     track_state(*args, **kw)
     assert (len(outcomes), outcomes.count(False)) == (calls, failed)
     assert len(jacobians) <= most_jacobians
+
+
+def test_complex_newton_stops_a_trial_collapsing_two_roots(monkeypatch):
+    k = solve_log_form(4, 0, 4.0).roots
+    mean = 0.5 * (k[1] + k[2]).real
+    trial = k.copy()
+    trial[1], trial[2] = mean + 0.03j, mean - 0.03j  # a fused pair, as `_fuse_candidates` builds it
+    jacobians, _ = _count_solves(monkeypatch)
+    with pytest.raises(NoConvergence, match="Newton collapsing two roots") as info:
+        solve_complex(4, 0, 3.95, trial)
+    assert info.value.residual > 1e-13 and bethe._min_distance(info.value.last) < 1e-3
+    stopped = len(jacobians)
+    # without the rule the trial runs on until it has converged onto coincident momenta
+    monkeypatch.setattr(bethe, "_COLLAPSE_DISTANCE", 0.0)
+    jacobians.clear()
+    with pytest.raises(NoConvergence, match="converged to coincident momenta"):
+        solve_complex(4, 0, 3.95, trial)
+    assert len(jacobians) > stopped
+
+
+def test_stuck_continuation_skips_collapsing_trials(monkeypatch):
+    jacobians, outcomes = _count_solves(monkeypatch)
+    with pytest.raises(NoConvergence, match=r"continuation stuck at U=3\.000012"):
+        track_state(8, 0, 3.4641016151, 3.0)
+    # the same solves succeed and fail as when every collapsing trial ran on
+    # to coincident momenta, which took 3393 Jacobians
+    assert (len(outcomes), outcomes.count(False)) == (139, 126)
+    assert len(jacobians) < 1200
 
 
 def test_complex_newton_stops_a_stalled_run(monkeypatch):
@@ -379,6 +417,8 @@ def test_log_form_row_blocks_match_reference(M):
         new = bethe._log_form_residual_and_jacobian(k, L, U, Q)
         ref = _ref_log_form_residual_and_jacobian(k, L, U, Q)
         assert all(np.array_equal(a, b) for a, b in zip(new, ref))
+        g, J = bethe._log_form_residual_and_jacobian(k, L, U, Q, None, False)
+        assert J is None and np.array_equal(g, ref[0])
 
 
 @pytest.mark.parametrize("M", [63, 65, 200])
@@ -667,12 +707,12 @@ def test_pair_product_kernel_matches_loop_reference(case):
     else:
         assert np.array_equal(bethe_defect(rs), ref)
 
-    F, scale, f = bethe._cleared_defect(k, L, U)
+    F, scale, f, E = bethe._cleared_defect(k, L, U)
     F_ref, scale_ref = _ref_cleared_defect(k, L, U)
     assert np.all(np.abs(F - F_ref) <= 1e-14 * scale_ref)
     assert np.all(np.abs(scale - scale_ref) <= 1e-14 * scale_ref)
 
-    J = bethe._cleared_jacobian(k, L, f)
+    J = bethe._cleared_jacobian(k, L, f, E)
     J_ref = _ref_cleared_jacobian(k, L, U)
     assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
 

@@ -404,7 +404,28 @@ def test_lowest_two_energies_resolves_ground_sector_only(monkeypatch):
 
     monkeypatch.setattr(lattice, "diagonalize", spy)
     lattice.lowest_two_energies(1.0, 10)
-    assert asked == [(n, "lowest", 1) for n in range(11)] + [(0, "lowest", lattice._LEVELS)]
+    # the ground sector's second level already lies above the window
+    assert asked == [(n, "lowest", 1) for n in range(11)] + [(0, "lowest", 2)]
+
+
+def test_lowest_two_energies_doubles_levels_past_a_degenerate_ground(monkeypatch):
+    lattice._sector_lowest.cache_clear()
+    e0 = lattice.ground_state_energy(1.0, 6)
+    n0 = int(np.argmin(lattice.lowest_per_sector(1.0, 6)))
+    asked = []
+    solve = lattice.diagonalize
+
+    def degenerate(op, mode="full", k=6):
+        # the ground sector's first three levels sit in the window of E0
+        if op.sector.n != n0 or k == 1:
+            return solve(op, mode=mode, k=k)
+        asked.append(k)
+        vals = np.array([e0, e0, e0, e0 + 1e-6, e0 + 2e-6, e0 + 3, e0 + 4, e0 + 5][:k])
+        return SimpleNamespace(eigenvalues=vals)
+
+    monkeypatch.setattr(lattice, "diagonalize", degenerate)
+    assert lattice.lowest_two_energies(1.0, 6) == (e0, e0 + 1e-6)
+    assert asked == [2, 4]
 
 
 @pytest.mark.parametrize("U", [-2.0, 1.0, 2 * np.sqrt(3)])
@@ -555,21 +576,24 @@ def test_transfer_matrix_is_shift_at_regular_point():
 
 def _ref_transfer_matrix(lam, mu, L, n):
     """The transfer matrix gathered from the two monodromy halves by 2-D fancy
-    indexing, the reference for the flat gathers of `build_transfer_matrix`."""
+    indexing over the whole sector, all nine (a, c) products summed, the
+    reference for the spin blocks of `build_transfer_matrix`."""
     A, B = lattice.monodromy_halves(lam, mu, L)
     hi, lo = np.divmod(sector_basis(L, n).codes, 3 ** (L - L // 2))
     return sum(A[a, :, c][hi[:, None], hi] * B[c, :, a][lo[:, None], lo]
                for a in range(3) for c in range(3))
 
 
-@pytest.mark.parametrize("U", [4.5, -1.3])
-def test_transfer_matrix_flat_gather_matches_2d_gather(U, rng):
-    par = CurveParams(U)
+@pytest.mark.parametrize("U, eps_sign", [pytest.param(4.5, "plus", id="4.5"),
+                                         pytest.param(-1.3, "plus", id="-1.3"),
+                                         pytest.param(2.0, "minus", id="2.0-minus")])
+def test_transfer_matrix_flat_gather_matches_2d_gather(U, eps_sign, rng):
+    par = CurveParams(U, eps_sign)
     lam, mu = sample_points(par, 2, rng)
-    for L in range(1, 8):
-        for n in range(-L, L + 1):
-            T = build_transfer_matrix(lam, mu, L, n).matrix.toarray()
-            assert T.tobytes() == _ref_transfer_matrix(lam, mu, L, n).tobytes(), (L, n)
+    sectors = [(L, n) for L in range(1, 8) for n in range(-L, L + 1)] + [(8, 2)]
+    for L, n in sectors:
+        T = build_transfer_matrix(lam, mu, L, n).matrix.toarray()
+        assert T.tobytes() == _ref_transfer_matrix(lam, mu, L, n).tobytes(), (L, n)
 
 
 def test_transfer_matrix_vacuum_value(rng):
