@@ -150,19 +150,25 @@ def _sector_codes(L: int, n: int) -> np.ndarray:
     return level[n]
 
 
-def _bond_walk(codes: np.ndarray, L: int, rows):
-    """Yield (src, targets, r, c) for every term of the L periodic bonds
-    whose bond entry 9 r + c has r in rows[c]: the codes codes[src] carry
-    labels c at the bond's two sites, and the term takes them to the codes
-    `targets`.  Bond by bond, then by c and r; src is int32 and shared by
-    the terms of one (bond, c)."""
-    for j in range(L):
-        left, right = 3 ** (L - 1 - j), 3 ** (L - 1 - (j + 1) % L)
-        pair = 3 * (codes // left % 3) + codes // right % 3
-        for c in range(9):
-            src = np.flatnonzero(pair == c).astype(np.int32)
-            for r in rows[c]:
-                yield src, codes[src] + (r // 3 - c // 3) * left + (r % 3 - c % 3) * right, r, c
+def _bond_walk(codes: np.ndarray, L: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, targets, entry) of every term of the L periodic bonds whose bond
+    entry 9 r + c has r in rows[c]: the code codes[src] carries labels c at
+    the bond's two sites, and the term takes it to the code in `targets`
+    with bond entry `entry` = 9 r + c.  All bonds are walked at once, and the
+    terms come bond by bond, then by c, r and src."""
+    bond = np.arange(L)[:, None]
+    left, right = 3 ** (L - 1 - bond), 3 ** (L - 1 - (bond + 1) % L)
+    pair = 3 * (codes // left % 3) + codes // right % 3  # labels c of every bond and code
+    table = np.full((9, max(map(len, rows))), -1)
+    for c, rs in enumerate(rows):
+        table[c, :len(rs)] = rs
+    j, src, k = np.nonzero(table[pair] >= 0)  # by bond, then src, then r
+    c = pair[j, src]
+    r = table[c, k]
+    order = np.argsort((9 * j + c) * 9 + r, kind="stable")
+    j, src, c, r = j[order], src[order], c[order], r[order]
+    targets = codes[src] + (r // 3 - c // 3) * left[j, 0] + (r % 3 - c % 3) * right[j, 0]
+    return src, targets, 9 * r + c
 
 
 _sectors: dict[tuple[int, int], SectorBasis] = {}  # by (L, n), all of one L (`sector_basis`)
@@ -232,10 +238,8 @@ class _ChainHamiltonian(LatticeOperator):
 def _bond_pattern(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and flat bond index 9 r + c of every term of the L periodic
     bonds that some U makes nonzero (`_bond_walk`), the pattern of `matrix`."""
-    walk = _bond_walk(basis.codes, basis.L, _BOND_ROWS)
-    rows, cols, entry = zip(*((basis.rank(target), src, np.full(len(src), 9 * r + c))
-                              for src, target, r, c in walk))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(entry)
+    src, target, entry = _bond_walk(basis.codes, basis.L, _BOND_ROWS)
+    return basis.rank(target), src, entry
 
 
 def build_hamiltonian(U: float, L: int, n: int) -> _ChainHamiltonian:
@@ -323,51 +327,65 @@ class _KeptBlocks:
 
     The blocks are kept as their direct sum, one real CSR matrix (`whole`)
     that stores every diagonal slot, at `diag` in its data.  H(U)'s sum is
-    one copy of the data with a diagonal add, and its dense blocks are
-    filled from the rows of that sum.
+    one copy of the data with a diagonal add, and each dense block is
+    filled from its own rows of the sum (`block`).
     """
 
     counts: tuple[np.ndarray, ...]
     whole: sp.csr_matrix
     diag: np.ndarray
 
-    def _data(self, U: float) -> np.ndarray:
-        """The data of H(U)'s sum: one copy of `whole.data` with the diagonal add."""
-        data = self.whole.data.copy()
-        data[self.diag] += (U / 2) * np.concatenate(self.counts)
-        return data
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first row of every block, and the row of every stored entry."""
+        starts = np.cumsum([0] + [len(c) for c in self.counts])
+        ptr = self.whole.indptr
+        return starts, np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))
+
+    def block(self, U: float, m: int) -> np.ndarray:
+        """Dense block m of H(U), from its own rows of the sum alone."""
+        starts, rows = self._rows
+        start, end = starts[m], starts[m + 1]
+        a, b = self.whole.indptr[start], self.whole.indptr[end]
+        data = self.whole.data[a:b].copy()
+        data[self.diag[start:end] - a] += (U / 2) * self.counts[m]
+        B = np.zeros((end - start, end - start))
+        B[rows[a:b] - start, self.whole.indices[a:b] - start] = data
+        return B
 
     def blocks(self, U: float):
         """Dense blocks of H(U), m = 0 .. L-1."""
-        data, cols, ptr = self._data(U), self.whole.indices, self.whole.indptr
-        rows, start = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), 0
-        for c in self.counts:
-            end = start + len(c)
-            a, b = ptr[start], ptr[end]
-            B = np.zeros((len(c), len(c)))
-            B[rows[a:b] - start, cols[a:b] - start] = data[a:b]
-            yield B
-            start = end
+        return (self.block(U, m) for m in range(len(self.counts)))
 
     def real_sum(self, U: float) -> sp.csr_matrix:
-        """The direct sum of H(U)'s blocks as one CSR matrix."""
-        return sp.csr_matrix((self._data(U), self.whole.indices, self.whole.indptr),
-                             shape=self.whole.shape)
+        """The direct sum of H(U)'s blocks as one CSR matrix: one copy of
+        `whole.data` with the diagonal add."""
+        data = self.whole.data.copy()
+        data[self.diag] += (U / 2) * np.concatenate(self.counts)
+        return sp.csr_matrix((data, self.whole.indices, self.whole.indptr), shape=self.whole.shape)
 
 
 def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
     """B_m(0) and C_m of a sector of the chain Hamiltonian, folded from the
     hopping terms of H(0) applied to the orbit representatives alone;
     arrays are read-only.  Only the chain is folded: its P H P = conj(H)
-    is what makes the blocks real, and `_summed` checks it.
+    is what makes the blocks real, and the fold checks it.
 
-    Each term takes a representative r to a state s = T^l r' (`_fold`).
-    The terms are summed in the order of H(0)'s CSR columns at the
+    Each term takes a representative r to a state s = T^l r' and enters
+    block m as the four entries (a', a), a' in {r', r'~} and a in {r, r~}
+    (`_orbit_tables`), with the value H_m[r', r] = h conj(w^(m l)) made real
+    by W_m.  The terms are summed in the order of H(0)'s CSR columns at the
     representatives, by state s and then by r, which fixes every block's
     rounding in every sector.  No CSR H(0) or whole-sector label table is
-    built.  Each block is summed slot by slot in that order (`_summed`) into
-    CSR arrays with its diagonal slots stored, and the blocks are joined by
-    concatenating their arrays.
+    built.
+
+    The entries are grouped by their representative pair (a', a) once per
+    sector.  A block's columns follow the representatives it admits in
+    their order, so the pairs in their order are every block's slots in
+    CSR order; a block that skips short orbits takes the subset of pairs
+    it admits, renumbered.  Per momentum, only the values are computed and
+    summed slot by slot in term order, straight into the direct sum's
+    preallocated CSR arrays, with every diagonal slot (a, a) stored.
 
     sum_j (Sz_j)^2 counts a state's spins +-1: it is diagonal on the codes
     and commutes with the shift and the site reflection, so in the real
@@ -376,27 +394,62 @@ def _kept_blocks(basis: SectorBasis) -> _KeptBlocks:
     """
     orb, L = basis.orbits, basis.L
     reps = basis.codes[orb.states]
-    r, target, hop = zip(*((src, t, np.full(len(src), _HOP[row, c]))
-                           for src, t, row, c in _bond_walk(reps, L, _HOP_ROWS)))
-    r, s, hop = np.concatenate(r), basis.rank(np.concatenate(target)), np.concatenate(hop)
+    r, target, entry = _bond_walk(reps, L, _HOP_ROWS)
+    hop = _HOP.ravel()[entry]
+    s = basis.rank(target)
     order = np.lexsort((r, s))  # by state s, then by representative r
     r, s, hop = r[order], s[order], hop[order]
-    rp = orb.rep[s]
+    rp, l = orb.rep[s], orb.shift[s]
     h = hop * np.sqrt(orb.period[r] / orb.period[rp])
     tol = 1e-12 * max(1.0, np.abs(hop).max(initial=0.0))
     spins = np.count_nonzero(_digits(reps, L) != 1, axis=1).astype(float)
     counts = tuple(spins[col >= 0] for col in orb.column)
     for c in counts:
         c.setflags(write=False)
-    data, cols, per_row = zip(*(_summed(d, i, j, b, tol)
-                                for d, i, j, b in _fold(orb, L, r, rp, orb.shift[s], h)))
-    starts = (np.cumsum(orb.widths) - orb.widths).tolist()
-    D = basis.dim
-    whole = sp.csr_matrix((np.concatenate(data), np.concatenate([c + a for c, a in zip(cols, starts)]),
-                           np.concatenate([[0], np.cumsum(np.concatenate(per_row))])), shape=(D, D))
-    diag = np.flatnonzero(whole.indices == np.repeat(np.arange(D), np.diff(whole.indptr)))
-    for a in (whole.data, whole.indices, whole.indptr, diag):
-        a.setflags(write=False)
+    # the entries (a', a) of every term, in the order of `b` below, then every (a, a)
+    R, mr, mrp = len(reps), orb.mirror[r], orb.mirror[rp]
+    pairs, slot = np.unique(np.concatenate([rp * R + r, rp * R + mr, mrp * R + r, mrp * R + mr,
+                                            np.arange(R) * (R + 1)]), return_inverse=True)
+    slot = slot[:4 * len(r)].reshape(4, -1)
+    ap, a = np.divmod(pairs, R)
+    # momentum m admits a pair when m g = 0 mod L, as it admits an orbit of period p when m p = 0
+    g = np.gcd(orb.period[ap], orb.period[a])
+    per_g = np.bincount(g, minlength=L + 1)
+    steps = [L // np.gcd(m, L) for m in range(L)]  # m admits g when steps[m] divides g
+    sizes = [int(per_g[::q].sum()) for q in steps]
+    D, nnz = basis.dim, sum(sizes)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=np.int32)
+    per_row, diag = np.zeros(D, dtype=np.int64), []
+    z, start, off = _half_turn_roots(L), 0, 0
+    for m, (col, own, other, q, size) in enumerate(zip(orb.column, orb.own, orb.other,
+                                                       steps, sizes)):
+        if size == len(pairs):  # m admits every orbit, so every term and pair
+            on, keep, at = np.arange(len(r)), slice(None), slot.ravel()
+        else:
+            on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
+            keep = g % q == 0
+            at = (np.cumsum(keep) - 1)[slot[:, on].ravel()]
+        # h[on] is a copy: numpy may reuse a temporary operand of a large
+        # product as its output, and reusing z's would swap the operands of
+        # the complex multiply, which rounds the imaginary parts differently
+        v = h[on] * z[-2 * m * l[on] % (2 * L)]
+        rpm, rm = rp[on], r[on]
+        # term (r', r) of H_m enters B[a', a] for a' in {r', r'~} and a in {r, r~}
+        uv = _cmul(np.stack([own[rpm], other[rpm]]).conj(), v)
+        b = _cmul(uv[:, None], np.stack([own[rm], other[rm]])).ravel()
+        d = orb.widths[m]
+        imag = np.bincount(at, b.imag, size)
+        if size and abs(imag).max() > tol:
+            raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
+        data[off:off + size] = np.bincount(at, b.real, size)
+        indices[off:off + size] = col[a[keep]] + start
+        per_row[start:start + d] = np.bincount(col[ap[keep]], minlength=d)
+        diag.append(off + np.flatnonzero(ap[keep] == a[keep]))
+        start, off = start + d, off + size
+    whole = sp.csr_matrix((data, indices, np.concatenate([[0], np.cumsum(per_row)])), shape=(D, D))
+    diag = np.concatenate(diag)
+    for x in (whole.data, whole.indices, whole.indptr, diag):
+        x.setflags(write=False)
     return _KeptBlocks(counts, whole, diag)
 
 
@@ -508,43 +561,6 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
-
-
-def _fold(orb: SimpleNamespace, L: int, r, rp, l, h):
-    """Yield, for m = 0 .. L-1, the width d of real block m and its entries
-    (i, j, b) before summation, from the terms h of H[T^l r', r] scaled by
-    sqrt(p_r / p_r') (arrays r, rp = r', l, h):
-    H_m[r', r] = sum of h conj(w^(m l)) over the terms, made real by W_m
-    (`_orbit_tables`)."""
-    z = _half_turn_roots(L)
-    for m, (col, own, other) in enumerate(zip(orb.column, orb.own, orb.other)):
-        on = np.nonzero((col[r] >= 0) & (col[rp] >= 0))[0]
-        v = h[on] * z[-2 * m * l[on] % (2 * L)]
-        rpm, rm = rp[on], r[on]
-        # term (r', r) of H_m enters B[a', a] for a' in {r', r'~} and a in {r, r~}
-        uv = (_cmul(own[rpm].conj(), v), _cmul(other[rpm].conj(), v))
-        b = np.concatenate([_cmul(u, x) for u in uv for x in (own[rm], other[rm])])
-        i = np.repeat([col[rpm], col[orb.mirror[rpm]]], 2, axis=0).ravel()
-        j = np.tile([col[rm], col[orb.mirror[rm]]], (2, 1)).ravel()
-        yield orb.widths[m], i, j, b
-
-
-def _summed(d: int, i: np.ndarray, j: np.ndarray, b: np.ndarray, tol: float):
-    """The real d x d block of the chain Hamiltonian with entries b summed at
-    (i, j), as the CSR arrays (data, int32 column indices, entries per row)
-    with every diagonal slot stored.  The entries are added at their slots
-    in the order given, so the order of the terms fixes the block's
-    rounding.  Raises a ValueError if an imaginary part above tol is left,
-    as it is when the folded terms break P H P = conj(H)."""
-    slots, at = np.unique(np.concatenate([i.astype(np.int64) * d + j, np.arange(d) * (d + 1)]),
-                          return_inverse=True)
-    at = at[:len(b)]
-    imag = np.bincount(at, b.imag, len(slots))
-    if len(imag) and abs(imag).max() > tol:
-        raise ValueError("real momentum blocks need an operator with P H P = conj(H)")
-    rows, cols = np.divmod(slots, d)
-    return (np.bincount(at, b.real, len(slots)).astype(float, copy=False), cols.astype(np.int32),
-            np.bincount(rows, minlength=d))
 
 
 def diagonalize(op: _ChainHamiltonian, mode: str = "full", k: int = 6) -> SpectrumReport:
@@ -695,26 +711,67 @@ def reality_threshold(
     """Smallest U with an entirely real spectrum, located by bisection to 1e-6,
     or until both ends of the bracket round to the same five decimal places.
 
-    A probe above the threshold needs the full spectrum of every sector
-    n >= 0; one below stops at its first complex level (`spectrum_is_real`).
-    Every sector's blocks are kept across probes (`SectorBasis.kept`), so a
-    probe at a new U costs one diagonal add per block and the block `eig`s.
-    Full spectra keep it practical to L <= 9 only.  The result is rounded
-    to five decimal places; once both ends round alike, every later midpoint
-    lies between them and rounds alike too, so further probes cannot change it.
+    The bisection assumes that the spectrum, once real, stays real as U
+    grows, and the search assumes the same of every real momentum block
+    (n, m), n >= 0.  A probe solves the blocks that may still hold a complex
+    level (`_pending_real`), from n = L down, and stops at the first complex
+    one.  That probe becomes the new lower end, below every later probe, so
+    the blocks it found real are not solved again.  Near the end only the
+    few n = 0 blocks that hold the last complex pairs are solved.  Every
+    sector's blocks are kept across probes (`SectorBasis.kept`), so a block
+    at a new U costs one diagonal add and its `eig`.
+
+    The upper end found is confirmed on every block (`spectrum_is_real`).
+    Should a block's reality not be monotone in U and the confirmation
+    fail, the plain bisection over every block runs on the given bracket,
+    so the result is always a verified sign change.  Full spectra keep the
+    search practical to L <= 9 only.  The result is rounded to five decimal
+    places; once both ends round alike, every later midpoint lies between
+    them and rounds alike too, so further probes cannot change it.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise ValueError(f"empty bracket {bracket}")
     if spectrum_is_real(lo, L, tol) or not spectrum_is_real(hi, L, tol):
         raise ValueError(f"predicate does not change sign on {bracket} for L={L}")
+    pending = [(n, m) for n in range(L, -1, -1) for m in range(L)]
+    lo, hi = _bisect(lo, hi, lambda U: _pending_real(U, L, tol, pending))
+    if not spectrum_is_real(hi, L, tol):
+        lo, hi = _bisect(*bracket, lambda U: spectrum_is_real(U, L, tol))
+    return round(0.5 * (lo + hi), 5)
+
+
+def _bisect(lo: float, hi: float, real) -> tuple[float, float]:
+    """The bracket (lo, hi) narrowed by bisection on the predicate `real` of U
+    to 1e-6, or until both ends round to the same five decimal places."""
     while hi - lo > 1e-6 and round(lo, 5) != round(hi, 5):
         mid = 0.5 * (lo + hi)
-        if spectrum_is_real(mid, L, tol):
+        if real(mid):
             hi = mid
         else:
             lo = mid
-    return round(0.5 * (lo + hi), 5)
+    return lo, hi
+
+
+def _pending_real(U: float, L: int, tol: float, pending: list) -> bool:
+    """True when every block (n, m) in `pending` is real at U, solved in
+    list order.  At the first complex block, the blocks found real before
+    it are dropped from the list and it moves to the end."""
+    op = None
+    for i, (n, m) in enumerate(pending):
+        if op is None or op.sector.n != n:
+            op = build_hamiltonian(U, L, n)
+        if not _block_is_real(op, m, tol):
+            pending[:] = pending[i + 1:] + pending[i:i + 1]
+            return False
+    return True
+
+
+def _block_is_real(op: _ChainHamiltonian, m: int, tol: float) -> bool:
+    """Whether real momentum block m of H(U) has only real levels, as
+    `spectrum_is_real` decides it."""
+    B = op.sector.kept.block(op.U, m)
+    return not len(B) or bool(np.all(_is_real(eig(B, right=False), tol)))
 
 
 @dataclass
@@ -727,9 +784,16 @@ class SymmetryReport:
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    d1 = max(np.min(np.abs(b - z)) for z in a)
-    d2 = max(np.min(np.abs(a - z)) for z in b)
-    return float(max(d1, d2))
+    return float(max(_farthest(a, b), _farthest(b, a)))
+
+
+def _farthest(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest distance from a point of a to its nearest point of b, from
+    one table |b - z| per block of rows z of a, at most 2^16 entries (1 MB):
+    larger tables were no faster and raised the peak RSS of the L = 6
+    symmetry check."""
+    step = max(1, 2**16 // len(b))
+    return max(np.abs(b - a[i:i + step, None]).min(axis=1).max() for i in range(0, len(a), step))
 
 
 def symmetry_check_neg_u(L: int, U: float) -> SymmetryReport:

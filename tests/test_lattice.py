@@ -463,6 +463,18 @@ def _hausdorff(a, b):
     return max(max(np.min(np.abs(b - z)) for z in a), max(np.min(np.abs(a - z)) for z in b))
 
 
+def test_hausdorff_row_blocks_match_loop_reference(rng):
+    # the all-sector spectra of L = 6 (729 levels) take nine row blocks of the
+    # |b - z| table; the max of mins is the loop's, bit for bit
+    spec = [np.concatenate([diagonalize(build_hamiltonian(u, 6, n), mode="full").eigenvalues
+                            for n in range(-6, 7)]) for u in (1.3, -1.3)]
+    pairs = [(spec[0], -spec[1])] + [
+        (rng.normal(size=k) + 1j * rng.normal(size=k), rng.normal(size=j) + 1j * rng.normal(size=j))
+        for k, j in ((1, 1), (7, 300), (300, 7))]
+    for a, b in pairs:
+        assert lattice._hausdorff(a, b) == _hausdorff(a, b)
+
+
 def test_mirror_sectors_same_spectrum():
     for L, U in ((5, 2.0), (6, 1.0), (7, 3.0), (7, 3.3)):
         for n in range(1, L + 1):
@@ -683,27 +695,76 @@ def test_spectrum_is_real_matches_all_sector_spectra():
 
 
 def _ref_reality_threshold(L, bracket):
-    """The bisection run down to 1e-6 whatever the rounded ends."""
+    """The bisection run down to 1e-6 whatever the rounded ends, and its probe count."""
     lo, hi = bracket
+    probes = 0
     while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
+        mid, probes = 0.5 * (lo + hi), probes + 1
         lo, hi = (lo, mid) if lattice.spectrum_is_real(mid, L) else (mid, hi)
-    return round(0.5 * (lo + hi), 5)
+    return round(0.5 * (lo + hi), 5), probes
+
+
+def _plain_threshold(L, bracket=(2.5, 3.45)):
+    """The plain bisection over every block, with the stopping rule and the
+    bracket checks of `reality_threshold`."""
+    def real(U):
+        return lattice.spectrum_is_real(U, L)
+
+    assert not real(bracket[0]) and real(bracket[1])
+    return round(0.5 * sum(lattice._bisect(*bracket, real)), 5)
 
 
 @pytest.mark.parametrize("bracket", [(2.5, 3.45), (2.45, 3.6), (2.6, 3.44), (2.95, 3.35)])
 def test_reality_threshold_stops_once_the_rounded_ends_agree(bracket, monkeypatch):
-    probes = []
-    inner = lattice.spectrum_is_real
-    monkeypatch.setattr(lattice, "spectrum_is_real",
-                        lambda U, L, tol=lattice._REAL_TOL: probes.append(U) or inner(U, L, tol))
+    # every probe of the search solves blocks through _block_is_real at its coupling
+    probed = []
+    inner = lattice._block_is_real
+    monkeypatch.setattr(lattice, "_block_is_real",
+                        lambda op, m, tol: probed.append(op.U) or inner(op, m, tol))
     for L in (4, 5, 6, 7):
-        probes.clear()
+        probed.clear()
         found = lattice.reality_threshold(L, bracket=bracket)
-        bisected = len(probes) - 2  # the first two probes check the bracket ends
-        probes.clear()
-        assert found == _ref_reality_threshold(L, bracket)
-        assert bisected < len(probes)
+        bisected = len(set(probed))
+        ref, ref_probes = _ref_reality_threshold(L, bracket)
+        assert found == ref
+        assert 0 < bisected < ref_probes
+
+
+def test_reality_threshold_falls_back_when_the_end_is_not_confirmed(monkeypatch):
+    # a block verdict that finds every block real drives the search down to the
+    # lower end, where the spectrum is complex: the confirmation of that end
+    # fails, and the plain bisection over every block gives the result
+    inner = lattice.spectrum_is_real
+    for L in (4, 5):
+        plain, ends = _plain_threshold(L), []
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "spectrum_is_real",
+                          lambda U, L, tol=lattice._REAL_TOL: ends.append(U) or inner(U, L, tol))
+            patch.setattr(lattice, "_block_is_real", lambda op, m, tol: True)
+            found = lattice.reality_threshold(L)
+        assert found == plain
+        # calls 0 and 1 check the bracket, call 2 refuses the end found, the rest bisect
+        assert ends[2] - 2.5 < 1e-5 and not inner(ends[2], L) and len(ends) > 3
+
+
+def test_reality_threshold_solves_fewer_blocks_than_plain_bisection(monkeypatch):
+    # blocks found real at a probe below the threshold are not solved again:
+    # with the confirmation, 195 block solves against the plain bisection's
+    # 322, where walking the blocks from n = 0 up would drop few and take 276
+    solved = []
+    inner = lattice.eig
+    monkeypatch.setattr(lattice, "eig", lambda B, **kw: solved.append(len(B)) or inner(B, **kw))
+    found = lattice.reality_threshold(6)
+    searched = len(solved)
+    solved.clear()
+    assert found == _plain_threshold(6)
+    assert searched < 0.7 * len(solved)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("L", [8, 9])
+def test_reality_threshold_matches_plain_bisection_heavy(L):
+    assert lattice.reality_threshold(L) == _plain_threshold(L)
 
 
 def test_reality_threshold_bad_bracket():

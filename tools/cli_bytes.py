@@ -15,7 +15,8 @@ The list covers every command, the
 m = 3 eigenvector recursion at L = 8 (`aba-verify --L 8 --m 3`), the
 Yang-Baxter check on the degenerate curve (`ybe-check --U 2 sqrt(3)`), an
 ARPACK solve for k = 12 levels, whose first Krylov space is larger than 20
-(`ed --L 9 --n 1 --mode lowest --k 12`), five
+(`ed --L 9 --n 1 --mode lowest --k 12`), a threshold on a bracket of its
+own (`reality-threshold --L 6 --bracket 2.95,3.35`), five
 numerical failures (`bethe-solve --L 4 --U 1`, the `roots` continuations
 from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12, and a
 `thermo` grid with a node on the kernel pole) and three refusals (a
@@ -69,6 +70,7 @@ COMMANDS = [
     ["ed", "--L", "9", "--U", "2", "--n", "1", "--mode", "lowest", "--k", "12"],
     ["symmetry-check", "--L", "6", "--U", "1.3"],
     ["reality-threshold", "--L", "6"],
+    ["reality-threshold", "--L", "6", "--bracket", "2.95,3.35"],
     ["fit-threshold"],
     ["fit-threshold", "--compute", "--Ls", "4,5,6"],
     ["fit-threshold", "--data", "4:3.0,5:3.1,6:3.2"],
