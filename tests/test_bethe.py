@@ -113,7 +113,7 @@ def _ref_solve_log_form(L, n, U, start=bethe._log_form_start):
     for _ in range(200):
         g, J = bethe._log_form_residual_and_jacobian(k, L, U, Qa)
         try:
-            step = np.linalg.solve(J, g)
+            step = bethe._log_form_step(J, g)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("log-form Jacobian singular") from exc
         scale = 1.0
@@ -216,6 +216,7 @@ def _log_form_cases(draw):
 @given(case=_log_form_cases())
 @example(case=(128, 0, 5.0))
 @example(case=(64, 0, U_CRITICAL))
+@example(case=(512, 0, 3.6))  # steps by Jacobi sweeps
 def test_log_form_matches_reference_loop(case):
     new = _log_form_outcome(solve_log_form, *case)
     ref = _log_form_outcome(_ref_solve_log_form, *case)
@@ -235,6 +236,45 @@ def test_seeded_log_form_matches_free_start(case):
     assert seeded[0] == free[0]
     if free[0] is None:
         assert np.max(np.abs(seeded[1] - free[1])) < 1e-12
+
+
+def _jacobian_at(L, n, U, start=bethe._log_form_start):
+    Q = np.asarray(ground_state_quantum_numbers(L, n), dtype=float)
+    return bethe._log_form_residual_and_jacobian(start(L, U, Q), L, U, Q)
+
+
+def _lu_calls(monkeypatch):
+    calls = []
+    lu = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or lu(*a))
+    return calls
+
+
+@pytest.mark.parametrize("L, n, U, start", [
+    (256, 0, U_CRITICAL, bethe._log_form_start), (300, 17, 3.6, bethe._log_form_start),
+    (256, 0, 5.0, _free_start), (300, 17, 8.0, _free_start)])
+def test_log_form_step_by_sweeps_matches_lu(monkeypatch, L, n, U, start):
+    g, J = _jacobian_at(L, n, U, start)
+    want = np.linalg.solve(J, g)
+    before = J.copy()
+    calls = _lu_calls(monkeypatch)
+    got = bethe._log_form_step(J, g)
+    assert not calls and np.array_equal(J, before)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_log_form_step_falls_back_to_lu(monkeypatch):
+    # from the free momenta at 2 sqrt(3) the sweeps diverge: rho(D^-1 O) is 4.7
+    g, J = _jacobian_at(256, 0, U_CRITICAL, _free_start)
+    want = np.linalg.solve(J, g)
+    before = J.copy()
+    calls = _lu_calls(monkeypatch)
+    assert np.array_equal(bethe._log_form_step(J, g), want)
+    assert calls == [1] and np.array_equal(J, before)
+    J[3, 3] = 0.0  # no sweep runs on a zero diagonal
+    calls.clear()
+    got = bethe._log_form_step(J, g)
+    assert calls == [1] and np.array_equal(got, np.linalg.solve(J, g))
 
 
 def _count_evaluations(monkeypatch):

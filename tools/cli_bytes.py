@@ -16,7 +16,8 @@ m = 3 eigenvector recursion at L = 8 (`aba-verify --L 8 --m 3`), the
 Yang-Baxter check on the degenerate curve (`ybe-check --U 2 sqrt(3)`), an
 ARPACK solve for k = 12 levels, whose first Krylov space is larger than 20
 (`ed --L 9 --n 1 --mode lowest --k 12`), a threshold on a bracket of its
-own (`reality-threshold --L 6 --bracket 2.95,3.35`), five
+own (`reality-threshold --L 6 --bracket 2.95,3.35`), a log-form solve whose
+Newton steps come from Jacobi sweeps (`bethe-solve --L 2048 --U 4`), five
 numerical failures (`bethe-solve --L 4 --U 1`, the `roots` continuations
 from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12, and a
 `thermo` grid with a node on the kernel pole) and three refusals (a
@@ -49,6 +50,7 @@ COMMANDS = [
     ["density-profile", "--U", "5", "--N", "512"],
     ["bethe-solve", "--L", "64", "--U", "5"],
     ["bethe-solve", "--L", "1024", "--U", "3.4641016151377544"],
+    ["bethe-solve", "--L", "2048", "--U", "4"],
     ["bethe-solve", "--L", "128", "--n", "1", "--U", "4"],
     ["bethe-solve", "--L", "4", "--U", "1"],
     ["roots", "--L", "14", "--U", "3.3", "--mode", "continue", "--u-start", "3.4641016151"],
