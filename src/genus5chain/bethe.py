@@ -245,9 +245,9 @@ def _log_form_step(J: np.ndarray, g: np.ndarray) -> np.ndarray:
     up the step comes from Jacobi sweeps x <- D^{-1} (g - O x), started at
     D^{-1} g, until a sweep moves x by at most 1e-15 max|x|; O x is read from
     J with its diagonal zeroed for the sweeps and restored after them.  LU
-    solves the step below the cutoff, where it is faster, and wherever the
-    sweeps meet a zero or non-finite diagonal or do not settle in 64 sweeps.
-    Raises LinAlgError when LU finds J singular.
+    solves the step below the cutoff, where it is faster, and wherever D has a zero
+    or non-finite entry, a sweep moves x by a non-finite amount or farther than the
+    first sweep did, or 64 sweeps do not settle.  Raises LinAlgError if J is singular.
     """
     d = J.diagonal().copy()
     if len(g) >= _SWEEP_CUTOFF and np.isfinite(d).all() and np.all(d != 0):
@@ -255,11 +255,12 @@ def _log_form_step(J: np.ndarray, g: np.ndarray) -> np.ndarray:
         try:
             x = g / d
             with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(64):
+                for sweep in range(64):
                     x_new = (g - J @ x) / d
-                    if not np.isfinite(x_new).all():
-                        break
                     moved = np.max(np.abs(x_new - x))
+                    first = moved if sweep == 0 else first
+                    if not np.isfinite(moved) or moved > first:
+                        break
                     x = x_new
                     if moved <= 1e-15 * np.max(np.abs(x)):
                         return x

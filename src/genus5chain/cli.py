@@ -269,9 +269,9 @@ def grid_start(text: str) -> float:
 
 
 def sigma_nodes(text: str) -> int:
-    """A density-grid size `--N` of `thermo` and `density-profile`: refused above 8192,
-    the largest grid of any table, as a usage error (exit 2), since the sigma solve
-    takes time quadratic in N."""
+    """A density-grid size `--N` of `thermo`, `gap` and `density-profile`: refused above
+    8192, the largest grid of any table, as a usage error (exit 2), since the sigma and
+    rho solves take time quadratic in N."""
     N = int(text)
     if N > 8192:
         raise argparse.ArgumentTypeError(f"need at most 8192 grid nodes, got {N}")
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("gap", help="mass gap with back-flow verification")
     q.add_argument("--U", type=coupling, required=True)
-    q.add_argument("--N", type=int, default=1024)
+    q.add_argument("--N", type=sigma_nodes, default=1024)
     q.add_argument("--k0", type=grid_start, default=-np.pi)
     q.set_defaults(func=cmd_gap)
 

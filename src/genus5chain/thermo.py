@@ -20,11 +20,11 @@ which reduces to U/2 - sqrt(3) once rho vanishes.
 The drive 2 cos(k - pi/6) is odd under k -> 4 pi/3 - k, and the integral sees
 k' only through s', which is even, so the sigma iteration operator squares to
 zero too: sigma is one kernel application to the uniform start.  D sees k only
-through s, so the sigma solve folds reflected node pairs onto N/2 nodes and
-applies D in one pass over its lower triangle in row blocks; no kernel is
-stored.  The rho solve keeps all N nodes in a dense kernel: a fold would build
-in the collapse and the nilpotency it checks.  D's pair terms s - s' and
-sqrt(3)(s + s') - U are formed only in `_pair_terms`, which `bethe` shares.
+through s, so the sigma solve folds reflected node pairs onto N/2 nodes; the rho
+solve keeps all N nodes, since a fold would build in the collapse and the
+nilpotency it checks.  Both apply D in one pass over its lower triangle in row
+blocks, and no kernel is stored.  D's pair terms s - s' and sqrt(3)(s + s') - U
+are formed only in `_pair_terms`, which `bethe` shares.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .errors import NoConvergence, Singular
 # U = 2*sqrt(3); grids are phased so nodes sit symmetrically around it
 K_SINGULAR = 2.0 * np.pi / 3.0
 _ROW_BLOCK = 64
-_RHO_MAX_N = 8192  # the rho kernel is N x N floats, 512 MiB at this N
 
 
 @dataclass
@@ -170,46 +169,45 @@ def bulk_energy(grid: DensityGrid) -> float:
     return float(-2.0 * np.sum(np.cos(grid.nodes + np.pi / 6) * grid.values * grid.weights))
 
 
-def _nilpotency_defect(K: np.ndarray) -> float:
-    """||K(Kv)||_2 / (||K||_inf ||Kv||_2) for a seeded random v: zero when K
-    squares to zero, of order one when K is not nilpotent."""
-    Kv = K @ np.random.default_rng(52).standard_normal(len(K))
-    scale = np.linalg.norm(K, np.inf) * np.linalg.norm(Kv)
-    return float(np.linalg.norm(K @ Kv) / scale) if scale else 0.0
+def _nilpotency_defect(K, K_inf: float, N: int) -> float:
+    """||K(Kv)||_2 / (K_inf ||Kv||_2) for K applied as a function, K_inf = ||K||_inf and a
+    seeded random v of length N: zero when K squares to zero, of order one otherwise."""
+    Kv = K(np.random.default_rng(52).standard_normal(N))
+    scale = K_inf * np.linalg.norm(Kv)
+    return float(np.linalg.norm(K(Kv)) / scale) if scale else 0.0
 
 
 def solve_rho(U: float, N: int = 1024, k0: float = -np.pi) -> tuple[DensityGrid, float]:
-    """Back-flow density and the nilpotency defect of its operator.
+    """Back-flow density and the nilpotency defect of its operator
+    K = diag(a) D diag(b), a = U + 2 sqrt(3) s, b = cos(k - pi/6) w / (2 pi), which
+    streams D on all N nodes, unfolded: a fold would build in the collapse rho measures.
 
-    The homogeneous equation is iterated from the unit density until rho
-    falls below 1e-12 or an update moves it by less than 1e-13.  The unit
-    start is annihilated in one step, so it cannot show that the operator
-    squares to zero; the defect checks that on a seeded random vector with
-    two matrix-vector products.  Refuses U within 1e-12 above 2*sqrt(3) too,
-    and N above 8192 before the kernel is allocated.
+    rho is iterated from the unit density until it falls below 1e-12 or an update
+    moves it by less than 1e-13.  The unit start is annihilated in one step, so the
+    defect checks that K squares to zero on a seeded random vector, against
+    ||K||_inf = max(|a| D |b|) (D > 0).  Refuses U within 1e-12 above 2*sqrt(3) too.
     """
     if critical_side(U) <= 0:
         raise ValueError(f"back-flow equation requires U > 2*sqrt(3), got U={U}")
-    if N > _RHO_MAX_N:
-        raise ValueError(f"the back-flow kernel stores N x N floats; N={N} exceeds {_RHO_MAX_N}")
     nodes, w, _ = _grid(U, N, k0)
     s = np.sin(nodes - np.pi / 6)
-    K = np.empty((N, N))
-    for i0 in range(0, N, _ROW_BLOCK):
-        K[i0:i0 + _ROW_BLOCK] = _denominator_rows(U, s[i0:i0 + _ROW_BLOCK], s)
-    K *= (U + 2 * SQRT3 * s)[:, None]
-    K *= np.cos(nodes - np.pi / 6) * w / (2 * np.pi)
+    a = U + 2 * SQRT3 * s
+    b = np.cos(nodes - np.pi / 6) * w / (2 * np.pi)
+
+    def K(v):
+        return a * _apply_denominator(U, s, b * v)
+
     rho = np.ones(N)
-    delta = np.inf
     for _ in range(200):
-        new = K @ rho
+        new = K(rho)
         delta = float(np.max(np.abs(new - rho)))
         rho = new
         if np.max(np.abs(rho)) < 1e-12 or delta < 1e-13:
             break
     else:
         raise NoConvergence(f"rho iteration stalled at delta={delta:.2e}", last=rho)
-    return DensityGrid(k0, N, U, nodes, w, rho, "rho"), _nilpotency_defect(K)
+    K_inf = float(np.max(np.abs(a) * _apply_denominator(U, s, np.abs(b))))
+    return DensityGrid(k0, N, U, nodes, w, rho, "rho"), _nilpotency_defect(K, K_inf, N)
 
 
 @dataclass

@@ -277,6 +277,27 @@ def test_log_form_step_falls_back_to_lu(monkeypatch):
     assert calls == [1] and np.array_equal(got, np.linalg.solve(J, g))
 
 
+class _CountingMatrix(np.ndarray):
+    """A Jacobian that counts its matrix-vector products."""
+    matvecs = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.matvecs += 1
+        return np.asarray(self) @ other
+
+
+def test_diverging_sweeps_give_up_after_two_matvecs(monkeypatch):
+    # from the free momenta at 2 sqrt(3) each sweep moves x farther than the last,
+    # so the second sweep already outruns the first and LU takes over
+    g, J = _jacobian_at(256, 0, U_CRITICAL, _free_start)
+    want = np.linalg.solve(J, g)
+    calls = _lu_calls(monkeypatch)
+    monkeypatch.setattr(_CountingMatrix, "matvecs", 0)
+    got = bethe._log_form_step(J.view(_CountingMatrix), g)
+    assert calls == [1] and _CountingMatrix.matvecs <= 2
+    assert np.array_equal(np.asarray(got), want)
+
+
 def _count_evaluations(monkeypatch):
     calls = []
     inner = bethe._log_form_residual_and_jacobian

@@ -168,27 +168,21 @@ def test_grid_start_at_its_bound_is_accepted(k0, capsys):
 
 
 @pytest.mark.parametrize("argv", [["thermo", "--U", "5", "--N", "16384"],
-                                  ["density-profile", "--U", "5", "--N", "1000000"]])
+                                  ["density-profile", "--U", "5", "--N", "1000000"],
+                                  ["gap", "--U", "5", "--N", "16384"]])
 def test_sigma_grid_beyond_the_tables_is_usage_error(argv, monkeypatch, capsys):
-    # solve_sigma takes time quadratic in N: N = 10**6 would run for minutes
+    # the sigma and rho solves take time quadratic in N: N = 10**6 would run for minutes
     def never(U, N, k0):
-        raise AssertionError("solve_sigma called")
+        raise AssertionError("density solve called")
 
     monkeypatch.setattr(thermo, "solve_sigma", never)
+    monkeypatch.setattr(thermo, "gap", never)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"argument --N: need at most 8192 grid nodes, got {argv[-1]}" in captured.err
-
-
-def test_gap_refuses_grid_beyond_kernel_bound(capsys):
-    # the rho kernel holds N x N floats: N = 10**6 would ask for 8 TB
-    assert main(["gap", "--U", "5", "--N", "1000000"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("refused:") and "N=1000000 exceeds 8192" in captured.err
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf"])
@@ -656,12 +650,19 @@ def _cli_bytes():
     return cli_bytes
 
 
-def test_cli_bytes_commands_parse():
-    # the byte-contract list of tools/cli_bytes.py must stay valid CLI input
+def test_cli_bytes_commands_parse(capsys):
+    # the byte-contract list of tools/cli_bytes.py must stay valid CLI input; the one
+    # command the parser refuses records the --N bound of the density grids
     cli_bytes = _cli_bytes()
     parser = build_parser()
+    refused = []
     for argv in cli_bytes.COMMANDS:
-        parser.parse_args(argv)
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            refused.append(argv)
+    assert refused == [["gap", "--U", "5", "--N", "16384"]]
+    assert "argument --N: need at most 8192 grid nodes" in capsys.readouterr().err
     assert len({cli_bytes.name(argv) for argv in cli_bytes.COMMANDS}) == len(cli_bytes.COMMANDS)
 
 

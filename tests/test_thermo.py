@@ -224,13 +224,50 @@ def test_gap_reports_nilpotency_defect():
         assert est.rho_sup < 1e-8
 
 
+def _defect_of(M):
+    return thermo._nilpotency_defect(lambda v: M @ v, np.linalg.norm(M, np.inf), len(M))
+
+
 def test_nilpotency_defect_separates_nilpotent_operators():
     c, s = np.cos(0.7), np.sin(0.7)
     rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    assert thermo._nilpotency_defect(rotation) > 0.1
+    assert _defect_of(rotation) > 0.1
     square_zero = np.zeros((4, 4))
     square_zero[:2, 2:] = [[2.0, -1.0], [0.5, 3.0]]
-    assert thermo._nilpotency_defect(square_zero) == 0.0
+    assert _defect_of(square_zero) == 0.0
+
+
+def _dense_rho_kernel(U, N):
+    """The back-flow operator filled as an N x N array, row block by row block."""
+    nodes, w, _ = thermo._grid(U, N, -np.pi)
+    s = np.sin(nodes - np.pi / 6)
+    K = np.empty((N, N))
+    for i0 in range(0, N, thermo._ROW_BLOCK):
+        K[i0:i0 + thermo._ROW_BLOCK] = thermo._denominator_rows(U, s[i0:i0 + thermo._ROW_BLOCK], s)
+    K *= (U + 2 * SQRT3 * s)[:, None]
+    K *= np.cos(nodes - np.pi / 6) * w / (2 * np.pi)
+    return K
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+@pytest.mark.parametrize("U", [3.47, 4.0, 5.0, 8.0])
+def test_rho_operator_matches_dense_kernel(monkeypatch, N, U):
+    K = _dense_rho_kernel(U, N)
+    seen = {}
+
+    def record(apply, K_inf, n):
+        seen.update(apply=apply, K_inf=K_inf, n=n)
+        return 0.0
+
+    monkeypatch.setattr(thermo, "_nilpotency_defect", record)
+    solve_rho(U, N=N)
+    assert seen["n"] == N
+    scale = np.linalg.norm(K, np.inf)
+    assert abs(seen["K_inf"] - scale) <= 1e-14 * scale
+    # K annihilates the unit start, so K v is measured against ||K||_inf max|v|
+    for v in (np.ones(N), np.random.default_rng(N).standard_normal(N)):
+        want = K @ v
+        assert np.max(np.abs(seen["apply"](v) - want)) <= 1e-14 * scale * np.max(np.abs(v))
 
 
 def test_finite_size_energies_approach_bulk():

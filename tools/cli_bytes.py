@@ -17,12 +17,13 @@ Yang-Baxter check on the degenerate curve (`ybe-check --U 2 sqrt(3)`), an
 ARPACK solve for k = 12 levels, whose first Krylov space is larger than 20
 (`ed --L 9 --n 1 --mode lowest --k 12`), a threshold on a bracket of its
 own (`reality-threshold --L 6 --bracket 2.95,3.35`), a log-form solve whose
-Newton steps come from Jacobi sweeps (`bethe-solve --L 2048 --U 4`), five
+Newton steps come from Jacobi sweeps (`bethe-solve --L 2048 --U 4`), the
+back-flow solve on the largest grid (`gap --U 5 --N 8192`), five
 numerical failures (`bethe-solve --L 4 --U 1`, the `roots` continuations
 from 2 sqrt(3) down to U = 3 and 1 at L = 8 and to 2.5 at L = 12, and a
-`thermo` grid with a node on the kernel pole) and three refusals (a
+`thermo` grid with a node on the kernel pole) and four refusals (a
 `reality-threshold` bracket without a sign change, a `fit-threshold`
-with two points and `ed --mode lowest --k 25`).
+with two points, `ed --mode lowest --k 25` and `gap --N 16384`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ COMMANDS = [
     ["gap", "--U", "4"],
     ["gap", "--U", "3.6"],
     ["gap", "--U", "3.4641016152"],
+    ["gap", "--U", "5", "--N", "8192"],
+    ["gap", "--U", "5", "--N", "16384"],
     ["density-profile", "--U", "5", "--N", "512"],
     ["bethe-solve", "--L", "64", "--U", "5"],
     ["bethe-solve", "--L", "1024", "--U", "3.4641016151377544"],
